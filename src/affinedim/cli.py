@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -23,6 +22,7 @@ from .cocycle import BernoulliWeights, entropy, lyapunov_spectrum
 from .config import RunConfig, load_config, parse_config
 from .dimension import (
     PipelineConfig,
+    _tag,
     bedford_mcmullen_closed_form,
     bedford_mcmullen_ifs,
     full_pipeline,
@@ -47,19 +47,6 @@ REPORT_SCHEMA_VERSION = 1
 BM_REFERENCE_DIGITS = ((0, 0), (1, 0), (2, 1))
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("AFFINE_DIM_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"AFFINE_DIM_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError(f"AFFINE_DIM_THREADS must be at least 1, got {value}")
-    return value
-
-
 def _load(args) -> RunConfig:
     cfg = load_config(args.config)
     if getattr(args, "seed", None) is not None:
@@ -73,7 +60,7 @@ def _emit(report: dict, args) -> None:
     if not args.deterministic:
         report = dict(report)
         report["generated_at"] = datetime.now(timezone.utc).isoformat()
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -89,12 +76,6 @@ def _report_shell(command: str, cfg: RunConfig, results: dict, warnings: list[st
         "results": results,
         "warnings": warnings,
     }
-
-
-def _tag(value, provenance: str, **extra) -> dict:
-    out = {"value": value, "provenance": provenance}
-    out.update(extra)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -208,37 +189,9 @@ def cmd_domination(args) -> int:
 # dim
 
 
-def _pipeline_config(cfg: RunConfig, fiber_entropy, workers: int) -> PipelineConfig:
-    dim = cfg.dim
-    return PipelineConfig(
-        seed=cfg.seed,
-        spectrum_steps=dim["spectrum_steps"],
-        spectrum_trials=dim["spectrum_trials"],
-        gap_threshold=dim["gap_threshold"],
-        scan_n_max=dim["scan_n_max"],
-        scan_budget=dim["scan_budget"],
-        eps_slope=dim["eps_slope"],
-        flag_iterations=dim["flag_iterations"],
-        flag_count=dim["flag_count"],
-        sample_count=dim["sample_count"],
-        sample_depth=dim["sample_depth"],
-        centers=dim["centers"],
-        radii_count=dim["radii_count"],
-        radii_ratio=dim["radii_ratio"],
-        separation_level=dim["separation_level"],
-        separation_budget=dim["separation_budget"],
-        fiber_entropy=fiber_entropy,
-        ky_tol=dim["ky_tol"],
-        workers=workers,
-    )
-
-
 def cmd_dim(args) -> int:
     cfg = _load(args)
     ifs = cfg.ifs
-    fiber = cfg.dim["H"]
-    if args.H is not None:
-        fiber = args.H
     if args.assume_ssc:
         verdict = check_separation(ifs, cfg.dim["separation_level"], cfg.dim["separation_budget"])
         if verdict.status != "ssc-verified":
@@ -246,7 +199,11 @@ def cmd_dim(args) -> int:
                 f"--assume-ssc refused: separation check returned '{verdict.status}' "
                 f"at level {verdict.level}"
             )
-    pcfg = _pipeline_config(cfg, fiber, _worker_count())
+    pcfg = PipelineConfig(
+        seed=cfg.seed,
+        fiber_entropy=cfg.dim["H"] if args.H is None else args.H,
+        **{key: value for key, value in cfg.dim.items() if key != "H"},
+    )
     report = full_pipeline(ifs, pcfg)
     if args.emit_histogram:
         with open(args.emit_histogram, "w", newline="") as fh:
@@ -284,7 +241,6 @@ def _validate_pipeline_cfg(cfg: RunConfig, sample_count: int, fiber) -> Pipeline
         sample_count=sample_count,
         centers=48,
         fiber_entropy=fiber,
-        workers=_worker_count(),
     )
 
 
@@ -303,7 +259,8 @@ def cmd_validate(args) -> int:
     rows = []
 
     def add_row(case, check, value, reference, tol):
-        diff = float("inf") if value is None else abs(value - reference)
+        # a missing value has no difference and fails
+        diff = None if value is None else abs(value - reference)
         rows.append(
             {
                 "case": case,
@@ -312,7 +269,7 @@ def cmd_validate(args) -> int:
                 "reference": reference,
                 "difference": diff,
                 "tolerance": tol,
-                "status": "pass" if diff <= tol else "fail",
+                "status": "pass" if diff is not None and diff <= tol else "fail",
             }
         )
 
@@ -345,7 +302,8 @@ def cmd_validate(args) -> int:
     width = max(len(r["case"] + r["check"]) for r in rows) + 4
     for r in rows:
         label = f"{r['case']}: {r['check']}"
-        print(f"{label:<{width}} |value-ref|={r['difference']:.3e} tol={r['tolerance']:.1e} "
+        diff = "missing" if r["difference"] is None else f"{r['difference']:.3e}"
+        print(f"{label:<{width}} |value-ref|={diff} tol={r['tolerance']:.1e} "
               f"{r['status'].upper()}")
     all_pass = all(r["status"] == "pass" for r in rows)
     results = {"rows": rows, "all_pass": all_pass}

@@ -22,7 +22,6 @@ from .linalg import (
     SubspaceFrame,
     check_contractive_invertible,
     exterior_power,
-    qr_positive,
 )
 
 __all__ = [
@@ -183,12 +182,28 @@ def entropy(weights: BernoulliWeights) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def _batched_qr_accumulate(q: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """Re-orthonormalise a batch of frames, accumulating log growth in place."""
-    q, r = np.linalg.qr(q)
-    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    sums += np.log(diag)
-    return q
+def _propagate(
+    use: np.ndarray, words: np.ndarray, renorm_every: int, q0: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Push one frame per word through ``use[s]`` for each symbol, in order.
+
+    ``words`` is a (batch, steps) symbol array and ``q0`` a (d, k) or
+    (batch, d, k) starting frame (the identity by default).  Frames are
+    re-orthonormalised by QR every ``renorm_every`` steps and after the last
+    one, summing ``log|diag R|``.  Returns the final orthonormal frames and
+    the per-column log growth, which estimates the log singular values of
+    each word's product (in column order, not sorted).
+    """
+    q0 = np.eye(use.shape[1]) if q0 is None else np.asarray(q0, dtype=float)
+    batch, steps = words.shape
+    q = np.broadcast_to(q0, (batch,) + q0.shape[-2:]).copy()
+    sums = np.zeros((batch, q.shape[2]))
+    for t in range(steps):
+        q = use[words[:, t]] @ q
+        if (t + 1) % renorm_every == 0 or t == steps - 1:
+            q, r = np.linalg.qr(q)
+            sums += np.log(np.abs(np.diagonal(r, axis1=-2, axis2=-1)))
+    return q, sums
 
 
 def _multiplicities_from_gaps(chi: np.ndarray, threshold: float) -> tuple[int, ...]:
@@ -242,17 +257,10 @@ def lyapunov_spectrum(
         raise ValueError("steps must be at least 100")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    d = mats.shape[1]
     rng = np.random.default_rng(rng)
     renorm_every = safe_renorm_interval(mats, renorm_every)
     words = rng.choice(weights.n, size=(trials, steps), p=weights.p)
-
-    q = np.broadcast_to(np.eye(d), (trials, d, d)).copy()
-    sums = np.zeros((trials, d))
-    for t in range(steps):
-        q = mats[words[:, t]] @ q
-        if (t + 1) % renorm_every == 0 or t == steps - 1:
-            q = _batched_qr_accumulate(q, sums)
+    _, sums = _propagate(mats, words, renorm_every)
 
     per_trial = np.sort(-sums / steps, axis=1)
     chi = per_trial.mean(axis=0)
@@ -285,39 +293,12 @@ def exterior_partial_sum_estimate(
     rng = np.random.default_rng(rng)
     renorm_every = safe_renorm_interval(compounds, renorm_every)
     words = rng.choice(weights.n, size=(trials, steps), p=weights.p)
-    dim_c = compounds.shape[1]
-    v = rng.standard_normal((trials, dim_c))
+    v = rng.standard_normal((trials, compounds.shape[1], 1))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    sums = np.zeros(trials)
-    for t in range(steps):
-        v = np.einsum("nij,nj->ni", compounds[words[:, t]], v)
-        if (t + 1) % renorm_every == 0 or t == steps - 1:
-            norms = np.linalg.norm(v, axis=1)
-            sums += np.log(norms)
-            v /= norms[:, None]
-    estimates = -sums / steps
+    _, sums = _propagate(compounds, words, renorm_every, v)
+    estimates = -sums[:, 0] / steps
     err = float(estimates.std(ddof=1) / np.sqrt(trials)) if trials > 1 else None
     return float(estimates.mean()), err
-
-
-def _propagate_qr(
-    use: np.ndarray, symbols: np.ndarray, renorm_every: int, q0: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply ``use[s]`` for each symbol in order to a frame, with QR renorm.
-
-    Returns the final orthonormal frame and the accumulated log growth of
-    each column (an estimate of the log singular values, descending).
-    """
-    d = use.shape[1]
-    q = np.eye(d) if q0 is None else np.array(q0, dtype=float)
-    sums = np.zeros(q.shape[1])
-    n = len(symbols)
-    for t, s in enumerate(symbols):
-        q = use[s] @ q
-        if (t + 1) % renorm_every == 0 or t == n - 1:
-            q, r = qr_positive(q)
-            sums += np.log(np.abs(np.diag(r)))
-    return q, sums
 
 
 def oseledets_fast_flag(
@@ -345,11 +326,11 @@ def oseledets_fast_flag(
         raise SpectralGapError("no flags exist in ambient dimension 1", observed_gap=1.0)
     renorm_every = safe_renorm_interval(mats, renorm_every)
     # product A_{w0} A_{w1} ... applied to a frame: iterate the word backwards
-    q, sums = _propagate_qr(mats, w[:depth][::-1], renorm_every)
+    q, sums = _propagate(mats, w[:depth][::-1][None], renorm_every)
     # identity starts on axis-aligned systems keep columns in axis order, so
     # sort by observed growth before reading off the flag
-    order = np.argsort(-sums, kind="stable")
-    q, sums = q[:, order], sums[order]
+    order = np.argsort(-sums[0], kind="stable")
+    q, sums = q[0][:, order], sums[0][order]
     ratios = np.exp(sums[1:] - sums[:-1])  # sigma_{k+1}/sigma_k at this depth
     splits = [k for k in range(1, d) if ratios[k - 1] <= angle_tol / 10.0]
     if not splits:
@@ -419,15 +400,8 @@ def furstenberg_sample(
     q, r = np.linalg.qr(g)
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    q = q * signs[:, None, :]
-
-    applied = 0
-    dummy = np.zeros((count, d))
-    for t in range(iterations - 1, -1, -1):
-        q = invs[words[:, t]] @ q
-        applied += 1
-        if applied % renorm_every == 0 or t == 0:
-            q = _batched_qr_accumulate(q, dummy)
+    # the first symbol is applied last, so it ends up outermost
+    q, _ = _propagate(invs, words[:, ::-1], renorm_every, q * signs[:, None, :])
 
     samples = []
     for i in range(count):
@@ -452,10 +426,7 @@ def furstenberg_step(
     symbols = rng.choice(weights.n, size=len(samples), p=weights.p)
     out = []
     for s, sample in zip(symbols, samples):
-        frames = []
-        for f in sample.flag.frames:
-            q, _ = qr_positive(invs[s] @ f.frame)
-            frames.append(SubspaceFrame(q))
+        frames = tuple(SubspaceFrame.from_span(invs[s] @ f.frame) for f in sample.flag.frames)
         word = np.concatenate(([s], sample.word_prefix))
-        out.append(FlagSample(FlagChain(tuple(frames)), word))
+        out.append(FlagSample(FlagChain(frames), word))
     return out

@@ -6,6 +6,7 @@ emitted resolved config re-parses to the same normalized document.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -13,8 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .cocycle import BernoulliWeights
+from .dimension import PipelineConfig
 from .errors import ConfigError
-from .measure import IfsSystem
+from .measure import MIN_USABLE_RADII, IfsSystem
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -32,24 +34,12 @@ DOMINATION_DEFAULTS: dict = {
     "monte_carlo_samples": 512,
 }
 
+# the dim section holds PipelineConfig's fields (the seed is top-level), with
+# the fiber entropy spelled H
 DIM_DEFAULTS: dict = {
-    "spectrum_steps": 5_000,
-    "spectrum_trials": 12,
-    "gap_threshold": None,
-    "scan_n_max": 8,
-    "scan_budget": 10**6,
-    "eps_slope": 0.01,
-    "flag_iterations": 128,
-    "flag_count": 12,
-    "sample_count": 100_000,
-    "sample_depth": None,
-    "centers": 64,
-    "radii_count": 24,
-    "radii_ratio": 0.8,
-    "separation_level": 8,
-    "separation_budget": 10**6,
-    "H": None,
-    "ky_tol": 0.02,
+    "H" if f.name == "fiber_entropy" else f.name: f.default
+    for f in dataclasses.fields(PipelineConfig)
+    if f.name != "seed"
 }
 
 VALIDATE_DEFAULTS: dict = {
@@ -221,7 +211,7 @@ def parse_config(doc) -> RunConfig:
         "sample_count": dict(integer=True, minimum=100),
         "sample_depth": dict(integer=True, minimum=1, optional=True),
         "centers": dict(integer=True, minimum=1),
-        "radii_count": dict(integer=True, minimum=2),
+        "radii_count": dict(integer=True, minimum=MIN_USABLE_RADII),
         "radii_ratio": dict(minimum=0.1, maximum=0.99),
         "separation_level": dict(integer=True, minimum=1),
         "separation_budget": dict(integer=True, minimum=1),

@@ -39,6 +39,8 @@ from .measure import (
     project_cloud,
     sample_measure,
 )
+# a private name keeps this helper out of the stage functions the module exposes
+from .measure import default_radii as _default_radii
 
 __all__ = [
     "DimensionInputs",
@@ -285,7 +287,6 @@ class PipelineConfig:
     separation_budget: int = 10**6
     fiber_entropy: float | None = None
     ky_tol: float = 0.02
-    workers: int = 1
 
     def resolved(self, ifs: IfsSystem) -> "PipelineConfig":
         """Fill derived defaults (sampling depth, feasible separation level)."""
@@ -301,6 +302,11 @@ class PipelineConfig:
         while level > 1 and level * ifs.n_maps**level > self.separation_budget:
             level -= 1
         return dataclasses.replace(self, sample_depth=depth, separation_level=level)
+
+
+def _tag(value, provenance: str, **extra) -> dict:
+    """A report number with its provenance and any extra fields."""
+    return {"value": value, "provenance": provenance, **extra}
 
 
 @dataclass(frozen=True)
@@ -329,50 +335,44 @@ class DimensionReport:
 
     def to_dict(self) -> dict:
         """JSON-ready structure; every result number carries a provenance tag."""
-
-        def tag(value, provenance, **extra):
-            out = {"value": value, "provenance": provenance}
-            out.update(extra)
-            return out
-
         spec = self.spectrum
         doc = {
             "schema_version": self.schema_version,
             "route": self.route,
-            "entropy": tag(self.entropy, "closed-form"),
-            "fiber_entropy": tag(self.fiber_entropy, self.fiber_entropy_provenance),
+            "entropy": _tag(self.entropy, "closed-form"),
+            "fiber_entropy": _tag(self.fiber_entropy, self.fiber_entropy_provenance),
             "spectrum": {
-                "exponents": tag(list(spec.exponents), "estimated"),
+                "exponents": _tag(list(spec.exponents), "estimated"),
                 "stderr": None if spec.stderr is None else list(spec.stderr),
                 "multiplicities": list(spec.multiplicities),
                 "gap_threshold": spec.gap_threshold,
             },
             "separation": {
                 "status": self.separation.status,
-                "witness_gap": tag(self.separation.witness_gap, "closed-form"),
+                "witness_gap": _tag(self.separation.witness_gap, "closed-form"),
                 "level": self.separation.level,
             },
             "projection_dims": {
-                str(i): tag(v, "estimated",
-                            raw=self.projection_dims_raw.get(i),
-                            dispersion=self.projection_dispersion.get(i))
+                str(i): _tag(v, "estimated",
+                             raw=self.projection_dims_raw.get(i),
+                             dispersion=self.projection_dispersion.get(i))
                 for i, v in self.projection_dims.items()
             },
-            "ly_dim": None if self.ly_dim is None else tag(self.ly_dim, "estimated"),
+            "ly_dim": None if self.ly_dim is None else _tag(self.ly_dim, "estimated"),
             "ly_dim_conditional": self.ly_dim_conditional,
-            "lyapunov_dim": tag(
+            "lyapunov_dim": _tag(
                 self.lyapunov_dim.value, "estimated",
                 raw=self.lyapunov_dim.raw,
                 k_argmin=self.lyapunov_dim.k_argmin,
                 clamped=self.lyapunov_dim.clamped,
             ),
-            "empirical_dim": tag(
+            "empirical_dim": _tag(
                 self.empirical.median, "estimated",
                 iqr=self.empirical.iqr,
                 centers=int(np.sum(~np.isnan(self.empirical.slopes))),
                 skipped=self.empirical.n_skipped,
             ),
-            "empirical_boxcount_dim": tag(
+            "empirical_boxcount_dim": _tag(
                 self.empirical_boxcount.dimension, "estimated",
                 box_sizes=len(self.empirical_boxcount.eps),
             ),
@@ -428,7 +428,8 @@ def _estimate_projection_dims(
             v = sample.flag.subspace(d - i)
             projected = project_cloud(cloud, v.complement())
             rep = local_dimension_estimate(
-                projected, n_centers=cfg.centers, rng=rng_proj, workers=cfg.workers
+                projected, _default_radii(projected, cfg.radii_count, cfg.radii_ratio),
+                n_centers=cfg.centers, rng=rng_proj,
             )
             per_flag.append(rep.median)
         raw[i] = float(np.median(per_flag))
@@ -515,7 +516,8 @@ def full_pipeline(ifs: IfsSystem, config: PipelineConfig | None = None) -> Dimen
 
     cloud = sample_measure(ifs, cfg.sample_count, cfg.sample_depth, rng_cloud)
     empirical = local_dimension_estimate(
-        cloud, n_centers=cfg.centers, rng=rng_centers, workers=cfg.workers
+        cloud, _default_radii(cloud, cfg.radii_count, cfg.radii_ratio),
+        n_centers=cfg.centers, rng=rng_centers,
     )
     boxcount = box_counting_dimension(cloud)
 

@@ -17,14 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import _check_word, _propagate_qr, as_map_stack, safe_renorm_interval
+from .cocycle import _check_word, _propagate, as_map_stack, safe_renorm_interval
 from .errors import BudgetExceededError, SpectralGapError, SubspaceInconsistencyError
 from .linalg import (
     INTERSECTION_TOL,
     SubspaceFrame,
     exterior_power,
     principal_angle_distance,
-    qr_positive,
     smallest_principal_angle,
     subspace_intersection,
 )
@@ -53,6 +52,9 @@ EPS_MINOR = 1e-12
 DEFAULT_WORD_BUDGET = 10**6
 MIN_FIT_LENGTH = 6
 RESIDUAL_TOL = 0.5
+# floats of normalised compound products held by one batch of the exhaustive
+# scan; keeps memory bounded for d = 8, where one word holds ~13k floats
+_SCAN_BATCH_FLOATS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -92,16 +94,22 @@ def _compound_stack(mats: np.ndarray) -> list[np.ndarray]:
 
 
 def _log_ratios_from_compound_norms(log_norms: np.ndarray) -> np.ndarray:
-    """Second difference of ``log ||wedge^p||`` gives per-index log gap ratios."""
-    padded = np.concatenate(([0.0], log_norms))
-    return padded[2:] - 2.0 * padded[1:-1] + padded[:-2]
+    """Second difference of ``log ||wedge^p||`` gives per-index log gap ratios.
+
+    Works along the last axis, so a (words, d) array gives one row per word.
+    """
+    padded = np.concatenate([np.zeros(log_norms.shape[:-1] + (1,)), log_norms], axis=-1)
+    return padded[..., 2:] - 2.0 * padded[..., 1:-1] + padded[..., :-2]
 
 
 def gap_ratio_scan(maps, n_max: int, budget: int = DEFAULT_WORD_BUDGET) -> GapRatioTable:
     """Exact per-length maxima of gap ratios over every word up to ``n_max``.
 
-    Words are enumerated depth-first; each node keeps the normalised compound
-    products of its word (one per exterior order) so children reuse them.
+    Words are enumerated depth-first in batches; each batch keeps the
+    normalised compound products of its words (one per exterior order) and
+    their log norms, so the N children of every word are formed at once.
+    A batch holds at most ``_SCAN_BATCH_FLOATS`` floats of products, or the
+    children of a single word when those alone are more.
     Raises :class:`BudgetExceededError` when ``N ** n_max`` exceeds ``budget``;
     use :func:`gap_ratio_scan_monte_carlo` beyond the budget.
     """
@@ -115,29 +123,31 @@ def gap_ratio_scan(maps, n_max: int, budget: int = DEFAULT_WORD_BUDGET) -> GapRa
             "use gap_ratio_scan_monte_carlo for sampled maxima"
         )
     compounds = _compound_stack(mats)
+    floats_per_word = sum(c[0].size for c in compounds)
+    parents_per_batch = max(1, _SCAN_BATCH_FLOATS // (floats_per_word * n_maps))
     best = np.full((n_max + 1, max(d - 1, 0)), -np.inf)
     best[0, :] = 0.0
     products_examined = 0
 
-    # stack entries: (depth, normalised compound products, their log norms)
-    ident = [(np.eye(c.shape[1]), 0.0) for c in compounds]
-    stack = [(0, ident)]
+    # stack entries: (depth, normalised compound products per order, log norms)
+    stack = [(0, [np.eye(c.shape[1])[None] for c in compounds], np.zeros((1, d)))]
     while stack:
-        depth, prods = stack.pop()
+        depth, prods, offs = stack.pop()
         if depth > 0:
-            log_norms = np.array([off for _, off in prods])
-            ratios = _log_ratios_from_compound_norms(log_norms)
+            ratios = _log_ratios_from_compound_norms(offs).max(axis=0)
             best[depth, :] = np.maximum(best[depth, :], ratios)
         if depth == n_max:
             continue
-        for k in range(n_maps):
-            child = []
-            for p, (mat, off) in enumerate(prods):
-                nxt = mat @ compounds[p][k]
-                norm = np.linalg.norm(nxt, 2)
-                child.append((nxt / norm, off + np.log(norm)))
-            products_examined += 1
-            stack.append((depth + 1, child))
+        for lo in range(0, len(offs), parents_per_batch):
+            part = slice(lo, lo + parents_per_batch)
+            children, logs = [], []
+            for prod, comp, off in zip(prods, compounds, offs[part].T):
+                nxt = prod[part, None] @ comp[None]
+                norm = np.linalg.norm(nxt, 2, axis=(-2, -1))
+                children.append((nxt / norm[..., None, None]).reshape((-1,) + comp.shape[1:]))
+                logs.append((off[:, None] + np.log(norm)).ravel())
+            products_examined += len(logs[0])
+            stack.append((depth + 1, children, np.stack(logs, axis=1)))
     return GapRatioTable(d, n_max, best, "exhaustive", products_examined)
 
 
@@ -169,10 +179,8 @@ def gap_ratio_scan_monte_carlo(
             offsets[:, p] += np.log(norms)
             prods[p] /= norms[:, None, None]
             log_norms[:, p] = offsets[:, p]
-        padded = np.concatenate([np.zeros((samples, 1)), log_norms], axis=1)
-        ratios = padded[:, 2:] - 2.0 * padded[:, 1:-1] + padded[:, :-2]
         if d > 1:
-            best[t + 1, :] = ratios.max(axis=0)
+            best[t + 1, :] = _log_ratios_from_compound_norms(log_norms).max(axis=0)
     return GapRatioTable(d, n_max, best, "monte-carlo", samples * n_max)
 
 
@@ -258,12 +266,13 @@ class StpCheck:
     """Outcome of the strict total-positivity test.
 
     ``is_stp`` covers minors of order up to d-1 (the defining range);
-    the determinant sign is reported separately.
+    the determinant sign is reported separately.  A 1x1 matrix has no such
+    minors: it is vacuously STP and ``min_minor`` is ``None``.
     """
 
     is_stp: bool
     det_positive: bool
-    min_minor: float
+    min_minor: float | None
 
     def __bool__(self) -> bool:
         return self.is_stp
@@ -272,12 +281,10 @@ class StpCheck:
 def stp_check(a, eps_minor: float = EPS_MINOR) -> StpCheck:
     """Check that every minor of order 1..d-1 exceeds ``eps_minor``."""
     arr = np.asarray(a, dtype=float)
-    d = arr.shape[0]
-    min_minor = np.inf
-    for p in range(1, d):
-        min_minor = min(min_minor, float(exterior_power(arr, p).min()))
+    minors = [float(exterior_power(arr, p).min()) for p in range(1, arr.shape[0])]
+    min_minor = min(minors) if minors else None
     det = float(np.linalg.det(arr))
-    return StpCheck(bool(min_minor > eps_minor), det > eps_minor, min_minor)
+    return StpCheck(min_minor is None or min_minor > eps_minor, det > eps_minor, min_minor)
 
 
 def cone_invariance_check(maps, p: int, eps_minor: float = EPS_MINOR) -> bool:
@@ -341,26 +348,23 @@ def bundle_growth_ratios(
         raise ValueError(f"depth must be in 1..{w.size}")
     if frame.d != d:
         raise ValueError("frame ambient dimension does not match the maps")
-    qf = frame.frame.copy()
-    qa = np.eye(d)
-    sums_f = np.zeros(frame.k)
-    sums_a = np.zeros(d)
+    qf, qa = frame.frame, np.eye(d)
+    sums_f, sums_a = np.zeros(frame.k), np.zeros(d)
     out = np.empty(depth)
     for n in range(depth):
-        a = mats[w[n]]
-        qf, rf = qr_positive(a @ qf)
-        sums_f += np.log(np.abs(np.diag(rf)))
-        qa, ra = qr_positive(a @ qa)
-        sums_a += np.log(np.abs(np.diag(ra)))
+        qf, grow_f = _propagate(mats, w[None, n : n + 1], 1, qf)
+        qa, grow_a = _propagate(mats, w[None, n : n + 1], 1, qa)
+        sums_f += grow_f[0]
+        sums_a += grow_a[0]
         alpha = np.sort(sums_a)[::-1][index]
         out[n] = np.exp(sums_f.max() - alpha)
     return out
 
 
 def _sorted_growth_frame(use: np.ndarray, symbols: np.ndarray, renorm_every: int):
-    q, sums = _propagate_qr(use, symbols, renorm_every)
-    order = np.argsort(-sums, kind="stable")
-    return q[:, order], sums[order]
+    q, sums = _propagate(use, symbols[None], renorm_every)
+    order = np.argsort(-sums[0], kind="stable")
+    return q[0][:, order], sums[0][order]
 
 
 def strong_stable_bundle(

@@ -9,7 +9,6 @@ and pointwise (ball-mass slope) dimension estimation.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -258,28 +257,29 @@ def self_affinity_check(
 class SeparationVerdict:
     status: str  # ssc-verified | overlap-detected | inconclusive
     witness_words: tuple[tuple[int, ...], tuple[int, ...]] | None
-    witness_gap: float
+    witness_gap: float | None  # None when no two cylinders have different first symbols
     level: int
 
 
 def _enumerate_cylinders(ifs: IfsSystem, level: int):
-    """Centers, hull radii, first symbols, and point samples of all level-n cylinders."""
-    radius = ifs.bounding_radius
-    q0 = ifs.map_fixed_point(0)
-    centers, radii, firsts, samples, words = [], [], [], [], []
-    stack = [((), np.eye(ifs.d), np.zeros(ifs.d))]
-    while stack:
-        word, mat, shift = stack.pop()
-        if len(word) == level:
-            centers.append(shift)
-            radii.append(np.linalg.norm(mat, 2) * radius)
-            firsts.append(word[0])
-            samples.append(mat @ q0 + shift)
-            words.append(word)
-            continue
-        for k in range(ifs.n_maps):
-            stack.append((word + (k,), mat @ ifs.matrices[k], mat @ ifs.translations[k] + shift))
-    return (np.array(centers), np.array(radii), np.array(firsts), np.array(samples), words)
+    """Centers, hull radii, first symbols, point samples and words of all level-n cylinders.
+
+    Each level's products and shifts are formed as one array; cylinders come
+    out in reverse lexicographic order of their words.
+    """
+    mats = np.eye(ifs.d)[None]
+    shifts = np.zeros((1, ifs.d))
+    words = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(level):
+        shifts = np.stack([mats @ t for t in ifs.translations], axis=1) + shifts[:, None]
+        shifts = shifts.reshape(-1, ifs.d)
+        mats = (mats[:, None] @ ifs.matrices[None]).reshape(-1, ifs.d, ifs.d)
+        symbols = np.tile(np.arange(ifs.n_maps), len(words))
+        words = np.column_stack([np.repeat(words, ifs.n_maps, axis=0), symbols])
+    mats, shifts, words = mats[::-1], shifts[::-1], words[::-1]
+    radii = np.linalg.norm(mats, 2, axis=(1, 2)) * ifs.bounding_radius
+    samples = mats @ ifs.map_fixed_point(0) + shifts
+    return shifts, radii, words[:, 0], samples, words
 
 
 def check_separation(
@@ -308,6 +308,10 @@ def check_separation(
     resolution = 1e-9 * scale if resolution is None else resolution
 
     centers, radii, firsts, samples, words = _enumerate_cylinders(ifs, level)
+
+    def witness(i, j):
+        return (tuple(words[i].tolist()), tuple(words[j].tolist()))
+
     rmax = float(radii.max())
     tree = cKDTree(centers)
 
@@ -321,7 +325,7 @@ def check_separation(
         dists = np.linalg.norm(centers[cross[:, 0]] - centers[cross[:, 1]], axis=1)
         gaps = dists - radii[cross[:, 0]] - radii[cross[:, 1]]
         worst = int(np.argmin(gaps))
-        worst_pair = (words[cross[worst, 0]], words[cross[worst, 1]])
+        worst_pair = witness(cross[worst, 0], cross[worst, 1])
         if gaps[worst] > guard:
             return SeparationVerdict("ssc-verified", worst_pair, float(gaps[worst]), level)
         # hulls touch or overlap: look for coinciding attractor points
@@ -334,14 +338,15 @@ def check_separation(
                 hit = int(np.argmin(pd))
                 return SeparationVerdict(
                     "overlap-detected",
-                    (words[pcross[hit, 0]], words[pcross[hit, 1]]),
+                    witness(pcross[hit, 0], pcross[hit, 1]),
                     float(pd[hit]),
                     level,
                 )
         return SeparationVerdict("inconclusive", worst_pair, float(gaps[worst]), level)
 
     # no near pairs at all: certified; report the nearest cross-cylinder gap
-    best_gap, best_pair = np.inf, None
+    # (none exists when every cylinder shares one first symbol)
+    best_gap, best_pair = None, None
     group_idx = {g: np.flatnonzero(firsts == g) for g in np.unique(firsts)}
     group_trees = {g: cKDTree(centers[idx]) for g, idx in group_idx.items()}
     for g, idx_g in group_idx.items():
@@ -351,9 +356,9 @@ def check_separation(
             dd, jj = group_trees[h].query(centers[idx_g], k=1)
             gaps = dd - radii[idx_g] - radii[idx_h[jj]]
             a = int(np.argmin(gaps))
-            if gaps[a] < best_gap:
+            if best_gap is None or gaps[a] < best_gap:
                 best_gap = float(gaps[a])
-                best_pair = (words[idx_g[a]], words[idx_h[jj[a]]])
+                best_pair = witness(idx_g[a], idx_h[jj[a]])
     return SeparationVerdict("ssc-verified", best_pair, best_gap, level)
 
 
@@ -413,11 +418,14 @@ class LocalDimensionReport:
 
 def default_radii(cloud: PointCloud, count: int = DEFAULT_RADII_COUNT,
                   ratio: float = DEFAULT_RADII_RATIO) -> np.ndarray:
-    """Geometric radii grid from diam/10 downward, floored above truncation."""
+    """Geometric radii grid from diam/10 downward, floored above truncation.
+
+    A cloud of zero extent (a point mass) gets an empty grid.
+    """
     extent = cloud.points.max(axis=0) - cloud.points.min(axis=0)
     diam = float(np.linalg.norm(extent))
     if diam <= 0:
-        raise ValueError("cloud has zero extent; no radii grid exists")
+        return np.empty(0)
     radii = (diam / 10.0) * ratio ** np.arange(count)
     if cloud.errors is not None:
         floor = 10.0 * float(cloud.errors.max())
@@ -431,7 +439,6 @@ def local_dimension_estimate(
     n_centers: int = 64,
     rng=None,
     min_usable_radii: int = MIN_USABLE_RADII,
-    workers: int = 1,
 ) -> LocalDimensionReport:
     """Pointwise dimension estimates from ball-mass slopes.
 
@@ -480,11 +487,7 @@ def local_dimension_estimate(
         fit = np.polyfit(log_r[usable], np.log(counts[usable] / m), 1)
         return float(fit[0])
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            slopes = np.array(list(pool.map(slope_at, center_idx)))
-    else:
-        slopes = np.array([slope_at(ci) for ci in center_idx])
+    slopes = np.array([slope_at(ci) for ci in center_idx])
 
     good = slopes[~np.isnan(slopes)]
     if good.size == 0:

@@ -307,16 +307,26 @@ def test_seed_override_changes_resolved_config(tmp_path, capsys):
     assert json.loads(out)["resolved_config"]["seed"] == 99
 
 
-def test_worker_env_var_validated(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("AFFINE_DIM_THREADS", "abc")
-    cfg = write_config(tmp_path, cantor_doc())
-    code, _, err = run(["dim", "--config", cfg], capsys)
-    assert code == 2
-    assert "AFFINE_DIM_THREADS" in err
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in report")
 
 
-def test_worker_env_var_used(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("AFFINE_DIM_THREADS", "2")
-    cfg = write_config(tmp_path, cantor_doc())
+def test_dim_single_map_report_is_strict_json(tmp_path, capsys):
+    # one map: every cylinder shares its first symbol, so no witness gap exists
+    doc = cantor_doc()
+    doc["ifs"] = {"matrices": [[[0.5]]], "translations": [[0.25]], "weights": [1.0]}
+    cfg = write_config(tmp_path, doc)
     code, out, _ = run(["dim", "--config", cfg, "--deterministic"], capsys)
     assert code == 0
+    report = json.loads(out, parse_constant=_reject_constant)
+    separation = report["results"]["separation"]
+    assert separation["status"] == "ssc-verified"
+    assert separation["witness_gap"]["value"] is None
+
+
+def test_radii_count_below_usable_minimum_rejected(tmp_path, capsys):
+    doc = cantor_doc()
+    doc["dim"]["radii_count"] = 19
+    code, _, err = run(["dim", "--config", write_config(tmp_path, doc)], capsys)
+    assert code == 2
+    assert "dim.radii_count" in err

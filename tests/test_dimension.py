@@ -366,6 +366,13 @@ def test_pipeline_report_serialises_to_json():
     assert back["ly_dim"]["provenance"] == "estimated"
 
 
+def test_pipeline_radii_count_reaches_estimator():
+    default = full_pipeline(cantor_ifs(), small_config(sample_count=5000))
+    finer = full_pipeline(cantor_ifs(), small_config(sample_count=5000, radii_count=30))
+    assert default.empirical.radii.size == 24
+    assert finer.empirical.radii.size != default.empirical.radii.size
+
+
 def test_pipeline_deterministic():
     a = full_pipeline(cantor_ifs(), small_config(sample_count=5000))
     b = full_pipeline(cantor_ifs(), small_config(sample_count=5000))

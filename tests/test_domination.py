@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from conftest import PASCAL3, random_contractive_tuple, random_stp_tuple
 
-from affinedim.cocycle import BernoulliWeights, sample_word
+from affinedim import domination
+from affinedim.cocycle import BernoulliWeights, sample_word, word_product
 from affinedim.domination import (
     cone_invariance_check,
     detect_domination,
@@ -17,7 +18,7 @@ from affinedim.domination import (
     strong_stable_bundle,
 )
 from affinedim.errors import BudgetExceededError, SubspaceInconsistencyError
-from affinedim.linalg import SubspaceFrame, principal_angle_distance
+from affinedim.linalg import SubspaceFrame, exterior_power, principal_angle_distance
 
 DIAG_PAIR = (np.diag([1.0 / 3.0, 0.5]), np.diag([1.0 / 3.0, 0.5]))
 
@@ -77,6 +78,43 @@ def test_scan_maximum_over_words_is_exact():
         assert table.log_ratios[n, 0] == pytest.approx(best, abs=1e-9)
 
 
+def brute_force_gap_table(maps, n_max):
+    """Per-length max log gap ratios from every word product, one word at a time."""
+    d = maps[0].shape[0]
+    table = np.full((n_max + 1, d - 1), -np.inf)
+    table[0] = 0.0
+    for n in range(1, n_max + 1):
+        for word in itertools.product(range(len(maps)), repeat=n):
+            prod = word_product(maps, word)
+            log_norms = [np.log(np.linalg.norm(exterior_power(prod, p), 2))
+                         for p in range(1, d + 1)]
+            padded = np.concatenate(([0.0], log_norms))
+            table[n] = np.maximum(table[n], padded[2:] - 2.0 * padded[1:-1] + padded[:-2])
+    return table
+
+
+SMALL_SYSTEMS = [(1, 2, 6, 11), (2, 1, 6, 12), (2, 3, 5, 13), (3, 2, 6, 14), (3, 3, 4, 15),
+                 (3, 1, 5, 16), (2, 2, 6, 17)]
+
+
+@pytest.mark.parametrize("d,n_maps,n_max,seed", SMALL_SYSTEMS)
+def test_scan_matches_brute_force_over_all_words(d, n_maps, n_max, seed):
+    maps = random_contractive_tuple(np.random.default_rng(seed), d, n_maps, norm=0.7)
+    table = gap_ratio_scan(maps, n_max)
+    assert np.allclose(table.log_ratios, brute_force_gap_table(maps, n_max), rtol=0.0, atol=1e-9)
+    assert table.products_examined == sum(n_maps**n for n in range(1, n_max + 1))
+
+
+@pytest.mark.parametrize("d,n_maps,n_max,seed", SMALL_SYSTEMS)
+def test_scan_one_parent_per_batch_matches_default(monkeypatch, d, n_maps, n_max, seed):
+    maps = random_contractive_tuple(np.random.default_rng(seed), d, n_maps, norm=0.7)
+    default = gap_ratio_scan(maps, n_max)
+    monkeypatch.setattr(domination, "_SCAN_BATCH_FLOATS", 1)
+    narrow = gap_ratio_scan(maps, n_max)
+    assert np.array_equal(narrow.log_ratios, default.log_ratios)
+    assert narrow.products_examined == default.products_examined
+
+
 # ---------------------------------------------------------------------------
 # domination detection
 
@@ -126,6 +164,12 @@ def test_fitted_constant_dominates_data_with_inflation():
 def test_stp_check_positive_2x2():
     chk = stp_check(np.array([[2.0, 1.0], [1.0, 1.0]]))
     assert chk.is_stp and chk.det_positive
+
+
+def test_stp_check_one_by_one_has_no_minor():
+    chk = stp_check(np.array([[0.5]]))
+    assert chk.is_stp and chk.det_positive
+    assert chk.min_minor is None
 
 
 def test_stp_check_identity_fails():

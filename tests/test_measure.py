@@ -9,6 +9,7 @@ from affinedim.cocycle import BernoulliWeights
 from affinedim.linalg import SubspaceFrame, singular_values
 from affinedim.measure import (
     IfsSystem,
+    _enumerate_cylinders,
     PointCloud,
     check_separation,
     cloud_from_csv,
@@ -187,6 +188,27 @@ def test_separation_abutting_inconclusive():
     assert verdict.status == "inconclusive"
 
 
+def test_separation_single_map_has_no_witness():
+    ifs = IfsSystem(np.array([[[0.5]]]), np.array([[0.25]]), BernoulliWeights.uniform(1))
+    verdict = check_separation(ifs, level=4)
+    assert verdict.status == "ssc-verified"
+    assert verdict.witness_words is None and verdict.witness_gap is None
+
+
+@pytest.mark.parametrize("ifs", [cantor_ifs(), bm_carpet_ifs(), cantor_dust_ifs()],
+                         ids=["cantor", "bm", "dust"])
+def test_cylinder_centres_are_natural_projections(ifs):
+    level = 4
+    centers, radii, firsts, samples, words = _enumerate_cylinders(ifs, level)
+    assert words.shape == (ifs.n_maps**level, level)
+    # every word once, in reverse lexicographic order
+    codes = words @ ifs.n_maps ** np.arange(level - 1, -1, -1)
+    assert np.array_equal(codes, np.arange(ifs.n_maps**level)[::-1])
+    assert np.array_equal(firsts, words[:, 0])
+    for center, word in zip(centers, words):
+        assert np.allclose(center, natural_projection(ifs, word)[0], rtol=0.0, atol=1e-14)
+
+
 def test_separation_budget_precondition():
     with pytest.raises(ValueError):
         check_separation(cantor_dust_ifs(), level=12, budget=10_000)
@@ -312,13 +334,6 @@ def test_local_dimension_uniform_box_is_two():
     report = local_dimension_estimate(cloud, radii=radii, n_centers=64, rng=89,
                                       min_usable_radii=18)
     assert report.median == pytest.approx(2.0, abs=0.05)
-
-
-def test_local_dimension_workers_match_serial():
-    cloud = sample_measure(cantor_ifs(), 5000, 35, rng=97)
-    serial = local_dimension_estimate(cloud, n_centers=16, rng=101, workers=1)
-    threaded = local_dimension_estimate(cloud, n_centers=16, rng=101, workers=4)
-    assert np.array_equal(serial.slopes, threaded.slopes)
 
 
 # ---------------------------------------------------------------------------
