@@ -36,7 +36,7 @@ from .domination import (
     stp_check,
 )
 from .errors import AffineDimError, BudgetExceededError, ConfigError
-from .measure import IfsSystem, check_separation
+from .measure import IfsSystem
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILED = 1
@@ -191,20 +191,17 @@ def cmd_domination(args) -> int:
 
 def cmd_dim(args) -> int:
     cfg = _load(args)
-    ifs = cfg.ifs
-    if args.assume_ssc:
-        verdict = check_separation(ifs, cfg.dim["separation_level"], cfg.dim["separation_budget"])
-        if verdict.status != "ssc-verified":
-            raise ConfigError(
-                f"--assume-ssc refused: separation check returned '{verdict.status}' "
-                f"at level {verdict.level}"
-            )
     pcfg = PipelineConfig(
         seed=cfg.seed,
         fiber_entropy=cfg.dim["H"] if args.H is None else args.H,
         **{key: value for key, value in cfg.dim.items() if key != "H"},
     )
-    report = full_pipeline(ifs, pcfg)
+    report = full_pipeline(cfg.ifs, pcfg)
+    if args.assume_ssc and report.separation.status != "ssc-verified":
+        raise ConfigError(
+            f"--assume-ssc refused: separation check returned '{report.separation.status}' "
+            f"at level {report.separation.level}"
+        )
     if args.emit_histogram:
         with open(args.emit_histogram, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -22,6 +22,7 @@ from .linalg import (
     SubspaceFrame,
     check_contractive_invertible,
     exterior_power,
+    qr_positive,
 )
 
 __all__ = [
@@ -206,6 +207,17 @@ def _propagate(
     return q, sums
 
 
+def _sorted_growth_frame(use: np.ndarray, symbols: np.ndarray, renorm_every: int):
+    """Propagate the identity frame along one word; columns sorted by growth, largest first.
+
+    Identity starts on axis-aligned systems keep columns in axis order, so
+    the sort is what puts the dominant directions first.
+    """
+    q, sums = _propagate(use, symbols[None], renorm_every)
+    order = np.argsort(-sums[0], kind="stable")
+    return q[0][:, order], sums[0][order]
+
+
 def _multiplicities_from_gaps(chi: np.ndarray, threshold: float) -> tuple[int, ...]:
     blocks = [1]
     for j in range(1, chi.size):
@@ -326,11 +338,7 @@ def oseledets_fast_flag(
         raise SpectralGapError("no flags exist in ambient dimension 1", observed_gap=1.0)
     renorm_every = safe_renorm_interval(mats, renorm_every)
     # product A_{w0} A_{w1} ... applied to a frame: iterate the word backwards
-    q, sums = _propagate(mats, w[:depth][::-1][None], renorm_every)
-    # identity starts on axis-aligned systems keep columns in axis order, so
-    # sort by observed growth before reading off the flag
-    order = np.argsort(-sums[0], kind="stable")
-    q, sums = q[0][:, order], sums[0][order]
+    q, sums = _sorted_growth_frame(mats, w[:depth][::-1], renorm_every)
     ratios = np.exp(sums[1:] - sums[:-1])  # sigma_{k+1}/sigma_k at this depth
     splits = [k for k in range(1, d) if ratios[k - 1] <= angle_tol / 10.0]
     if not splits:
@@ -341,11 +349,6 @@ def oseledets_fast_flag(
         )
     frames = [SubspaceFrame(q[:, :k]) for k in sorted(splits, reverse=True)]
     return FlagChain(tuple(frames))
-
-
-def _flag_dims_from_multiplicities(mult: tuple[int, ...], d: int) -> tuple[int, ...]:
-    cums = np.cumsum(mult)[:-1]
-    return tuple(int(d - c) for c in cums)
 
 
 def furstenberg_sample(
@@ -386,7 +389,7 @@ def furstenberg_sample(
                 "no spectral gap detected: all exponents fall in one block",
                 observed_gap=0.0,
             )
-        dims = _flag_dims_from_multiplicities(spectrum.multiplicities, d)
+        dims = tuple(d - b for b in spectrum.block_boundaries())
     dims = tuple(int(k) for k in dims)
     if not dims or any(not 0 < k < d for k in dims) or any(
         b >= a for a, b in zip(dims, dims[1:])
@@ -396,12 +399,9 @@ def furstenberg_sample(
     invs = np.linalg.inv(mats)
     renorm_every = safe_renorm_interval(mats, renorm_every)
     words = rng.choice(weights.n, size=(count, iterations), p=weights.p)
-    g = rng.standard_normal((count, d, d))
-    q, r = np.linalg.qr(g)
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    signs[signs == 0] = 1.0
+    q, _ = qr_positive(rng.standard_normal((count, d, d)))
     # the first symbol is applied last, so it ends up outermost
-    q, _ = _propagate(invs, words[:, ::-1], renorm_every, q * signs[:, None, :])
+    q, _ = _propagate(invs, words[:, ::-1], renorm_every, q)
 
     samples = []
     for i in range(count):

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import _check_word, _propagate, as_map_stack, safe_renorm_interval
+from .cocycle import (
+    _check_word,
+    _propagate,
+    _sorted_growth_frame,
+    as_map_stack,
+    safe_renorm_interval,
+)
 from .errors import BudgetExceededError, SpectralGapError, SubspaceInconsistencyError
 from .linalg import (
     INTERSECTION_TOL,
@@ -359,12 +365,6 @@ def bundle_growth_ratios(
         alpha = np.sort(sums_a)[::-1][index]
         out[n] = np.exp(sums_f.max() - alpha)
     return out
-
-
-def _sorted_growth_frame(use: np.ndarray, symbols: np.ndarray, renorm_every: int):
-    q, sums = _propagate(use, symbols[None], renorm_every)
-    order = np.argsort(-sums[0], kind="stable")
-    return q[0][:, order], sums[0][order]
 
 
 def strong_stable_bundle(

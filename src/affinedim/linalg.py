@@ -77,11 +77,14 @@ def singular_values(a) -> np.ndarray:
 
 
 def qr_positive(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR factorisation with a nonnegative diagonal of R."""
+    """Reduced QR factorisation with a nonnegative diagonal of R.
+
+    ``m`` may be a stack of matrices; each is factored on its last two axes.
+    """
     q, r = np.linalg.qr(m)
-    sign = np.sign(np.diag(r))
+    sign = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     sign[sign == 0] = 1.0
-    return q * sign, r * sign[:, None]
+    return q * sign[..., None, :], r * sign[..., :, None]
 
 
 def haar_frame(d: int, rng: np.random.Generator, k: int | None = None) -> np.ndarray:

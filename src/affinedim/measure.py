@@ -9,6 +9,7 @@ and pointwise (ball-mass slope) dimension estimation.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -93,6 +94,10 @@ class IfsSystem:
         tmax = float(np.linalg.norm(self.translations, axis=1).max())
         return tmax / (1.0 - float(self.top_singular_values.max()))
 
+    def truncation_bound(self, words) -> np.ndarray:
+        """Truncation error ``R * prod(alpha_1(A_{w_k}))`` of each word (over the last axis)."""
+        return self.bounding_radius * np.prod(self.top_singular_values[words], axis=-1)
+
     def apply(self, i: int, x) -> np.ndarray:
         """Apply map ``i`` to a point or an (..., d) array of points."""
         pts = np.asarray(x, dtype=float)
@@ -164,8 +169,7 @@ def natural_projection(ifs: IfsSystem, word) -> tuple[np.ndarray, float]:
     x = np.zeros(ifs.d)
     for s in w[::-1]:
         x = ifs.matrices[s] @ x + ifs.translations[s]
-    err = ifs.bounding_radius * float(np.prod(ifs.top_singular_values[w]))
-    return x, err
+    return x, float(ifs.truncation_bound(w))
 
 
 def sample_measure(ifs: IfsSystem, count: int, depth: int, rng=None) -> PointCloud:
@@ -177,15 +181,14 @@ def sample_measure(ifs: IfsSystem, count: int, depth: int, rng=None) -> PointClo
     """
     if count < 1 or depth < 1:
         raise ValueError("count and depth must be positive")
-    seed = rng if isinstance(rng, (int, np.integer)) else None
+    seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     rng = np.random.default_rng(rng)
     words = rng.choice(ifs.n_maps, size=(count, depth), p=ifs.weights.p)
     pts = np.zeros((count, ifs.d))
     for k in range(depth - 1, -1, -1):
         sel = words[:, k]
         pts = np.einsum("nij,nj->ni", ifs.matrices[sel], pts) + ifs.translations[sel]
-    errors = ifs.bounding_radius * np.prod(ifs.top_singular_values[words], axis=1)
-    return PointCloud(pts, words, errors, depth, None if seed is None else int(seed))
+    return PointCloud(pts, words, ifs.truncation_bound(words), depth, seed)
 
 
 @dataclass(frozen=True)
@@ -282,6 +285,20 @@ def _enumerate_cylinders(ifs: IfsSystem, level: int):
     return shifts, radii, words[:, 0], samples, words
 
 
+def _cross_pairs(trees, groups, r: float):
+    """Every pair of points in different groups within distance ``r``.
+
+    ``trees[g]`` holds the points ``groups[g]`` (global indices).  Returns
+    the global indices ``i < j`` of each pair and the distance between them.
+    """
+    found = []
+    for a, b in itertools.combinations(range(len(trees)), 2):
+        near = trees[a].sparse_distance_matrix(trees[b], r, output_type="ndarray")
+        i, j = groups[a][near["i"]], groups[b][near["j"]]
+        found.append((np.minimum(i, j), np.maximum(i, j), near["v"]))
+    return [np.concatenate(col) for col in zip(*found)]
+
+
 def check_separation(
     ifs: IfsSystem,
     level: int,
@@ -293,9 +310,10 @@ def check_separation(
 
     Every first-level cylinder is covered by the bounding balls of its
     level-``level`` refinements, so pairwise-positive gaps between balls of
-    different first symbols certify disjoint first-level images.  Overlap is
-    declared when point samples from different first-level cylinders coincide
-    within ``resolution``.  Anything else is honestly inconclusive.
+    different first symbols certify disjoint first-level images; only such
+    cross-symbol pairs are ever searched.  Overlap is declared when point
+    samples from different first-level cylinders coincide within
+    ``resolution``.  Anything else is honestly inconclusive.
     """
     if level < 1:
         raise ValueError("level must be positive")
@@ -306,60 +324,39 @@ def check_separation(
     scale = 1.0 + ifs.bounding_radius
     guard = 1e-12 * scale if guard is None else guard
     resolution = 1e-9 * scale if resolution is None else resolution
+    if ifs.n_maps == 1:  # no two cylinders have different first symbols
+        return SeparationVerdict("ssc-verified", None, None, level)
 
     centers, radii, firsts, samples, words = _enumerate_cylinders(ifs, level)
+    groups = [np.flatnonzero(firsts == g) for g in range(ifs.n_maps)]
+    trees = [cKDTree(centers[idx]) for idx in groups]
 
     def witness(i, j):
         return (tuple(words[i].tolist()), tuple(words[j].tolist()))
 
-    rmax = float(radii.max())
-    tree = cKDTree(centers)
-
-    pairs = tree.query_pairs(r=2.0 * rmax + guard, output_type="ndarray")
-    if pairs.size:
-        cross = pairs[firsts[pairs[:, 0]] != firsts[pairs[:, 1]]]
-    else:
-        cross = np.empty((0, 2), dtype=int)
-
-    if cross.size:
-        dists = np.linalg.norm(centers[cross[:, 0]] - centers[cross[:, 1]], axis=1)
-        gaps = dists - radii[cross[:, 0]] - radii[cross[:, 1]]
-        worst = int(np.argmin(gaps))
-        worst_pair = witness(cross[worst, 0], cross[worst, 1])
-        if gaps[worst] > guard:
-            return SeparationVerdict("ssc-verified", worst_pair, float(gaps[worst]), level)
-        # hulls touch or overlap: look for coinciding attractor points
-        ptree = cKDTree(samples)
-        ppairs = ptree.query_pairs(r=resolution, output_type="ndarray")
-        if ppairs.size:
-            pcross = ppairs[firsts[ppairs[:, 0]] != firsts[ppairs[:, 1]]]
-            if pcross.size:
-                pd = np.linalg.norm(samples[pcross[:, 0]] - samples[pcross[:, 1]], axis=1)
-                hit = int(np.argmin(pd))
-                return SeparationVerdict(
-                    "overlap-detected",
-                    witness(pcross[hit, 0], pcross[hit, 1]),
-                    float(pd[hit]),
-                    level,
-                )
-        return SeparationVerdict("inconclusive", worst_pair, float(gaps[worst]), level)
-
-    # no near pairs at all: certified; report the nearest cross-cylinder gap
-    # (none exists when every cylinder shares one first symbol)
-    best_gap, best_pair = None, None
-    group_idx = {g: np.flatnonzero(firsts == g) for g in np.unique(firsts)}
-    group_trees = {g: cKDTree(centers[idx]) for g, idx in group_idx.items()}
-    for g, idx_g in group_idx.items():
-        for h, idx_h in group_idx.items():
-            if h <= g:
-                continue
-            dd, jj = group_trees[h].query(centers[idx_g], k=1)
-            gaps = dd - radii[idx_g] - radii[idx_h[jj]]
-            a = int(np.argmin(gaps))
-            if best_gap is None or gaps[a] < best_gap:
-                best_gap = float(gaps[a])
-                best_pair = witness(idx_g[a], idx_h[jj[a]])
-    return SeparationVerdict("ssc-verified", best_pair, best_gap, level)
+    i, j, dist = _cross_pairs(trees, groups, 2.0 * float(radii.max()) + guard)
+    near = i.size > 0
+    if not near:
+        # every hull gap exceeds the guard; the witness pairs each cylinder
+        # with its nearest centre of a later first symbol
+        found = []
+        for a, b in itertools.combinations(range(len(trees)), 2):
+            dd, jj = trees[b].query(centers[groups[a]], k=1)
+            found.append((groups[a], groups[b][jj], dd))
+        i, j, dist = (np.concatenate(col) for col in zip(*found))
+    gaps = dist - radii[i] - radii[j]
+    worst = int(np.argmin(gaps))
+    worst_pair = witness(i[worst], j[worst])
+    if not near or gaps[worst] > guard:
+        return SeparationVerdict("ssc-verified", worst_pair, float(gaps[worst]), level)
+    # hulls touch or overlap: look for coinciding attractor points
+    pi, pj, pd = _cross_pairs([cKDTree(samples[idx]) for idx in groups], groups, resolution)
+    if pd.size:
+        hit = int(np.argmin(pd))
+        return SeparationVerdict(
+            "overlap-detected", witness(pi[hit], pj[hit]), float(pd[hit]), level
+        )
+    return SeparationVerdict("inconclusive", worst_pair, float(gaps[worst]), level)
 
 
 @dataclass(frozen=True)
@@ -586,7 +583,5 @@ def cloud_from_csv(path, ifs: IfsSystem | None = None) -> PointCloud:
     if len(set(depths)) > 1:
         raise ValueError("mixed depths in cloud file")
     words = np.asarray(words, dtype=np.int64)
-    errors = None
-    if ifs is not None:
-        errors = ifs.bounding_radius * np.prod(ifs.top_singular_values[words], axis=1)
+    errors = None if ifs is None else ifs.truncation_bound(words)
     return PointCloud(np.asarray(pts), words, errors, depths[0] if depths else None, None)

@@ -208,6 +208,37 @@ def test_dim_assume_ssc_allowed_when_verified(tmp_path, capsys):
     assert code == 0
 
 
+def test_dim_assume_ssc_uses_resolved_separation_level(tmp_path, capsys):
+    # level 8 is over the separation budget for six maps; the pipeline
+    # resolves it down to 6, which verifies, and --assume-ssc must agree
+    doc = cantor_doc()
+    doc["ifs"] = {
+        "matrices": [[[0.1]]] * 6,
+        "translations": [[k / 6] for k in range(6)],
+        "weights": [1 / 6] * 6,
+    }
+    cfg = write_config(tmp_path, doc)
+    code, out, err = run(["dim", "--config", cfg, "--deterministic", "--assume-ssc"], capsys)
+    assert code == 0, err
+    separation = json.loads(out)["results"]["separation"]
+    assert separation["status"] == "ssc-verified"
+    assert separation["level"] == 6
+
+
+def test_dim_assume_ssc_refusal_writes_nothing(tmp_path, capsys):
+    doc = cantor_doc()
+    doc["ifs"]["translations"] = [[0.1], [0.1]]  # two identical maps overlap
+    out_path, hist = tmp_path / "r.json", tmp_path / "hist.csv"
+    code, _, err = run(
+        ["dim", "--config", write_config(tmp_path, doc), "--assume-ssc",
+         "--out", str(out_path), "--emit-histogram", str(hist)],
+        capsys,
+    )
+    assert code == 2
+    assert "refused" in err and "overlap-detected" in err
+    assert not out_path.exists() and not hist.exists()
+
+
 def test_dim_H_flag_overrides(capsys, tmp_path):
     code, out, _ = run(
         ["dim", "--config", str(CONFIG_DIR / "overlap.json"), "--deterministic",

@@ -209,6 +209,67 @@ def test_cylinder_centres_are_natural_projections(ifs):
         assert np.allclose(center, natural_projection(ifs, word)[0], rtol=0.0, atol=1e-14)
 
 
+def _random_small_ifs(rng, kind):
+    d = int(rng.integers(1, 4))
+    n = 1 if kind == "one-map" else int(rng.integers(2, 5))
+    # independent singular values per map give unequal hull radii, so hulls
+    # can be near one another and still apart
+    mats = np.array([
+        u @ np.diag(rng.uniform(0.05, 0.6, d)) @ vt
+        for u, _, vt in (np.linalg.svd(rng.standard_normal((d, d))) for _ in range(n))
+    ])
+    ts = rng.uniform(-1.0, 1.0, size=(n, d))
+    if kind == "identical":
+        mats[1], ts[1] = mats[0], ts[0]
+    elif kind == "zero-translations":
+        ts[:] = 0.0
+    return IfsSystem(mats, ts, BernoulliWeights.uniform(n))
+
+
+def _brute_force_cross_pairs(ifs, level):
+    """Hull gaps and sample distances of every cross-first-symbol pair, all O(n^2) of them."""
+    centers, radii, firsts, samples, words = _enumerate_cylinders(ifs, level)
+    i, j = np.nonzero(firsts[:, None] != firsts[None, :])
+    gaps = np.linalg.norm(centers[i] - centers[j], axis=1) - radii[i] - radii[j]
+    sample_dist = np.linalg.norm(samples[i] - samples[j], axis=1)
+    index = {tuple(w): k for k, w in enumerate(words.tolist())}
+    return gaps, sample_dist, index, centers, radii, samples
+
+
+def test_separation_matches_brute_force_on_random_systems():
+    rng = np.random.default_rng(2024)
+    kinds = ["generic", "generic", "one-map", "identical", "zero-translations"]
+    seen = set()
+    for trial in range(60):
+        ifs = _random_small_ifs(rng, kinds[trial % len(kinds)])
+        level = int(rng.integers(1, 5 if ifs.n_maps < 4 else 4))
+        verdict = check_separation(ifs, level)
+        seen.add(verdict.status)
+        scale = 1.0 + ifs.bounding_radius
+        guard, resolution = 1e-12 * scale, 1e-9 * scale
+        if ifs.n_maps == 1:
+            assert verdict.status == "ssc-verified", trial
+            assert verdict.witness_words is None and verdict.witness_gap is None, trial
+            continue
+        gaps, sample_dist, index, centers, radii, samples = _brute_force_cross_pairs(ifs, level)
+        assert verdict.witness_words[0][0] != verdict.witness_words[1][0], trial
+        a, b = (index[w] for w in verdict.witness_words)
+        pair_gap = np.linalg.norm(centers[a] - centers[b]) - radii[a] - radii[b]
+        if gaps.min() > guard:
+            assert verdict.status == "ssc-verified", trial
+            assert verdict.witness_gap > guard, trial
+            assert verdict.witness_gap == pytest.approx(pair_gap, rel=1e-12, abs=1e-15), trial
+        elif sample_dist.min() <= resolution:
+            assert verdict.status == "overlap-detected", trial
+            assert verdict.witness_gap == pytest.approx(sample_dist.min(), abs=1e-15), trial
+            assert np.linalg.norm(samples[a] - samples[b]) <= resolution, trial
+        else:
+            assert verdict.status == "inconclusive", trial
+            assert verdict.witness_gap == pytest.approx(gaps.min(), rel=1e-12, abs=1e-15), trial
+            assert pair_gap == pytest.approx(gaps.min(), rel=1e-12, abs=1e-15), trial
+    assert seen == {"ssc-verified", "overlap-detected", "inconclusive"}
+
+
 def test_separation_budget_precondition():
     with pytest.raises(ValueError):
         check_separation(cantor_dust_ifs(), level=12, budget=10_000)
