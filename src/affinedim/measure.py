@@ -107,6 +107,14 @@ class IfsSystem:
         return np.linalg.solve(np.eye(self.d) - self.matrices[i], self.translations[i])
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` itself when it is read-only and owns its data, else a read-only copy."""
+    if a.flags.writeable or not a.flags.owndata:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Sampled points with their generating words and truncation bounds.
@@ -125,22 +133,20 @@ class PointCloud:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2:
             raise ValueError("points must be an (m, k) array")
-        pts = pts.copy()
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+        if bad.size:
+            raise ValueError(f"point {bad[0]} has non-finite coordinates {pts[bad[0]].tolist()}")
+        object.__setattr__(self, "points", _frozen(pts))
         if self.words is not None:
             w = np.asarray(self.words, dtype=np.int64)
             if w.shape[0] != pts.shape[0]:
                 raise ValueError("one word per point required")
-            w = w.copy()
-            w.flags.writeable = False
-            object.__setattr__(self, "words", w)
+            object.__setattr__(self, "words", _frozen(w))
         if self.errors is not None:
-            e = np.asarray(self.errors, dtype=float).copy()
+            e = np.asarray(self.errors, dtype=float)
             if e.shape != (pts.shape[0],):
                 raise ValueError("one truncation bound per point required")
-            e.flags.writeable = False
-            object.__setattr__(self, "errors", e)
+            object.__setattr__(self, "errors", _frozen(e))
 
     @property
     def m(self) -> int:
@@ -149,6 +155,16 @@ class PointCloud:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
+
+    @cached_property
+    def diameter(self) -> float:
+        """Length of the diagonal of the points' bounding box."""
+        return float(np.linalg.norm(self.points.max(axis=0) - self.points.min(axis=0)))
+
+    @cached_property
+    def truncation_floor(self) -> float | None:
+        """Smallest scale the estimators resolve: ten times the largest truncation bound."""
+        return None if self.errors is None else 10.0 * float(self.errors.max())
 
     @classmethod
     def from_points(cls, points) -> "PointCloud":
@@ -419,15 +435,28 @@ def default_radii(cloud: PointCloud, count: int = DEFAULT_RADII_COUNT,
 
     A cloud of zero extent (a point mass) gets an empty grid.
     """
-    extent = cloud.points.max(axis=0) - cloud.points.min(axis=0)
-    diam = float(np.linalg.norm(extent))
-    if diam <= 0:
+    if cloud.diameter <= 0:
         return np.empty(0)
-    radii = (diam / 10.0) * ratio ** np.arange(count)
-    if cloud.errors is not None:
-        floor = 10.0 * float(cloud.errors.max())
-        radii = radii[radii >= floor]
+    radii = (cloud.diameter / 10.0) * ratio ** np.arange(count)
+    if cloud.truncation_floor is not None:
+        radii = radii[radii >= cloud.truncation_floor]
     return radii
+
+
+def _ball_counts(pts: np.ndarray, center_idx: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Points in each closed ball ``|x - pts[c]| <= r``, the centre itself excluded.
+
+    One KD-tree range count over every (centre, radius) pair; row ``k`` holds
+    the counts of centre ``center_idx[k]`` over ``radii``.  The tree compares
+    squared distances with ``r**2``, so a point within a few ulp of the sphere
+    may fall on the other side than a comparison of the norm with ``r``.
+    """
+    counts = cKDTree(pts).query_ball_point(
+        np.repeat(pts[center_idx], radii.size, axis=0),
+        np.tile(radii, center_idx.size),
+        return_length=True,
+    )
+    return counts.reshape(center_idx.size, radii.size) - 1
 
 
 def local_dimension_estimate(
@@ -452,8 +481,7 @@ def local_dimension_estimate(
         raise ValueError("need at least two points")
     rng = np.random.default_rng(rng)
 
-    extent = pts.max(axis=0) - pts.min(axis=0)
-    if float(np.linalg.norm(extent)) == 0.0:
+    if cloud.diameter == 0.0:
         # a point mass: every ball has full mass, the slope is exactly 0
         idx = np.arange(min(n_centers, m))
         return LocalDimensionReport(np.zeros(idx.size), idx, np.array([]), 0.0, 0.0, 0)
@@ -471,20 +499,15 @@ def local_dimension_estimate(
     n_centers = min(n_centers, m)
     center_idx = rng.choice(m, size=n_centers, replace=False)
     log_r = np.log(radii)
-    radii_sorted = radii[::-1]
 
-    def slope_at(ci: int) -> float:
-        dist = np.linalg.norm(pts - pts[ci], axis=1)
-        dist[ci] = np.inf
-        dist.sort()
-        counts = np.searchsorted(dist, radii_sorted, side="right")[::-1].astype(float)
+    def slope(counts: np.ndarray) -> float:
         usable = counts >= 1
         if usable.sum() < min_usable_radii:
             return np.nan
         fit = np.polyfit(log_r[usable], np.log(counts[usable] / m), 1)
         return float(fit[0])
 
-    slopes = np.array([slope_at(ci) for ci in center_idx])
+    slopes = np.array([slope(row) for row in _ball_counts(pts, center_idx, radii).astype(float)])
 
     good = slopes[~np.isnan(slopes)]
     if good.size == 0:
@@ -500,6 +523,32 @@ class BoxCountReport:
     dimension: float
     eps: np.ndarray
     information: np.ndarray
+
+
+_KEY_LIMIT = int(np.iinfo(np.int64).max)
+
+
+def _cell_counts(cells: np.ndarray) -> np.ndarray:
+    """Occupancy of each distinct row of ``cells`` (non-negative integers), in
+    lexicographic row order, as ``np.unique(cells, axis=0, return_counts=True)``.
+
+    Columns are folded into one int64 key per row, mixed-radix over the column
+    extents.  When the next fold could overflow, the partial key and the column
+    are first replaced by their dense ranks, which keep their order.
+    """
+    key = cells[:, 0]
+    size = int(key.max()) + 1  # every key lies in [0, size)
+    for col in cells.T[1:]:
+        n = int(col.max()) + 1
+        if size * n > _KEY_LIMIT:
+            key = np.unique(key, return_inverse=True)[1]
+            col = np.unique(col, return_inverse=True)[1]
+            size, n = int(key.max()) + 1, int(col.max()) + 1
+        key = key * n + col
+        size *= n
+    key = np.sort(key)
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    return np.diff(np.append(starts, key.size))
 
 
 def box_counting_dimension(
@@ -519,21 +568,17 @@ def box_counting_dimension(
     """
     pts = cloud.points
     m = cloud.m
-    extent = pts.max(axis=0) - pts.min(axis=0)
-    diam = float(np.linalg.norm(extent))
-    if diam <= 0.0:
+    if cloud.diameter <= 0.0:
         return BoxCountReport(0.0, np.array([]), np.array([]))
     if eps_list is None:
-        eps_list = (diam / 5.0) * ratio ** np.arange(count)
-        if cloud.errors is not None:
-            floor = 10.0 * float(cloud.errors.max())
-            eps_list = eps_list[eps_list >= floor]
+        eps_list = (cloud.diameter / 5.0) * ratio ** np.arange(count)
+        if cloud.truncation_floor is not None:
+            eps_list = eps_list[eps_list >= cloud.truncation_floor]
     eps_list = np.sort(np.asarray(eps_list, dtype=float))[::-1]
     shift = pts.min(axis=0)
     eps_used, info = [], []
     for eps in eps_list:
-        cells = np.floor((pts - shift) / eps).astype(np.int64)
-        _, counts = np.unique(cells, axis=0, return_counts=True)
+        counts = _cell_counts(np.floor((pts - shift) / eps).astype(np.int64))
         if m / counts.size < min_occupancy:
             continue
         p = counts / m

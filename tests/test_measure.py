@@ -9,8 +9,11 @@ from affinedim.cocycle import BernoulliWeights
 from affinedim.linalg import SubspaceFrame, singular_values
 from affinedim.measure import (
     IfsSystem,
+    _ball_counts,
+    _cell_counts,
     _enumerate_cylinders,
     PointCloud,
+    box_counting_dimension,
     check_separation,
     cloud_from_csv,
     cloud_to_csv,
@@ -365,6 +368,35 @@ def test_project_bm_carpet_row_marginal():
     assert frac_low == pytest.approx(2.0 / 3.0, abs=0.01)
 
 
+def test_project_shares_frozen_words_and_errors():
+    cloud = sample_measure(bm_carpet_ifs(), 300, 20, rng=59)
+    proj = project_cloud(cloud, SubspaceFrame.coordinate(2, [0]))
+    assert np.shares_memory(proj.words, cloud.words)
+    assert np.shares_memory(proj.errors, cloud.errors)
+    assert not proj.words.flags.writeable
+
+
+def test_point_cloud_copies_writeable_input():
+    words = np.zeros((4, 3), dtype=np.int64)
+    errors = np.full(4, 1e-9)
+    cloud = PointCloud(np.zeros((4, 2)), words, errors, 3, None)
+    assert not np.shares_memory(cloud.words, words)
+    assert not np.shares_memory(cloud.errors, errors)
+    words[0, 0] = 1
+    assert cloud.words[0, 0] == 0
+    # a read-only view does not own its data, so it is copied too
+    base = np.zeros((4, 3), dtype=np.int64)
+    view = base[:]
+    view.flags.writeable = False
+    assert not np.shares_memory(PointCloud(np.zeros((4, 2)), view, None, 3, None).words, base)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_point_cloud_rejects_non_finite_points(bad):
+    with pytest.raises(ValueError, match="point 1 has non-finite"):
+        PointCloud.from_points([[0.0], [bad], [1.0]])
+
+
 # ---------------------------------------------------------------------------
 # local dimension
 
@@ -397,6 +429,56 @@ def test_local_dimension_uniform_box_is_two():
     assert report.median == pytest.approx(2.0, abs=0.05)
 
 
+def _norm_sort_counts(pts, center_idx, radii):
+    """Reference ball counts: sort every distance to the centre, count those <= r."""
+    rows = []
+    for ci in center_idx:
+        dist = np.linalg.norm(pts - pts[ci], axis=1)
+        dist[ci] = np.inf
+        dist.sort()
+        rows.append(np.searchsorted(dist, radii, side="right"))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_ball_counts_match_norm_and_sort(d, seed):
+    rng = np.random.default_rng(1000 * d + seed)
+    pts = rng.uniform(-1.0, 1.0, size=(400, d))
+    pts = np.concatenate([pts, pts[rng.choice(400, 60)]])  # duplicate points
+    center_idx = rng.choice(pts.shape[0], 25, replace=False)
+    # the grid's radii plus radii equal to actual centre-to-point distances
+    ties = np.linalg.norm(pts[rng.choice(pts.shape[0], 6)] - pts[center_idx[:6]], axis=1)
+    radii = np.unique(np.concatenate([0.9 * 0.8 ** np.arange(12), ties[ties > 0]]))
+    got = _ball_counts(pts, center_idx, radii)
+    want = _norm_sort_counts(pts, center_idx, radii)
+    dist = np.linalg.norm(pts[None] - pts[center_idx][:, None], axis=2)
+    dist[np.arange(center_idx.size), center_idx] = np.inf
+    near = (np.abs(dist[:, :, None] - radii) <= 4 * np.spacing(radii)).sum(axis=1)
+    assert np.all(np.abs(got - want) <= near)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ball_counts_exact_on_lattice(d):
+    # quarter-integer points: every squared distance and r**2 is exact, so
+    # both comparisons agree on points lying exactly on a sphere
+    axis = np.arange(-4, 5) / 4.0
+    pts = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    pts = np.concatenate([pts, pts[::5]])
+    center_idx = np.arange(0, pts.shape[0], 7)
+    radii = np.arange(1, 12) / 4.0
+    assert np.array_equal(_ball_counts(pts, center_idx, radii),
+                          _norm_sort_counts(pts, center_idx, radii))
+
+
+def test_ball_counts_tie_decided_by_squared_distance():
+    # |x|^2 = 1 + 2^-52 > r^2 = 1, but the rounded norm is exactly 1.0
+    pts = np.array([[0.0, 0.0], [1.0, 2.0**-26]])
+    center_idx, radii = np.array([0]), np.array([1.0])
+    assert _norm_sort_counts(pts, center_idx, radii).tolist() == [[1]]
+    assert _ball_counts(pts, center_idx, radii).tolist() == [[0]]
+
+
 # ---------------------------------------------------------------------------
 # CSV round trip
 
@@ -415,6 +497,17 @@ def test_cloud_csv_roundtrip_bit_exact(tmp_path):
     assert header == "x1,x2,word,depth"
 
 
+def test_cloud_csv_rejects_non_finite_row(tmp_path):
+    cloud = sample_measure(bm_carpet_ifs(), 5, 6, rng=105)
+    path = tmp_path / "cloud.csv"
+    cloud_to_csv(cloud, path)
+    lines = path.read_text().splitlines()
+    lines[3] = "nan," + lines[3].split(",", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="point 2 has non-finite"):
+        cloud_from_csv(path)
+
+
 def test_cloud_csv_requires_words(tmp_path):
     cloud = PointCloud.from_points(np.zeros((3, 2)))
     with pytest.raises(ValueError):
@@ -425,17 +518,55 @@ def test_cloud_csv_requires_words(tmp_path):
 # box counting
 
 
-def test_box_counting_cantor():
-    from affinedim.measure import box_counting_dimension
+def _plain_key_overflows(cells):
+    try:
+        np.ravel_multi_index(cells.T, cells.max(axis=0) + 1)
+    except ValueError:
+        return True
+    return False
 
+
+@pytest.mark.parametrize("d, eps, overflows", [
+    (1, 1e-3, False), (2, 0.05, False), (3, 0.01, False), (3, 1e-7, True),
+    (8, 0.3, False), (8, 1e-3, True),
+])
+def test_cell_counts_match_unique(d, eps, overflows):
+    rng = np.random.default_rng(int(d / eps))
+    pts = rng.uniform(0.0, 1.0, size=(3000, d))
+    pts = np.concatenate([pts, pts[rng.choice(3000, 500)]])
+    cells = np.floor(pts / eps).astype(np.int64)
+    assert _plain_key_overflows(cells) == overflows
+    _, want = np.unique(cells, axis=0, return_counts=True)
+    assert np.array_equal(_cell_counts(cells), want)
+
+
+def test_cell_counts_with_huge_columns():
+    # a column too wide to fold even into a re-ranked key is ranked itself
+    rng = np.random.default_rng(211)
+    cells = rng.integers(0, 2**62, size=(400, 3))
+    cells = np.concatenate([cells, cells[:100], cells[:40] // 2])
+    _, want = np.unique(cells, axis=0, return_counts=True)
+    assert np.array_equal(_cell_counts(cells), want)
+
+
+def test_box_counting_diagonal_in_r8_unchanged():
+    # the finest default box size has 468 cells per axis, 468^8 > 2^63
+    t = np.random.default_rng(0).random(20_000)
+    cloud = PointCloud.from_points(t[:, None] * np.ones(8))
+    rep = box_counting_dimension(cloud)
+    eps = rep.eps[-1]
+    assert _plain_key_overflows(np.floor((cloud.points - cloud.points.min(axis=0)) / eps)
+                                .astype(np.int64))
+    assert rep.dimension == float.fromhex("0x1.f58a96b30cb63p-1")  # 0.97957...
+
+
+def test_box_counting_cantor():
     cloud = sample_measure(cantor_ifs(), 80_000, 35, rng=107)
     rep = box_counting_dimension(cloud)
     assert rep.dimension == pytest.approx(CANTOR_DIM, abs=0.05)
 
 
 def test_box_counting_uniform_square():
-    from affinedim.measure import box_counting_dimension
-
     rng = np.random.default_rng(109)
     cloud = PointCloud.from_points(rng.uniform(0.0, 1.0, size=(100_000, 2)))
     rep = box_counting_dimension(cloud)
@@ -443,16 +574,12 @@ def test_box_counting_uniform_square():
 
 
 def test_box_counting_dirac_zero():
-    from affinedim.measure import box_counting_dimension
-
     ifs = cantor_ifs(weights=[1.0, 0.0])
     cloud = sample_measure(ifs, 500, 40, rng=113)
     assert box_counting_dimension(cloud).dimension == 0.0
 
 
 def test_box_counting_occupancy_guard():
-    from affinedim.measure import box_counting_dimension
-
     rng = np.random.default_rng(127)
     cloud = PointCloud.from_points(rng.uniform(0.0, 1.0, size=(400, 2)))
     with pytest.raises(ValueError):
