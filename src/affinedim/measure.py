@@ -529,9 +529,9 @@ _KEY_LIMIT = int(np.iinfo(np.int64).max)
 
 
 def _cell_counts(cells: np.ndarray) -> np.ndarray:
-    """Occupancy of each distinct row of ``cells`` (non-negative integers), in
-    lexicographic row order, as ``np.unique(cells, axis=0, return_counts=True)``.
+    """Occupancy of each distinct row of non-negative ``cells``, in lexicographic row order.
 
+    The counts equal ``np.unique(cells, axis=0, return_counts=True)[1]``.
     Columns are folded into one int64 key per row, mixed-radix over the column
     extents.  When the next fold could overflow, the partial key and the column
     are first replaced by their dense ranks, which keep their order.
@@ -575,10 +575,10 @@ def box_counting_dimension(
         if cloud.truncation_floor is not None:
             eps_list = eps_list[eps_list >= cloud.truncation_floor]
     eps_list = np.sort(np.asarray(eps_list, dtype=float))[::-1]
-    shift = pts.min(axis=0)
+    offsets = pts - pts.min(axis=0)
     eps_used, info = [], []
     for eps in eps_list:
-        counts = _cell_counts(np.floor((pts - shift) / eps).astype(np.int64))
+        counts = _cell_counts(np.floor(offsets / eps).astype(np.int64))
         if m / counts.size < min_occupancy:
             continue
         p = counts / m
