@@ -204,7 +204,10 @@ def sample_measure(ifs: IfsSystem, count: int, depth: int, rng=None) -> PointClo
     for k in range(depth - 1, -1, -1):
         sel = words[:, k]
         pts = np.einsum("nij,nj->ni", ifs.matrices[sel], pts) + ifs.translations[sel]
-    return PointCloud(pts, words, ifs.truncation_bound(words), depth, seed)
+    errors = ifs.truncation_bound(words)
+    for a in (pts, words, errors):  # fresh arrays: the cloud keeps them without a copy
+        a.flags.writeable = False
+    return PointCloud(pts, words, errors, depth, seed)
 
 
 @dataclass(frozen=True)
@@ -443,14 +446,45 @@ def default_radii(cloud: PointCloud, count: int = DEFAULT_RADII_COUNT,
     return radii
 
 
-def _ball_counts(pts: np.ndarray, center_idx: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Points in each closed ball ``|x - pts[c]| <= r``, the centre itself excluded.
+def _run_end(xs: np.ndarray, c: np.ndarray, r2: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """First index at or after ``start`` where ``(xs - c)**2 > r2``, or ``xs.size``.
 
-    One KD-tree range count over every (centre, radius) pair; row ``k`` holds
-    the counts of centre ``center_idx[k]`` over ``radii``.  The tree compares
-    squared distances with ``r**2``, so a point within a few ulp of the sphere
-    may fall on the other side than a comparison of the norm with ``r``.
+    ``xs`` is sorted (either way) and ``xs[start]`` lies in its ball, so the
+    points in the ball from ``start`` on form one run; all ends are bisected
+    at once.
     """
+    lo, hi = start, np.full_like(start, xs.size)  # xs[lo] inside; hi past the end or outside
+    for _ in range(xs.size.bit_length()):
+        mid = (lo + hi) // 2
+        inside = (xs[mid] - c) ** 2 <= r2
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    return hi
+
+
+def _ball_counts(pts: np.ndarray, center_idx: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Points in each closed ball ``(x - pts[c])**2 <= r**2``, the centre itself excluded.
+
+    Row ``k`` holds the counts of centre ``center_idx[k]`` over ``radii``.
+    Squared distances are compared with ``r * r``, as the KD-tree does, so a
+    point within a few ulp of the sphere may fall on the other side than a
+    comparison of the norm with ``r``.  A 1-D cloud is sorted once: since
+    ``x - c`` rounds monotonically in ``x``, each ball is a run of the sorted
+    coordinates around the centre, whose two ends are found by bisection
+    under that same rule.  Other clouds get one KD-tree range count over
+    every (centre, radius) pair.
+    """
+    if pts.shape[1] == 1:
+        xs = np.sort(pts[:, 0])
+        c = np.repeat(pts[center_idx, 0], radii.size)
+        r2 = np.tile(radii * radii, center_idx.size)
+        start = np.searchsorted(xs, c)  # a position holding the centre's value
+        rstart = xs.size - 1 - start  # the same position in the reversed order
+        up = _run_end(xs, c, r2, start)
+        down = _run_end(xs[::-1], c, r2, rstart)
+        # the run is [start, up) upward and [rstart, down) downward; the
+        # start is in both, and the centre is not counted
+        return (up - start + down - rstart - 2).reshape(center_idx.size, radii.size)
     counts = cKDTree(pts).query_ball_point(
         np.repeat(pts[center_idx], radii.size, axis=0),
         np.tile(radii, center_idx.size),

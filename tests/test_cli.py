@@ -1,5 +1,6 @@
 """Tests for the command-line front end: exit codes, reports, determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -321,6 +322,22 @@ def test_reports_byte_identical_under_deterministic(tmp_path, capsys):
         assert code == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command, name, digest", [
+    ("dim", "bm.json", "4a6d68eaed71"),
+    ("dim", "stp3.json", "8d906f328154"),
+    ("dim", "cantor.json", "45f8843c6253"),
+    ("dim", "overlap.json", "8f0c304dee15"),
+    ("validate", "cantor.json", "bbab47ef899c"),
+])
+def test_shipped_config_report_bytes_pinned(command, name, digest, tmp_path, capsys):
+    # the byte contract: any change to these reports must be explained
+    path = tmp_path / "report.json"
+    code, _, _ = run([command, "--config", str(CONFIG_DIR / name), "--deterministic",
+                      "--out", str(path)], capsys)
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:12] == digest
 
 
 def test_timestamp_present_without_deterministic(tmp_path, capsys):

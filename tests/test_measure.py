@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from conftest import bm_carpet_ifs, cantor_dust_ifs, cantor_ifs, segment_ifs
 from scipy import stats
+from scipy.spatial import cKDTree
 
+from affinedim import measure
 from affinedim.cocycle import BernoulliWeights
 from affinedim.linalg import SubspaceFrame, singular_values
 from affinedim.measure import (
@@ -107,6 +109,25 @@ def test_sample_deterministic_given_seed():
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.words, b.words)
     assert a.seed == 9
+
+
+def test_sample_keeps_the_drawn_arrays(monkeypatch):
+    copied = []
+
+    def recording(a):
+        out = real(a)
+        if out is not a:
+            copied.append(a.shape)
+        return out
+
+    real = measure._frozen
+    monkeypatch.setattr(measure, "_frozen", recording)
+    ifs = bm_carpet_ifs()
+    cloud = sample_measure(ifs, 300, 20, rng=61)
+    assert copied == []
+    drawn = np.random.default_rng(61).choice(ifs.n_maps, size=(300, 20), p=ifs.weights.p)
+    assert np.array_equal(cloud.words, drawn)
+    assert cloud.words.flags.owndata and not cloud.words.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +498,63 @@ def test_ball_counts_tie_decided_by_squared_distance():
     center_idx, radii = np.array([0]), np.array([1.0])
     assert _norm_sort_counts(pts, center_idx, radii).tolist() == [[1]]
     assert _ball_counts(pts, center_idx, radii).tolist() == [[0]]
+
+
+def _tree_counts(pts, center_idx, radii):
+    """Ball counts straight from ``cKDTree.query_ball_point``, the centre excluded."""
+    counts = cKDTree(pts).query_ball_point(
+        np.repeat(pts[center_idx], radii.size, axis=0),
+        np.tile(radii, center_idx.size),
+        return_length=True,
+    )
+    return counts.reshape(center_idx.size, radii.size) - 1
+
+
+def _bound_counts(x, center_idx, radii):
+    """Ball counts from sorted bounds ``c - r`` and ``c + r``, which round differently."""
+    xs = np.sort(x)
+    c = x[center_idx][:, None]
+    return np.searchsorted(xs, c + radii, "right") - np.searchsorted(xs, c - radii, "left") - 1
+
+
+def _line(kind, rng, n=3000):
+    if kind == "uniform":
+        return rng.uniform(0.05, 1.0, n)
+    if kind == "dyadic":  # a lattice with many duplicates
+        return rng.integers(0, 512, n) / 512.0
+    if kind == "clusters":  # tight clusters spread over a few hundred ulp
+        return rng.choice(rng.uniform(0.0, 1.0, 8), n) + rng.normal(0.0, 1e-14, n)
+    return np.cumsum(rng.uniform(0.0, 1e-3, n))  # rounded partial sums
+
+
+@pytest.mark.parametrize("kind", ["uniform", "dyadic", "clusters", "cumsum"])
+@pytest.mark.parametrize("seed", range(3))
+def test_ball_counts_1d_equal_the_tree(kind, seed):
+    rng = np.random.default_rng(7000 + seed)
+    x = _line(kind, rng)
+    center_idx = np.concatenate([[np.argmin(x), np.argmax(x)], rng.choice(x.size, 30)])
+    # exact centre-to-point distances, their neighbours, and a geometric grid
+    dist = np.abs(x[rng.choice(x.size, 60)] - x[np.resize(center_idx, 60)])
+    dist = dist[dist > 0]
+    radii = np.unique(np.concatenate([
+        dist, np.nextafter(dist, 0.0), np.nextafter(dist, np.inf),
+        np.ptp(x) * 0.8 ** np.arange(40),
+    ]))
+    want = _tree_counts(x[:, None], center_idx, radii)
+    assert np.array_equal(_ball_counts(x[:, None], center_idx, radii), want)
+    # the family is adversarial: bounds on c +- r miss the tree's rule somewhere
+    assert np.any(_bound_counts(x, center_idx, radii) != want)
+
+
+def test_ball_counts_1d_tie_decided_by_squared_difference():
+    # c + r rounds to x, but (x - c)**2 > r * r, so the tree leaves x out
+    c, r = 0.08564916714362436, 0.06554410343949128
+    x = np.array([[c], [c + r]])
+    assert x[1, 0] == 0.15119327058311566
+    center_idx, radii = np.array([0]), np.array([r])
+    assert _tree_counts(x, center_idx, radii).tolist() == [[0]]
+    assert _ball_counts(x, center_idx, radii).tolist() == [[0]]
+    assert _bound_counts(x[:, 0], center_idx, radii).tolist() == [[1]]
 
 
 # ---------------------------------------------------------------------------
