@@ -133,9 +133,9 @@ class PointCloud:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2:
             raise ValueError("points must be an (m, k) array")
-        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
-        if bad.size:
-            raise ValueError(f"point {bad[0]} has non-finite coordinates {pts[bad[0]].tolist()}")
+        if not np.isfinite(pts).all():
+            bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))[0]
+            raise ValueError(f"point {bad} has non-finite coordinates {pts[bad].tolist()}")
         object.__setattr__(self, "points", _frozen(pts))
         if self.words is not None:
             w = np.asarray(self.words, dtype=np.int64)
@@ -157,9 +157,20 @@ class PointCloud:
         return self.points.shape[1]
 
     @cached_property
+    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lowest and highest corners of the points' bounding box.
+
+        Read column by column: a reduction over axis 0 of a narrow array is
+        many times slower, and min and max are exact either way.
+        """
+        cols = self.points.T
+        return np.array([c.min() for c in cols]), np.array([c.max() for c in cols])
+
+    @cached_property
     def diameter(self) -> float:
         """Length of the diagonal of the points' bounding box."""
-        return float(np.linalg.norm(self.points.max(axis=0) - self.points.min(axis=0)))
+        lo, hi = self.bounding_box
+        return float(np.linalg.norm(hi - lo))
 
     @cached_property
     def truncation_floor(self) -> float | None:
@@ -188,23 +199,48 @@ def natural_projection(ifs: IfsSystem, word) -> tuple[np.ndarray, float]:
     return x, float(ifs.truncation_bound(w))
 
 
+_WORD_BLOCK_ROWS = 4096  # words drawn per block, bounding the draw's float temporaries
+
+
 def sample_measure(ifs: IfsSystem, count: int, depth: int, rng=None) -> PointCloud:
     """Draw ``count`` approximate samples of the stationary measure.
 
-    Words of length ``depth`` are drawn i.i.d. from the weights and pushed
-    through :func:`natural_projection` (vectorised); per-point truncation
-    bounds are recorded.  Deterministic given the seed.
+    Words of length ``depth`` are drawn i.i.d. from the weights, in blocks of
+    rows (the same words and generator state as one draw), and pushed through
+    :func:`natural_projection` (vectorised); per-point truncation bounds are
+    recorded.  Points are built from the last symbol inwards, so after ``j``
+    steps there are at most ``N**j`` distinct partial points: while that table
+    is no longer than the sample, every suffix is stepped once and each sample
+    keeps its table row; then each sample goes on alone.  Every row takes the
+    same einsum step either way, so the points do not depend on the split.
+    Deterministic given the seed.
     """
     if count < 1 or depth < 1:
         raise ValueError("count and depth must be positive")
     seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     rng = np.random.default_rng(rng)
-    words = rng.choice(ifs.n_maps, size=(count, depth), p=ifs.weights.p)
-    pts = np.zeros((count, ifs.d))
-    for k in range(depth - 1, -1, -1):
-        sel = words[:, k]
-        pts = np.einsum("nij,nj->ni", ifs.matrices[sel], pts) + ifs.translations[sel]
-    errors = ifs.truncation_bound(words)
+    n = ifs.n_maps
+    words = np.empty((count, depth), dtype=np.int64)
+    errors = np.empty(count)
+    for s in range(0, count, _WORD_BLOCK_ROWS):
+        block = words[s:s + _WORD_BLOCK_ROWS]
+        block[:] = rng.choice(n, size=block.shape, p=ifs.weights.p)
+        errors[s:s + block.shape[0]] = ifs.truncation_bound(block)
+
+    def step(sel, x):
+        return np.einsum("nij,nj->ni", ifs.matrices[sel], x) + ifs.translations[sel]
+
+    pts = np.zeros((1, ifs.d))  # one row per distinct suffix so far
+    row = np.zeros(count, dtype=np.int64)
+    k = depth - 1
+    while k >= 0 and pts.shape[0] * n <= count:
+        parent, sel = divmod(np.arange(pts.shape[0] * n), n)
+        pts = step(sel, pts[parent])
+        row = row * n + words[:, k]
+        k -= 1
+    pts = pts[row]
+    for k in range(k, -1, -1):
+        pts = step(words[:, k], pts)
     for a in (pts, words, errors):  # fresh arrays: the cloud keeps them without a copy
         a.flags.writeable = False
     return PointCloud(pts, words, errors, depth, seed)
@@ -472,7 +508,12 @@ def _ball_counts(pts: np.ndarray, center_idx: np.ndarray, radii: np.ndarray) -> 
     ``x - c`` rounds monotonically in ``x``, each ball is a run of the sorted
     coordinates around the centre, whose two ends are found by bisection
     under that same rule.  Other clouds get one KD-tree range count over
-    every (centre, radius) pair.
+    every (centre, radius) pair.  The tree's nodes keep their split bounds
+    instead of shrinking to the data: that builds faster and halves the
+    query, and the counts are the same.  ``count_neighbors``, which counts
+    all radii of a centre in one dual-tree pass, is not used: it decides
+    points within an ulp of the sphere by node bounds and can disagree
+    with the rule above.
     """
     if pts.shape[1] == 1:
         xs = np.sort(pts[:, 0])
@@ -485,7 +526,7 @@ def _ball_counts(pts: np.ndarray, center_idx: np.ndarray, radii: np.ndarray) -> 
         # the run is [start, up) upward and [rstart, down) downward; the
         # start is in both, and the centre is not counted
         return (up - start + down - rstart - 2).reshape(center_idx.size, radii.size)
-    counts = cKDTree(pts).query_ball_point(
+    counts = cKDTree(pts, compact_nodes=False).query_ball_point(
         np.repeat(pts[center_idx], radii.size, axis=0),
         np.tile(radii, center_idx.size),
         return_length=True,
@@ -609,7 +650,7 @@ def box_counting_dimension(
         if cloud.truncation_floor is not None:
             eps_list = eps_list[eps_list >= cloud.truncation_floor]
     eps_list = np.sort(np.asarray(eps_list, dtype=float))[::-1]
-    offsets = pts - pts.min(axis=0)
+    offsets = pts - cloud.bounding_box[0]
     eps_used, info = [], []
     for eps in eps_list:
         counts = _cell_counts(np.floor(offsets / eps).astype(np.int64))

@@ -130,6 +130,61 @@ def test_sample_keeps_the_drawn_arrays(monkeypatch):
     assert cloud.words.flags.owndata and not cloud.words.flags.writeable
 
 
+def _per_sample_sampling(ifs, count, depth, seed):
+    """Reference sampler: one draw of every word, then each sample stepped alone."""
+    rng = np.random.default_rng(seed)
+    words = rng.choice(ifs.n_maps, size=(count, depth), p=ifs.weights.p)
+    pts = np.zeros((count, ifs.d))
+    for k in range(depth - 1, -1, -1):
+        sel = words[:, k]
+        pts = np.einsum("nij,nj->ni", ifs.matrices[sel], pts) + ifs.translations[sel]
+    return pts, words, ifs.truncation_bound(words)
+
+
+def _assert_sampling_exact(ifs, count, depth, seed):
+    cloud = sample_measure(ifs, count, depth, rng=seed)
+    pts, words, errors = _per_sample_sampling(ifs, count, depth, seed)
+    assert np.array_equal(cloud.points, pts)
+    assert np.array_equal(cloud.words, words)
+    assert np.array_equal(cloud.errors, errors)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sample_equals_per_sample_recursion(seed, monkeypatch):
+    # a small block makes every draw span several blocks
+    monkeypatch.setattr(measure, "_WORD_BLOCK_ROWS", 16)
+    rng = np.random.default_rng(8800 + seed)
+    ifs = _random_small_ifs(rng, ["general", "one-map", "identical"][seed % 3])
+    if seed % 2 and ifs.n_maps > 1:  # a map that is never drawn
+        p = rng.uniform(0.1, 1.0, ifs.n_maps)
+        p[rng.integers(ifs.n_maps)] = 0.0
+        ifs = IfsSystem(ifs.matrices, ifs.translations, BernoulliWeights(p / p.sum()))
+    depth = int(rng.integers(1, 9))
+    full = ifs.n_maps**depth  # every suffix of every length fits in the table
+    for count in {1, max(1, full // 3), max(1, full - 1), full, full + 5, 3 * full + 1}:
+        _assert_sampling_exact(ifs, min(count, 5000), depth, seed)
+
+
+@pytest.mark.parametrize("ifs", [cantor_ifs(), cantor_ifs(weights=[0.0, 1.0]), bm_carpet_ifs(),
+                                 IfsSystem([[[0.5]]], [[0.25]], BernoulliWeights.uniform(1))],
+                         ids=["cantor", "zero-weight", "carpet", "one-map"])
+@pytest.mark.parametrize("count, depth", [(1, 1), (1, 12), (7, 1), (500, 1), (500, 12)])
+def test_sample_exact_at_the_edges(ifs, count, depth):
+    _assert_sampling_exact(ifs, count, depth, 29)
+
+
+def test_sample_block_draw_matches_one_draw():
+    ifs = cantor_dust_ifs()
+    count = 2 * measure._WORD_BLOCK_ROWS + 5  # two full blocks and a short one
+    gen = np.random.default_rng(404)
+    cloud = sample_measure(ifs, count, 6, rng=gen)
+    ref = np.random.default_rng(404)
+    assert np.array_equal(cloud.words, ref.choice(4, size=(count, 6), p=ifs.weights.p))
+    # the generator is left where one draw leaves it
+    assert gen.bit_generator.state == ref.bit_generator.state
+    assert gen.random() == ref.random()
+
+
 # ---------------------------------------------------------------------------
 # self-affinity identity
 
@@ -497,6 +552,7 @@ def test_ball_counts_tie_decided_by_squared_distance():
     pts = np.array([[0.0, 0.0], [1.0, 2.0**-26]])
     center_idx, radii = np.array([0]), np.array([1.0])
     assert _norm_sort_counts(pts, center_idx, radii).tolist() == [[1]]
+    assert _tree_counts(pts, center_idx, radii).tolist() == [[0]]
     assert _ball_counts(pts, center_idx, radii).tolist() == [[0]]
 
 
@@ -555,6 +611,72 @@ def test_ball_counts_1d_tie_decided_by_squared_difference():
     assert _tree_counts(x, center_idx, radii).tolist() == [[0]]
     assert _ball_counts(x, center_idx, radii).tolist() == [[0]]
     assert _bound_counts(x[:, 0], center_idx, radii).tolist() == [[1]]
+
+
+def _cloud(kind, rng, d, n=2000):
+    if kind == "uniform":
+        return rng.uniform(0.05, 1.0, (n, d))
+    if kind == "dyadic":  # a lattice with many duplicates
+        return rng.integers(0, 512, (n, d)) / 512.0
+    if kind == "clusters":  # tight clusters spread over about 50 ulp
+        return rng.uniform(0.5, 1.0, (8, d))[rng.integers(0, 8, n)] + rng.normal(0.0, 5e-15, (n, d))
+    return np.cumsum(rng.uniform(0.0, 1e-3, (n, d)), axis=0)  # rounded partial sums
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", ["uniform", "dyadic", "clusters", "cumsum"])
+@pytest.mark.parametrize("seed", range(2))
+def test_ball_counts_equal_the_tree(d, kind, seed):
+    rng = np.random.default_rng(9100 + 10 * d + seed)
+    pts = _cloud(kind, rng, d)
+    center_idx = rng.choice(pts.shape[0], 24, replace=False)
+    # exact centre-to-point distances, their neighbours, and a geometric grid
+    dist = np.linalg.norm(pts[rng.choice(pts.shape[0], 48)] - pts[np.resize(center_idx, 48)], axis=1)
+    dist = dist[dist > 0]
+    radii = np.unique(np.concatenate([
+        dist, np.nextafter(dist, 0.0), np.nextafter(dist, np.inf),
+        np.ptp(pts, axis=0).max() * 0.8 ** np.arange(40),
+    ]))
+    for order in (radii[::-1], radii):  # descending as the estimator passes them, and ascending
+        want = _tree_counts(pts, center_idx, order)
+        assert np.array_equal(_ball_counts(pts, center_idx, order), want)
+    # the family is adversarial: comparing the norm with r misses the tree's rule somewhere
+    assert np.any(_norm_sort_counts(pts, center_idx, order) != want)
+
+
+@pytest.mark.parametrize("centre, near, far, r, inside", [
+    # |near - centre|^2 exceeds r * r by one ulp
+    ([0.38139776864285624, 0.8545937396145074], [0.23086184253313874, 0.4999688949254938],
+     [0.9999601821541424, 0.3417197833443354], 0.385252963026136, 0),
+    # |near - centre|^2 equals r * r
+    ([0.10877214724855544, 0.44094098232307616], [0.14196732339464463, 0.7409585379016167],
+     [0.9234830589439706, 0.6168106954883152], 0.3018483946862937, 1),
+])
+def test_ball_counts_tie_where_count_neighbors_differs(centre, near, far, r, inside):
+    pts = np.array([centre, near, far])
+    assert int(np.sum((pts[1] - pts[0]) ** 2) <= r * r) == inside
+    assert _ball_counts(pts, np.array([0]), np.array([r])).tolist() == [[inside]]
+    assert _tree_counts(pts, np.array([0]), np.array([r])).tolist() == [[inside]]
+    # the one-pass pair count decides this point by its node's bounds, the other way
+    tree = cKDTree(pts)
+    assert tree.count_neighbors(cKDTree(pts[:1]), [r])[0] - 1 == 1 - inside
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_bounding_box_equals_axis_reductions(d):
+    rng = np.random.default_rng(60 + d)
+    pts = rng.standard_normal((5000, d)) * 10.0 ** rng.integers(-3, 4, d)
+    pts[rng.integers(0, 5000, 50)] = 0.0
+    pts[rng.integers(0, 5000, 50)] = -0.0
+    cloud = PointCloud.from_points(pts)
+    lo, hi = cloud.bounding_box
+    assert lo.tobytes() == pts.min(axis=0).tobytes()
+    assert hi.tobytes() == pts.max(axis=0).tobytes()
+    old_diameter = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    assert cloud.diameter.hex() == old_diameter.hex()
+    # the box-counting grid anchor: the same cells as the axis-0 minimum gives
+    eps = cloud.diameter / 37.0
+    assert np.array_equal(np.floor((pts - lo) / eps), np.floor((pts - pts.min(axis=0)) / eps))
 
 
 # ---------------------------------------------------------------------------
