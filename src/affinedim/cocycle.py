@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import SpectralGapError
 from .linalg import (
@@ -46,6 +47,10 @@ DEFAULT_RENORM_EVERY = 10
 # keep the singular-value spread accumulated between renormalisations well
 # below 1/eps so the most contracted directions stay resolvable
 _MAX_LOG_SPREAD_PER_RENORM = 30.0
+# floats of step matrices gathered at once by the frame propagation kernel
+_PROPAGATE_CHUNK_FLOATS = 1 << 16
+# symbols drawn by one generator call, bounding its float and int64 temporaries
+_WORD_BLOCK_SYMBOLS = 1 << 16
 
 
 def safe_renorm_interval(mats: np.ndarray, requested: int) -> int:
@@ -183,6 +188,22 @@ def entropy(weights: BernoulliWeights) -> float:
     return float(-(p * np.log(p)).sum())
 
 
+def _draw_words(rng: np.random.Generator, p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous integer array ``out`` with i.i.d. symbols of law ``p``.
+
+    Symbols are drawn in flat blocks of ``_WORD_BLOCK_SYMBOLS``.  ``rng.choice``
+    with ``p`` turns one uniform double per symbol, in C order, into its
+    symbol, so the blocks give the same symbols and leave the generator in
+    the same state as one ``rng.choice(p.size, size=out.shape, p=p)``,
+    without its full-size float and int64 temporaries.
+    """
+    flat = out.reshape(-1)
+    for s in range(0, flat.size, _WORD_BLOCK_SYMBOLS):
+        block = flat[s:s + _WORD_BLOCK_SYMBOLS]
+        block[:] = rng.choice(p.size, size=block.size, p=p)
+    return out
+
+
 def _propagate(
     use: np.ndarray, words: np.ndarray, renorm_every: int, q0: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -194,16 +215,31 @@ def _propagate(
     one, summing ``log|diag R|``.  Returns the final orthonormal frames and
     the per-column log growth, which estimates the log singular values of
     each word's product (in column order, not sorted).
+
+    The floating-point operations are exactly those of ``q = use[words[:, t]]
+    @ q`` per step and ``np.linalg.qr`` per renorm, so the results are
+    bit-identical to that loop; only the work around them is cut.  Step
+    matrices are gathered time-major in chunks of at most
+    ``_PROPAGATE_CHUNK_FLOATS`` floats, and each step multiplies by one
+    contiguous slice of the chunk.  Each renorm calls the two LAPACK gufuncs
+    that ``np.linalg.qr`` wraps (``geqrf``, then ``orgqr``) without the
+    wrapper's copy, ``triu`` and error-state set-up: ``qr_r_raw`` factors the
+    fresh matmul output in place, its diagonal is R's, and ``qr_reduced``
+    forms Q from it.  A NaN frame stays NaN, as under ``np.linalg.qr``.
     """
     q0 = np.eye(use.shape[1]) if q0 is None else np.asarray(q0, dtype=float)
     batch, steps = words.shape
     q = np.broadcast_to(q0, (batch,) + q0.shape[-2:]).copy()
     sums = np.zeros((batch, q.shape[2]))
-    for t in range(steps):
-        q = use[words[:, t]] @ q
-        if (t + 1) % renorm_every == 0 or t == steps - 1:
-            q, r = np.linalg.qr(q)
-            sums += np.log(np.abs(np.diagonal(r, axis1=-2, axis2=-1)))
+    chunk = max(1, _PROPAGATE_CHUNK_FLOATS // max(1, batch * use[0].size))
+    for c0 in range(0, steps, chunk):
+        for t, step in enumerate(use[words[:, c0:c0 + chunk].T], c0):
+            q = step @ q
+            if (t + 1) % renorm_every == 0 or t == steps - 1:
+                # factors q in place: R on and above its diagonal
+                tau = _umath_linalg.qr_r_raw(q, signature="d->d")
+                sums += np.log(np.abs(q.diagonal(0, -2, -1)))
+                q = _umath_linalg.qr_reduced(q, tau, signature="dd->d")
     return q, sums
 
 
@@ -271,7 +307,8 @@ def lyapunov_spectrum(
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(rng)
     renorm_every = safe_renorm_interval(mats, renorm_every)
-    words = rng.choice(weights.n, size=(trials, steps), p=weights.p)
+    narrow = np.min_scalar_type(weights.n - 1)
+    words = _draw_words(rng, weights.p, np.empty((trials, steps), narrow))
     _, sums = _propagate(mats, words, renorm_every)
 
     per_trial = np.sort(-sums / steps, axis=1)
@@ -301,10 +338,15 @@ def exterior_partial_sum_estimate(
     d = mats.shape[1]
     if not 1 <= p <= d:
         raise ValueError(f"need 1 <= p <= {d}")
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     compounds = np.stack([exterior_power(m, p) for m in mats])
     rng = np.random.default_rng(rng)
     renorm_every = safe_renorm_interval(compounds, renorm_every)
-    words = rng.choice(weights.n, size=(trials, steps), p=weights.p)
+    narrow = np.min_scalar_type(weights.n - 1)
+    words = _draw_words(rng, weights.p, np.empty((trials, steps), narrow))
     v = rng.standard_normal((trials, compounds.shape[1], 1))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     _, sums = _propagate(compounds, words, renorm_every, v)
@@ -398,7 +440,7 @@ def furstenberg_sample(
 
     invs = np.linalg.inv(mats)
     renorm_every = safe_renorm_interval(mats, renorm_every)
-    words = rng.choice(weights.n, size=(count, iterations), p=weights.p)
+    words = _draw_words(rng, weights.p, np.empty((count, iterations), dtype=np.int64))
     q, _ = qr_positive(rng.standard_normal((count, d, d)))
     # the first symbol is applied last, so it ends up outermost
     q, _ = _propagate(invs, words[:, ::-1], renorm_every, q)

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cocycle import BernoulliWeights, as_map_stack, _check_word
+from .cocycle import BernoulliWeights, as_map_stack, _check_word, _draw_words, _WORD_BLOCK_SYMBOLS
 from .linalg import SubspaceFrame, singular_values
 
 __all__ = [
@@ -199,14 +199,11 @@ def natural_projection(ifs: IfsSystem, word) -> tuple[np.ndarray, float]:
     return x, float(ifs.truncation_bound(w))
 
 
-_WORD_BLOCK_ROWS = 4096  # words drawn per block, bounding the draw's float temporaries
-
-
 def sample_measure(ifs: IfsSystem, count: int, depth: int, rng=None) -> PointCloud:
     """Draw ``count`` approximate samples of the stationary measure.
 
-    Words of length ``depth`` are drawn i.i.d. from the weights, in blocks of
-    rows (the same words and generator state as one draw), and pushed through
+    Words of length ``depth`` are drawn i.i.d. from the weights, in bounded
+    flat blocks (the same words and generator state as one draw), and pushed through
     :func:`natural_projection` (vectorised); per-point truncation bounds are
     recorded.  Points are built from the last symbol inwards, so after ``j``
     steps there are at most ``N**j`` distinct partial points: while that table
@@ -220,12 +217,11 @@ def sample_measure(ifs: IfsSystem, count: int, depth: int, rng=None) -> PointClo
     seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     rng = np.random.default_rng(rng)
     n = ifs.n_maps
-    words = np.empty((count, depth), dtype=np.int64)
+    words = _draw_words(rng, ifs.weights.p, np.empty((count, depth), dtype=np.int64))
     errors = np.empty(count)
-    for s in range(0, count, _WORD_BLOCK_ROWS):
-        block = words[s:s + _WORD_BLOCK_ROWS]
-        block[:] = rng.choice(n, size=block.shape, p=ifs.weights.p)
-        errors[s:s + block.shape[0]] = ifs.truncation_bound(block)
+    rows = max(1, _WORD_BLOCK_SYMBOLS // depth)  # bounds the product's float temporaries
+    for s in range(0, count, rows):
+        errors[s:s + rows] = ifs.truncation_bound(words[s:s + rows])
 
     def step(sel, x):
         return np.einsum("nij,nj->ni", ifs.matrices[sel], x) + ifs.translations[sel]

@@ -330,6 +330,10 @@ def test_reports_byte_identical_under_deterministic(tmp_path, capsys):
     ("dim", "cantor.json", "45f8843c6253"),
     ("dim", "overlap.json", "8f0c304dee15"),
     ("validate", "cantor.json", "bbab47ef899c"),
+    ("lyapunov", "stp3.json", "fe6afe955173"),
+    ("lyapunov", "bm.json", "185e1d20eb4e"),
+    ("domination", "stp3.json", "7a18639b5800"),
+    ("domination", "bm.json", "02c567a9551d"),
 ])
 def test_shipped_config_report_bytes_pinned(command, name, digest, tmp_path, capsys):
     # the byte contract: any change to these reports must be explained

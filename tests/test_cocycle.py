@@ -1,9 +1,12 @@
 """Tests for word sampling, cocycle products, spectra, and flag sampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from affinedim import cocycle
 from affinedim.cocycle import (
     BernoulliWeights,
     LyapunovSpectrum,
@@ -156,6 +159,15 @@ def test_spectrum_rejects_short_run():
         lyapunov_spectrum(DIAG_PAIR, BernoulliWeights.uniform(2), steps=50, trials=1, rng=0)
 
 
+def test_exterior_partial_sum_rejects_empty_run():
+    maps = (np.array([[0.5, 0.1], [0.0, 0.3]]),)
+    w = BernoulliWeights.uniform(1)
+    with pytest.raises(ValueError, match="steps"):
+        exterior_partial_sum_estimate(maps, w, 1, steps=0, trials=3, rng=0)
+    with pytest.raises(ValueError, match="trials"):
+        exterior_partial_sum_estimate(maps, w, 1, steps=200, trials=0, rng=0)
+
+
 def test_spectrum_type_invariants():
     with pytest.raises(ValueError):
         LyapunovSpectrum(np.array([0.5, 0.2]), None, (1, 1), 0.05)
@@ -163,6 +175,92 @@ def test_spectrum_type_invariants():
         LyapunovSpectrum(np.array([0.2, 0.5]), None, (1, 2), 0.05)
     with pytest.raises(ValueError):
         LyapunovSpectrum(np.array([-0.1, 0.5]), None, (1, 1), 0.05)
+
+
+# ---------------------------------------------------------------------------
+# frame propagation kernel and word draws
+
+
+def _per_step_propagate(use, words, renorm_every, q0=None):
+    """Reference kernel: gather, multiply and ``np.linalg.qr`` one step at a time."""
+    q0 = np.eye(use.shape[1]) if q0 is None else np.asarray(q0, dtype=float)
+    batch, steps = words.shape
+    q = np.broadcast_to(q0, (batch,) + q0.shape[-2:]).copy()
+    sums = np.zeros((batch, q.shape[2]))
+    for t in range(steps):
+        q = use[words[:, t]] @ q
+        if (t + 1) % renorm_every == 0 or t == steps - 1:
+            q, r = np.linalg.qr(q)
+            sums += np.log(np.abs(np.diagonal(r, axis1=-2, axis2=-1)))
+    return q, sums
+
+
+def _start_frame(rng, kind, batch, d):
+    k = max(1, d - 1)
+    if kind is None:
+        return None
+    shape = (d, k) if kind == "dk" else (batch, d, k)
+    return np.linalg.qr(rng.standard_normal(shape))[0]
+
+
+# (steps, renorm_every): one step, a multiple of the interval, not a multiple,
+# renorm every step, and an interval longer than the run
+_STEP_CASES = [(1, 1), (1, 3), (12, 3), (13, 3), (13, 1), (5, 9)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("kind", [None, "dk", "bdk"])
+def test_propagate_bit_identical_to_per_step_qr(seed, kind, monkeypatch):
+    rng = np.random.default_rng(5100 + seed)
+    d, n_maps = 1 + seed % 4, 1 + (seed // 2 + seed) % 4
+    use = rng.standard_normal((n_maps, d, d))
+    for batch in (1, 7):
+        q0 = _start_frame(rng, kind, batch, d)
+        # the default chunk, one-step chunks, and 2-step chunks whose edges
+        # fall inside the 3-step renorm blocks
+        for chunk_steps in (None, 1, 2):
+            if chunk_steps is not None:
+                monkeypatch.setattr(cocycle, "_PROPAGATE_CHUNK_FLOATS", chunk_steps * batch * d * d)
+            for steps, renorm_every in _STEP_CASES:
+                words = rng.integers(0, n_maps, (batch, steps))
+                q, sums = cocycle._propagate(use, words, renorm_every, q0)
+                q_ref, sums_ref = _per_step_propagate(use, words, renorm_every, q0)
+                assert np.array_equal(q, q_ref) and np.array_equal(sums, sums_ref)
+            monkeypatch.undo()
+
+
+def test_propagate_nan_frame_follows_the_reference(monkeypatch):
+    rng = np.random.default_rng(5200)
+    use = rng.standard_normal((2, 3, 3))
+    q0 = np.linalg.qr(rng.standard_normal((3, 2)))[0]
+    q0[0, 0] = np.nan
+    words = rng.integers(0, 2, (7, 13))
+    monkeypatch.setattr(cocycle, "_PROPAGATE_CHUNK_FLOATS", 2 * 7 * 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q, sums = cocycle._propagate(use, words, 3, q0)
+        q_ref, sums_ref = _per_step_propagate(use, words, 3, q0)
+    assert np.isnan(q).all() and np.isnan(sums).all()
+    assert np.array_equal(q, q_ref, equal_nan=True)
+    assert np.array_equal(sums, sums_ref, equal_nan=True)
+
+
+@pytest.mark.parametrize("n", [2, 3, 300])
+@pytest.mark.parametrize("block", [1, 16, 37, 10**6])
+def test_draw_words_matches_one_choice(n, block, monkeypatch):
+    # blocks of 16 and 37 symbols split rows of 23 in different places
+    monkeypatch.setattr(cocycle, "_WORD_BLOCK_SYMBOLS", block)
+    p = np.random.default_rng(n).uniform(0.0, 1.0, n)
+    p[0] = 0.0  # a symbol that is never drawn
+    p /= p.sum()
+    for dtype in (np.min_scalar_type(n - 1), np.int64):
+        gen = np.random.default_rng(77)
+        words = cocycle._draw_words(gen, p, np.empty((9, 23), dtype=dtype))
+        ref = np.random.default_rng(77)
+        assert np.array_equal(words, ref.choice(n, size=(9, 23), p=p))
+        assert words.dtype == dtype and (words > 0).all()
+        # the generator is left where one draw leaves it
+        assert gen.bit_generator.state == ref.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

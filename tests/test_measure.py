@@ -6,7 +6,7 @@ from conftest import bm_carpet_ifs, cantor_dust_ifs, cantor_ifs, segment_ifs
 from scipy import stats
 from scipy.spatial import cKDTree
 
-from affinedim import measure
+from affinedim import cocycle, measure
 from affinedim.cocycle import BernoulliWeights
 from affinedim.linalg import SubspaceFrame, singular_values
 from affinedim.measure import (
@@ -151,8 +151,9 @@ def _assert_sampling_exact(ifs, count, depth, seed):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_sample_equals_per_sample_recursion(seed, monkeypatch):
-    # a small block makes every draw span several blocks
-    monkeypatch.setattr(measure, "_WORD_BLOCK_ROWS", 16)
+    # a small block makes every draw span several blocks, split inside rows
+    monkeypatch.setattr(cocycle, "_WORD_BLOCK_SYMBOLS", 16)
+    monkeypatch.setattr(measure, "_WORD_BLOCK_SYMBOLS", 16)
     rng = np.random.default_rng(8800 + seed)
     ifs = _random_small_ifs(rng, ["general", "one-map", "identical"][seed % 3])
     if seed % 2 and ifs.n_maps > 1:  # a map that is never drawn
@@ -175,7 +176,7 @@ def test_sample_exact_at_the_edges(ifs, count, depth):
 
 def test_sample_block_draw_matches_one_draw():
     ifs = cantor_dust_ifs()
-    count = 2 * measure._WORD_BLOCK_ROWS + 5  # two full blocks and a short one
+    count = 2 * cocycle._WORD_BLOCK_SYMBOLS // 6 + 5  # two full blocks and a short one
     gen = np.random.default_rng(404)
     cloud = sample_measure(ifs, count, 6, rng=gen)
     ref = np.random.default_rng(404)
