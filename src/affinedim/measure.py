@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .cocycle import BernoulliWeights, as_map_stack, _check_word, _draw_words, _WORD_BLOCK_SYMBOLS
 from .linalg import SubspaceFrame, singular_values
@@ -44,6 +43,7 @@ DEFAULT_SEPARATION_BUDGET = 10**6
 DEFAULT_RADII_COUNT = 24
 DEFAULT_RADII_RATIO = 0.8
 MIN_USABLE_RADII = 20
+_SWEEP_BLOCK = 1 << 18  # candidate pairs per chunk of a distance search: near cache size
 
 
 @dataclass(frozen=True)
@@ -336,18 +336,110 @@ def _enumerate_cylinders(ifs: IfsSystem, level: int):
     return shifts, radii, words[:, 0], samples, words
 
 
-def _cross_pairs(trees, groups, r: float):
-    """Every pair of points in different groups within distance ``r``.
+def _squared_distances(x, c):
+    """``sum_k (x[k] - c[k])**2``, summed over coordinates in the KD-tree's order.
 
-    ``trees[g]`` holds the points ``groups[g]`` (global indices).  Returns
-    the global indices ``i < j`` of each pair and the distance between them.
+    ``x`` and ``c`` hold one entry (an array or a scalar) per coordinate, and
+    broadcast against each other.  Every full block of four coordinates is
+    added into four running sums, one per position in the block; the four
+    sums are added left to right, and the leftover coordinates are then added
+    in order.  This is the order of SciPy's ``cKDTree``, so every squared
+    distance and its ``sqrt`` carries the tree's bits; for fewer than eight
+    coordinates it is the plain in-order sum.  Adding a term never lowers the
+    rounded sum, so the result is at least each ``(x[k] - c[k])**2``.
     """
+    terms = [(xk - ck) ** 2 for xk, ck in zip(x, c, strict=True)]
+    full = len(terms) - len(terms) % 4
+    if full:
+        acc = terms[:4]
+        for k in range(4, full):
+            acc[k % 4] = acc[k % 4] + terms[k]
+        terms = [acc[0] + acc[1] + acc[2] + acc[3], *terms[full:]]
+    s = terms[0]
+    for t in terms[1:]:
+        s = s + t
+    return s
+
+
+def _windows(lo: np.ndarray, hi: np.ndarray):
+    """Every ``(k, p)`` with ``lo[k] <= p < hi[k]``, as flat index arrays in chunks.
+
+    Whole rows ``k`` go into a chunk while it holds at most ``_SWEEP_BLOCK``
+    pairs (a longer row goes alone).
+    """
+    sizes = hi - lo
+    ends = np.cumsum(sizes)
+    k = 0
+    while k < sizes.size:
+        stop = max(k + 1, int(np.searchsorted(ends, ends[k] - sizes[k] + _SWEEP_BLOCK, "right")))
+        size = sizes[k:stop]
+        rows = np.repeat(np.arange(k, stop), size)
+        shift = np.repeat(lo[k:stop] - (np.cumsum(size) - size), size)  # window start - flat start
+        yield rows, np.arange(rows.size) + shift
+        k = stop
+
+
+def _cross_pairs(points: np.ndarray, groups, r: float):
+    """Every pair of ``points`` in different groups within distance ``r``.
+
+    ``groups[g]`` holds the global indices of group ``g``.  Returns the
+    global indices ``i < j`` of each pair and the distance between them.
+    Each group is sorted once by its first coordinate, and each point is
+    compared with the run of every later group within ``r (1 + 1e-9)`` in
+    that coordinate.  A pair is kept when its squared distance (see
+    :func:`_squared_distances`) is at most ``r * r``, as the KD-tree keeps it;
+    then the first coordinate's rounded square is at most ``r * r`` too, so
+    its difference is within a few ulp of ``r``, and the padded run bounds,
+    rounded like the coordinates themselves, cannot leave the pair out.
+    """
+    r2 = r * r
+    reach = r * (1.0 + 1e-9)
+    groups = [g[np.argsort(points[g, 0], kind="stable")] for g in groups]
+    cols = [points[g].T.copy() for g in groups]  # one contiguous row per coordinate
     found = []
-    for a, b in itertools.combinations(range(len(trees)), 2):
-        near = trees[a].sparse_distance_matrix(trees[b], r, output_type="ndarray")
-        i, j = groups[a][near["i"]], groups[b][near["j"]]
-        found.append((np.minimum(i, j), np.maximum(i, j), near["v"]))
+    for a, b in itertools.combinations(range(len(groups)), 2):
+        ga, gb, ca, cb = groups[a], groups[b], cols[a], cols[b]
+        lo = np.searchsorted(cb[0], ca[0] - reach, "left")
+        hi = np.searchsorted(cb[0], ca[0] + reach, "right")
+        for ka, kb in _windows(lo, hi):
+            sq = _squared_distances(ca[:, ka], cb[:, kb])
+            keep = sq <= r2
+            i, j = ga[ka[keep]], gb[kb[keep]]
+            found.append((np.minimum(i, j), np.maximum(i, j), np.sqrt(sq[keep])))
     return [np.concatenate(col) for col in zip(*found)]
+
+
+def _nearest(points: np.ndarray, ga: np.ndarray, gb: np.ndarray):
+    """Nearest point of ``points[gb]`` to each of ``points[ga]``: global index and distance.
+
+    Nearness is the squared distance of :func:`_squared_distances`, with ties
+    going to the lowest index in ``gb``.  Candidates come from the Gram form
+    ``|b|^2 - 2 a.b``, one matrix product per chunk of rows of ``a``.  With
+    ``u`` the unit roundoff and ``B`` the largest ``|b|``, the Gram form is
+    within ``(2d + 2) u (|a| + B)^2`` of its exact value and a squared
+    distance within ``(d + 4) u`` relative of its own, so the nearest point's
+    Gram value is within ``(7d + 16) u (|a| + B)^2`` of the row's smallest.
+    Every point within twice that is a candidate, and the candidates are
+    decided by their squared distances.
+    """
+    pa, pb = points[ga], points[gb]
+    bb = np.einsum("ij,ij->i", pb, pb)
+    left = np.column_stack([-2.0 * pa, np.ones(ga.size)])  # (-2a, 1) . (b, |b|^2)
+    right = np.vstack([pb.T, bb])
+    norm_a = np.sqrt(np.einsum("ij,ij->i", pa, pa))
+    tol = (7 * points.shape[1] + 16) * np.finfo(float).eps * (norm_a + np.sqrt(bb.max())) ** 2
+    near, sq = np.empty(ga.size, dtype=np.int64), np.empty(ga.size)
+    rows = max(1, _SWEEP_BLOCK // gb.size)
+    for s in range(0, ga.size, rows):
+        gram = left[s:s + rows] @ right
+        cut = gram.min(axis=1, keepdims=True)
+        cut += tol[s:s + rows, None]
+        k, kb = np.divmod(np.flatnonzero(gram <= cut), gb.size)
+        dist2 = _squared_distances(pa[s + k].T, pb[kb].T)
+        pick = np.lexsort((kb, dist2, k))  # by row, then squared distance, then index
+        pick = pick[np.r_[True, k[pick][1:] != k[pick][:-1]]]  # first of each row
+        near[s:s + rows], sq[s:s + rows] = kb[pick], dist2[pick]
+    return gb[near], np.sqrt(sq)
 
 
 def check_separation(
@@ -380,20 +472,18 @@ def check_separation(
 
     centers, radii, firsts, samples, words = _enumerate_cylinders(ifs, level)
     groups = [np.flatnonzero(firsts == g) for g in range(ifs.n_maps)]
-    trees = [cKDTree(centers[idx]) for idx in groups]
 
     def witness(i, j):
         return (tuple(words[i].tolist()), tuple(words[j].tolist()))
 
-    i, j, dist = _cross_pairs(trees, groups, 2.0 * float(radii.max()) + guard)
+    i, j, dist = _cross_pairs(centers, groups, 2.0 * float(radii.max()) + guard)
     near = i.size > 0
     if not near:
         # every hull gap exceeds the guard; the witness pairs each cylinder
         # with its nearest centre of a later first symbol
         found = []
-        for a, b in itertools.combinations(range(len(trees)), 2):
-            dd, jj = trees[b].query(centers[groups[a]], k=1)
-            found.append((groups[a], groups[b][jj], dd))
+        for a, b in itertools.combinations(range(len(groups)), 2):
+            found.append((groups[a], *_nearest(centers, groups[a], groups[b])))
         i, j, dist = (np.concatenate(col) for col in zip(*found))
     gaps = dist - radii[i] - radii[j]
     worst = int(np.argmin(gaps))
@@ -401,7 +491,7 @@ def check_separation(
     if not near or gaps[worst] > guard:
         return SeparationVerdict("ssc-verified", worst_pair, float(gaps[worst]), level)
     # hulls touch or overlap: look for coinciding attractor points
-    pi, pj, pd = _cross_pairs([cKDTree(samples[idx]) for idx in groups], groups, resolution)
+    pi, pj, pd = _cross_pairs(samples, groups, resolution)
     if pd.size:
         hit = int(np.argmin(pd))
         return SeparationVerdict(
@@ -495,21 +585,24 @@ def _run_end(xs: np.ndarray, c: np.ndarray, r2: np.ndarray, start: np.ndarray) -
 
 
 def _ball_counts(pts: np.ndarray, center_idx: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Points in each closed ball ``(x - pts[c])**2 <= r**2``, the centre itself excluded.
+    """Points in each closed ball ``|x - pts[c]|**2 <= r**2``, the centre itself excluded.
 
     Row ``k`` holds the counts of centre ``center_idx[k]`` over ``radii``.
     Squared distances are compared with ``r * r``, as the KD-tree does, so a
     point within a few ulp of the sphere may fall on the other side than a
-    comparison of the norm with ``r``.  A 1-D cloud is sorted once: since
-    ``x - c`` rounds monotonically in ``x``, each ball is a run of the sorted
-    coordinates around the centre, whose two ends are found by bisection
-    under that same rule.  Other clouds get one KD-tree range count over
-    every (centre, radius) pair.  The tree's nodes keep their split bounds
-    instead of shrinking to the data: that builds faster and halves the
-    query, and the counts are the same.  ``count_neighbors``, which counts
-    all radii of a centre in one dual-tree pass, is not used: it decides
-    points within an ulp of the sphere by node bounds and can disagree
-    with the rule above.
+    comparison of the norm with ``r``.  The cloud is sorted once by its
+    first coordinate: since ``x - c`` rounds monotonically in ``x``, the
+    points with ``(x - c)**2 <= r*r`` in that coordinate form one run around
+    the centre, whose two ends are found for all centres at once by
+    bisection under that same rule.  A 1-D cloud is then counted from those
+    ends alone, for every radius.  Otherwise each centre's run for the
+    largest radius is its window: the squared distances over it (see
+    :func:`_squared_distances`, the tree's summation order) are sorted, and
+    each radius is counted by one search for ``r * r``.  The full sum is at
+    least the first coordinate's square, so the window holds every point in
+    the ball.  SciPy's one-pass ``count_neighbors`` was never a substitute:
+    it decides points within an ulp of the sphere by node bounds and can
+    disagree with the rule above.
     """
     if pts.shape[1] == 1:
         xs = np.sort(pts[:, 0])
@@ -522,12 +615,18 @@ def _ball_counts(pts: np.ndarray, center_idx: np.ndarray, radii: np.ndarray) -> 
         # the run is [start, up) upward and [rstart, down) downward; the
         # start is in both, and the centre is not counted
         return (up - start + down - rstart - 2).reshape(center_idx.size, radii.size)
-    counts = cKDTree(pts, compact_nodes=False).query_ball_point(
-        np.repeat(pts[center_idx], radii.size, axis=0),
-        np.tile(radii, center_idx.size),
-        return_length=True,
-    )
-    return counts.reshape(center_idx.size, radii.size) - 1
+    cols = pts[np.argsort(pts[:, 0])].T.copy()  # one contiguous row per coordinate
+    xs, c = cols[0], pts[center_idx]
+    r2 = radii * radii
+    widest = r2.max()
+    start = np.searchsorted(xs, c[:, 0])
+    hi = _run_end(xs, c[:, 0], widest, start)
+    lo = xs.size - _run_end(xs[::-1], c[:, 0], widest, xs.size - 1 - start)
+    counts = np.empty((center_idx.size, radii.size), dtype=np.int64)
+    for k in range(center_idx.size):
+        sq = np.sort(_squared_distances(cols[:, lo[k]:hi[k]], c[k]))
+        counts[k] = np.searchsorted(sq, r2, "right") - 1
+    return counts
 
 
 def local_dimension_estimate(
@@ -543,13 +642,21 @@ def local_dimension_estimate(
     least-squares slope of ``log(empirical mass of B(x, r))`` against
     ``log r`` over the radii grid (center excluded from its own counts).
     Radii with empty balls are dropped; centers with fewer than
-    ``min_usable_radii`` usable radii are skipped.  Reports per-center slopes
-    with the median and interquartile range.
+    ``min_usable_radii`` usable radii are skipped.  Every given radius must
+    be finite and positive.  Reports per-center slopes with the median and
+    interquartile range.
     """
     pts = cloud.points
     m = cloud.m
     if m < 2:
         raise ValueError("need at least two points")
+    if radii is not None:
+        radii = np.asarray(radii, dtype=float)
+        bad = np.flatnonzero(~(np.isfinite(radii) & (radii > 0.0)))
+        if bad.size:
+            raise ValueError(
+                f"radii[{bad[0]}] is {float(radii[bad[0]])!r}; radii must be finite and positive"
+            )
     rng = np.random.default_rng(rng)
 
     if cloud.diameter == 0.0:
@@ -559,7 +666,7 @@ def local_dimension_estimate(
 
     if radii is None:
         radii = default_radii(cloud)
-    radii = np.sort(np.asarray(radii, dtype=float))[::-1]
+    radii = np.sort(radii)[::-1]
     if radii.size < min_usable_radii:
         raise ValueError(
             f"radii grid has {radii.size} entries, need at least {min_usable_radii}"

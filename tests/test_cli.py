@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import affinedim
 from affinedim.cli import main
 from affinedim.config import parse_config
 
@@ -342,6 +346,31 @@ def test_shipped_config_report_bytes_pinned(command, name, digest, tmp_path, cap
                       "--out", str(path)], capsys)
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest()[:12] == digest
+
+
+def _fresh_python(code, *args):
+    """Run ``code`` in a new interpreter that imports this package's sources."""
+    src = str(Path(affinedim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_cli_import_loads_no_scipy():
+    out = _fresh_python("import sys, affinedim.cli\n"
+                        "print([m for m in sys.modules if m.startswith('scipy')])")
+    assert out.strip() == "[]"
+
+
+def test_dim_report_bytes_without_scipy(tmp_path):
+    # an import of scipy, or of any scipy submodule, raises in this interpreter
+    path = tmp_path / "report.json"
+    _fresh_python("import sys\nsys.modules['scipy'] = None\n"
+                  "from affinedim.cli import main\nsys.exit(main(sys.argv[1:]))",
+                  "dim", "--config", str(CONFIG_DIR / "cantor.json"), "--deterministic",
+                  "--out", str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:12] == "45f8843c6253"
 
 
 def test_timestamp_present_without_deterministic(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Tests for IFS sampling, separation checks, lifting, and dimension slopes."""
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 from conftest import bm_carpet_ifs, cantor_dust_ifs, cantor_ifs, segment_ifs
@@ -13,7 +16,9 @@ from affinedim.measure import (
     IfsSystem,
     _ball_counts,
     _cell_counts,
+    _cross_pairs,
     _enumerate_cylinders,
+    _nearest,
     PointCloud,
     box_counting_dimension,
     check_separation,
@@ -497,6 +502,20 @@ def test_local_dimension_dirac_zero():
     assert report.median == 0.0
 
 
+@pytest.mark.parametrize("bad", [-0.01, np.inf, 0.0, np.nan],
+                         ids=["negative", "infinite", "zero", "nan"])
+def test_local_dimension_rejects_radius_not_finite_and_positive(bad, monkeypatch):
+    def no_counting(*args):
+        raise AssertionError("balls were counted before the radii were checked")
+
+    monkeypatch.setattr(measure, "_ball_counts", no_counting)
+    cloud = PointCloud.from_points(np.random.default_rng(5).uniform(0.0, 1.0, (300, 2)))
+    radii = 0.1 * 0.8 ** np.arange(24)
+    radii[7] = bad
+    with pytest.raises(ValueError, match=re.escape(f"radii[7] is {float(bad)!r}")):
+        local_dimension_estimate(cloud, radii=list(radii))
+
+
 def test_local_dimension_uniform_box_is_two():
     rng = np.random.default_rng(83)
     cloud = PointCloud.from_points(rng.uniform(0.0, 1.0, size=(200_000, 2)))
@@ -624,7 +643,7 @@ def _cloud(kind, rng, d, n=2000):
     return np.cumsum(rng.uniform(0.0, 1e-3, (n, d)), axis=0)  # rounded partial sums
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 9])  # from d = 8 the tree sums in four accumulators
 @pytest.mark.parametrize("kind", ["uniform", "dyadic", "clusters", "cumsum"])
 @pytest.mark.parametrize("seed", range(2))
 def test_ball_counts_equal_the_tree(d, kind, seed):
@@ -661,6 +680,89 @@ def test_ball_counts_tie_where_count_neighbors_differs(centre, near, far, r, ins
     # the one-pass pair count decides this point by its node's bounds, the other way
     tree = cKDTree(pts)
     assert tree.count_neighbors(cKDTree(pts[:1]), [r])[0] - 1 == 1 - inside
+
+
+def test_searches_keep_a_point_past_the_rounded_bound():
+    # (x - c)**2 <= r * r, yet c + r rounds one ulp below x: a window
+    # bounded by c + r would drop the point
+    c, r, x = 0.9050025708181295, 2.0877087174604094, 2.992711288278539
+    assert (x - c) ** 2 <= r * r and x == np.nextafter(c + r, np.inf)
+    pts = np.array([[c, 0.0], [x, 0.0]])
+    assert _tree_counts(pts, np.array([0]), np.array([r])).tolist() == [[1]]
+    assert _ball_counts(pts, np.array([0]), np.array([r])).tolist() == [[1]]
+    i, j, dist = _cross_pairs(pts, [np.array([0]), np.array([1])], r)
+    assert (i.tolist(), j.tolist(), dist.tolist()) == ([0], [1], [np.sqrt((x - c) ** 2)])
+
+
+def _split(rng, n, groups):
+    labels = rng.integers(0, groups, n)
+    return [np.flatnonzero(labels == g) for g in range(groups)]
+
+
+def _in_order_squared(pts, i, j):
+    """Squared distances summed coordinate by coordinate, the tree's order for d < 8."""
+    return sum((pts[i, k] - pts[j, k]) ** 2 for k in range(pts.shape[1]))
+
+
+def _sorted_pairs(i, j, dist):
+    order = np.lexsort((j, i))
+    return i[order], j[order], dist[order].view(np.int64)
+
+
+def _tree_cross_pairs(pts, groups, r):
+    """Cross-group pairs straight from ``cKDTree.sparse_distance_matrix``."""
+    trees = [cKDTree(pts[g]) for g in groups]
+    found = []
+    for a, b in itertools.combinations(range(len(groups)), 2):
+        near = trees[a].sparse_distance_matrix(trees[b], r, output_type="ndarray")
+        i, j = groups[a][near["i"]], groups[b][near["j"]]
+        found.append((np.minimum(i, j), np.maximum(i, j), near["v"]))
+    return [np.concatenate(col) for col in zip(*found)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["uniform", "dyadic", "clusters", "cumsum"])
+@pytest.mark.parametrize("block", [None, 97])
+def test_cross_pairs_equal_the_tree(d, kind, block, monkeypatch):
+    if block is not None:  # many chunks, and windows longer than a chunk
+        monkeypatch.setattr(measure, "_SWEEP_BLOCK", block)
+    every = 1 if block is None else 9  # a few radii suffice to cross chunk edges
+    rng = np.random.default_rng(9300 + 10 * d)
+    pts = _cloud(kind, rng, d, n=600)
+    groups = _split(rng, pts.shape[0], 3)
+    # exact distances to near cross-group points, their neighbours, and a coarse radius
+    a = groups[0][:6]
+    sq = _in_order_squared(pts, a[:, None], groups[1][None, :])
+    dist = np.sqrt(np.sort(sq, axis=1)[:, :2].ravel())
+    dist = np.unique(dist[dist > 0])
+    radii = np.concatenate([dist, np.nextafter(dist, 0.0), np.nextafter(dist, np.inf),
+                            [0.0, 0.02 * np.ptp(pts, axis=0).max()]])
+    for r in radii[::-every]:
+        got = _sorted_pairs(*_cross_pairs(pts, groups, r))
+        want = _sorted_pairs(*_tree_cross_pairs(pts, groups, r))
+        for g, w in zip(got, want):  # the same pairs, and distances with the same bits
+            assert np.array_equal(g, w), r
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["uniform", "dyadic", "clusters", "cumsum"])
+@pytest.mark.parametrize("block", [None, 1000])
+def test_nearest_equals_the_tree(d, kind, block, monkeypatch):
+    if block is not None:  # one row of ``a`` per chunk
+        monkeypatch.setattr(measure, "_SWEEP_BLOCK", block)
+    rng = np.random.default_rng(9400 + 10 * d)
+    pts = _cloud(kind, rng, d, n=1200)
+    ga, gb = _split(rng, pts.shape[0], 2)
+    got, dist = _nearest(pts, ga, gb)
+    # brute force: the smallest squared distance, ties to the lowest index
+    sq = _in_order_squared(pts, ga[:, None], gb[None, :])
+    assert np.array_equal(got, gb[np.argmin(sq, axis=1)])
+    tree_dist, k = cKDTree(pts[gb]).query(pts[ga], k=1)
+    assert np.array_equal(dist.view(np.int64), tree_dist.view(np.int64))
+    # the tree breaks exact ties its own way; indices may differ only there
+    differ = got != gb[k]
+    assert np.array_equal(_in_order_squared(pts, ga, got)[differ],
+                          _in_order_squared(pts, ga, gb[k])[differ])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
