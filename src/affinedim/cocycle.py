@@ -51,6 +51,9 @@ _MAX_LOG_SPREAD_PER_RENORM = 30.0
 _PROPAGATE_CHUNK_FLOATS = 1 << 16
 # symbols drawn by one generator call, bounding its float and int64 temporaries
 _WORD_BLOCK_SYMBOLS = 1 << 16
+# most symbols drawn by comparison passes (each symbol then fits in uint8);
+# searchsorted draws larger alphabets faster
+_DRAW_COMPARE_MAX = 256
 
 
 def safe_renorm_interval(mats: np.ndarray, requested: int) -> int:
@@ -162,7 +165,7 @@ def sample_word(weights: BernoulliWeights, n: int, rng=None) -> np.ndarray:
     if n < 1:
         raise ValueError("word length must be at least 1")
     rng = np.random.default_rng(rng)
-    return rng.choice(weights.n, size=n, p=weights.p)
+    return _draw_words(rng, weights.p, np.empty(n, dtype=np.int64))
 
 
 def _check_word(word, n_maps: int) -> np.ndarray:
@@ -191,16 +194,34 @@ def entropy(weights: BernoulliWeights) -> float:
 def _draw_words(rng: np.random.Generator, p: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill the C-contiguous integer array ``out`` with i.i.d. symbols of law ``p``.
 
-    Symbols are drawn in flat blocks of ``_WORD_BLOCK_SYMBOLS``.  ``rng.choice``
-    with ``p`` turns one uniform double per symbol, in C order, into its
-    symbol, so the blocks give the same symbols and leave the generator in
-    the same state as one ``rng.choice(p.size, size=out.shape, p=p)``,
-    without its full-size float and int64 temporaries.
+    ``rng.choice`` with ``p`` draws one uniform double ``u`` per symbol, in C
+    order, and returns ``cdf.searchsorted(u, "right")``, where ``cdf`` is
+    ``p.cumsum()`` divided by its last entry.  That entry is then exactly 1
+    and ``u < 1``, so the symbol is the number of inner entries ``cdf[:-1]``
+    at or below ``u``.  Up to ``_DRAW_COMPARE_MAX`` symbols, ``p.size - 1``
+    comparison passes count it; larger alphabets use the search itself,
+    which is then the cheaper of the two.  Symbols are drawn in
+    flat blocks of ``_WORD_BLOCK_SYMBOLS``, so the result and the generator's
+    final state equal those of one ``rng.choice(p.size, size=out.shape,
+    p=p)``, without its full-size float and int64 temporaries.
     """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
     flat = out.reshape(-1)
+    count = np.empty(min(flat.size, _WORD_BLOCK_SYMBOLS), dtype=np.uint8)
+    hit = np.empty(count.size, dtype=bool)
     for s in range(0, flat.size, _WORD_BLOCK_SYMBOLS):
         block = flat[s:s + _WORD_BLOCK_SYMBOLS]
-        block[:] = rng.choice(p.size, size=block.size, p=p)
+        u = rng.random(block.size)
+        if p.size > _DRAW_COMPARE_MAX:
+            block[:] = cdf.searchsorted(u, "right")
+            continue
+        c, h = count[:block.size], hit[:block.size]
+        c[:] = 0
+        for edge in cdf[:-1]:
+            np.greater_equal(u, edge, out=h)
+            c += h.view(np.uint8)
+        block[:] = c
     return out
 
 
@@ -465,7 +486,7 @@ def furstenberg_step(
     mats = as_map_stack(maps)
     invs = np.linalg.inv(mats)
     rng = np.random.default_rng(rng)
-    symbols = rng.choice(weights.n, size=len(samples), p=weights.p)
+    symbols = _draw_words(rng, weights.p, np.empty(len(samples), dtype=np.int64))
     out = []
     for s, sample in zip(symbols, samples):
         frames = tuple(SubspaceFrame.from_span(invs[s] @ f.frame) for f in sample.flag.frames)

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import csv
 import itertools
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .cocycle import BernoulliWeights, as_map_stack, _check_word, _draw_words, _WORD_BLOCK_SYMBOLS
 from .linalg import SubspaceFrame, singular_values
@@ -409,36 +411,64 @@ def _cross_pairs(points: np.ndarray, groups, r: float):
     return [np.concatenate(col) for col in zip(*found)]
 
 
+def _closest(pa: np.ndarray, pb: np.ndarray, k: np.ndarray, kb: np.ndarray):
+    """Per row ``k`` (ascending, every row present), the candidate ``kb`` nearest ``pa[k]``.
+
+    Candidates are decided by :func:`_squared_distances`, with ties going to
+    the lowest ``kb``; returns the chosen ``kb`` and squared distance per row.
+    """
+    dist2 = _squared_distances(pa[k].T, pb[kb].T)
+    pick = np.lexsort((kb, dist2, k))  # by row, then squared distance, then index
+    pick = pick[np.r_[True, k[pick][1:] != k[pick][:-1]]]  # first of each row
+    return kb[pick], dist2[pick]
+
+
 def _nearest(points: np.ndarray, ga: np.ndarray, gb: np.ndarray):
     """Nearest point of ``points[gb]`` to each of ``points[ga]``: global index and distance.
 
     Nearness is the squared distance of :func:`_squared_distances`, with ties
-    going to the lowest index in ``gb``.  Candidates come from the Gram form
-    ``|b|^2 - 2 a.b``, one matrix product per chunk of rows of ``a``.  With
-    ``u`` the unit roundoff and ``B`` the largest ``|b|``, the Gram form is
-    within ``(2d + 2) u (|a| + B)^2`` of its exact value and a squared
-    distance within ``(d + 4) u`` relative of its own, so the nearest point's
-    Gram value is within ``(7d + 16) u (|a| + B)^2`` of the row's smallest.
-    Every point within twice that is a candidate, and the candidates are
-    decided by their squared distances.
+    going to the lowest index in ``gb``.  In 1-D, ``(x - a)**2`` does not
+    rise as ``x`` nears ``a`` from either side, so over ``gb`` sorted by value
+    the points at the smallest squared distance form one run through the
+    neighbours below and above ``a``; its ends are bisected as in
+    :func:`_ball_counts`, and the run's points are the candidates.  Otherwise
+    candidates come from the Gram form ``|b|^2 - 2 a.b``, one matrix product
+    per chunk of rows of ``a``.  With ``u`` the unit roundoff and ``B`` the
+    largest ``|b|``, the Gram form is within ``(2d + 2) u (|a| + B)^2`` of
+    its exact value and a squared distance within ``(d + 4) u`` relative of
+    its own, so the nearest point's Gram value is within
+    ``(7d + 16) u (|a| + B)^2`` of the row's smallest.  Every point within
+    twice that is a candidate.  Candidates are decided by their squared
+    distances.
     """
     pa, pb = points[ga], points[gb]
+    near, sq = np.empty(ga.size, dtype=np.int64), np.empty(ga.size)
+    if points.shape[1] == 1:
+        order = np.argsort(pb[:, 0], kind="stable")
+        xs, a = pb[order, 0], pa[:, 0]
+        pos = np.searchsorted(xs, a)  # xs[pos - 1] < a <= xs[pos]
+        below = np.where(pos > 0, (xs[pos - 1] - a) ** 2, np.inf)
+        above = np.where(pos < xs.size, (xs[np.minimum(pos, xs.size - 1)] - a) ** 2, np.inf)
+        best = np.minimum(below, above)
+        start = np.where(above == best, pos, pos - 1)  # a point at the smallest distance
+        hi = _run_end(xs, a, best, start)
+        lo = xs.size - _run_end(xs[::-1], a, best, xs.size - 1 - start)
+        for k, p in _windows(lo, hi):
+            rows = slice(k[0], k[-1] + 1)
+            near[rows], sq[rows] = _closest(pa, pb, k, order[p])
+        return gb[near], np.sqrt(sq)
     bb = np.einsum("ij,ij->i", pb, pb)
     left = np.column_stack([-2.0 * pa, np.ones(ga.size)])  # (-2a, 1) . (b, |b|^2)
     right = np.vstack([pb.T, bb])
     norm_a = np.sqrt(np.einsum("ij,ij->i", pa, pa))
     tol = (7 * points.shape[1] + 16) * np.finfo(float).eps * (norm_a + np.sqrt(bb.max())) ** 2
-    near, sq = np.empty(ga.size, dtype=np.int64), np.empty(ga.size)
     rows = max(1, _SWEEP_BLOCK // gb.size)
     for s in range(0, ga.size, rows):
         gram = left[s:s + rows] @ right
         cut = gram.min(axis=1, keepdims=True)
         cut += tol[s:s + rows, None]
         k, kb = np.divmod(np.flatnonzero(gram <= cut), gb.size)
-        dist2 = _squared_distances(pa[s + k].T, pb[kb].T)
-        pick = np.lexsort((kb, dist2, k))  # by row, then squared distance, then index
-        pick = pick[np.r_[True, k[pick][1:] != k[pick][:-1]]]  # first of each row
-        near[s:s + rows], sq[s:s + rows] = kb[pick], dist2[pick]
+        near[s:s + rows], sq[s:s + rows] = _closest(pa[s:s + rows], pb, k, kb)
     return gb[near], np.sqrt(sq)
 
 
@@ -629,6 +659,49 @@ def _ball_counts(pts: np.ndarray, center_idx: np.ndarray, radii: np.ndarray) -> 
     return counts
 
 
+def _finite_positive(values, name: str) -> np.ndarray:
+    """``values`` as a float array, checked to be finite and positive entry by entry."""
+    values = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(values) & (values > 0.0)))
+    if bad.size:
+        raise ValueError(
+            f"{name}[{bad[0]}] is {float(values[bad[0]])!r}; {name} must be finite and positive"
+        )
+    return values
+
+
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _prefix_slopes(x: np.ndarray, y: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Row ``k``'s ``np.polyfit(x[:n], y[k, :n], 1)[0]`` with ``n = lengths[k]``, bit for bit.
+
+    Rows of one length share polyfit's column-scaled Vandermonde matrix and
+    its ``rcond``, and are solved by one call of the LAPACK ``gelsd`` gufunc
+    that ``np.linalg.lstsq`` wraps, under the same error state, so a failed
+    SVD still raises ``LinAlgError``.  Each row is its own right-hand side,
+    so it meets exactly the floating-point operations of its own polyfit
+    call.  A fit of rank below 2 warns as polyfit does.
+    """
+    slopes = np.empty(lengths.size)
+    for n in np.unique(lengths):
+        rows = np.flatnonzero(lengths == n)
+        lhs = np.vander(x[:n], 2)
+        scale = np.sqrt((lhs * lhs).sum(axis=0))
+        lhs /= scale
+        with np.errstate(call=_lstsq_failed, invalid="call", over="ignore",
+                         divide="ignore", under="ignore"):
+            coef, _, rank, _ = _umath_linalg.lstsq(
+                lhs, y[rows, :n, None], n * np.finfo(float).eps, signature="ddd->ddid"
+            )
+        if np.any(rank != 2):
+            warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning,
+                          stacklevel=3)
+        slopes[rows] = coef[:, 0, 0] / scale[0]
+    return slopes
+
+
 def local_dimension_estimate(
     cloud: PointCloud,
     radii=None,
@@ -642,8 +715,11 @@ def local_dimension_estimate(
     least-squares slope of ``log(empirical mass of B(x, r))`` against
     ``log r`` over the radii grid (center excluded from its own counts).
     Radii with empty balls are dropped; centers with fewer than
-    ``min_usable_radii`` usable radii are skipped.  Every given radius must
-    be finite and positive.  Reports per-center slopes with the median and
+    ``min_usable_radii`` usable radii (or none) are skipped.  Counts fall
+    with the radius, so a center's usable radii are a prefix of the
+    descending grid, and the centers are fitted in groups of one prefix
+    length (see :func:`_prefix_slopes`).  Every given radius must be finite
+    and positive.  Reports per-center slopes with the median and
     interquartile range.
     """
     pts = cloud.points
@@ -651,12 +727,7 @@ def local_dimension_estimate(
     if m < 2:
         raise ValueError("need at least two points")
     if radii is not None:
-        radii = np.asarray(radii, dtype=float)
-        bad = np.flatnonzero(~(np.isfinite(radii) & (radii > 0.0)))
-        if bad.size:
-            raise ValueError(
-                f"radii[{bad[0]}] is {float(radii[bad[0]])!r}; radii must be finite and positive"
-            )
+        radii = _finite_positive(radii, "radii")
     rng = np.random.default_rng(rng)
 
     if cloud.diameter == 0.0:
@@ -676,16 +747,13 @@ def local_dimension_estimate(
 
     n_centers = min(n_centers, m)
     center_idx = rng.choice(m, size=n_centers, replace=False)
-    log_r = np.log(radii)
-
-    def slope(counts: np.ndarray) -> float:
-        usable = counts >= 1
-        if usable.sum() < min_usable_radii:
-            return np.nan
-        fit = np.polyfit(log_r[usable], np.log(counts[usable] / m), 1)
-        return float(fit[0])
-
-    slopes = np.array([slope(row) for row in _ball_counts(pts, center_idx, radii).astype(float)])
+    counts = _ball_counts(pts, center_idx, radii)
+    usable = (counts >= 1).sum(axis=1)
+    fit = usable >= max(min_usable_radii, 1)
+    slopes = np.full(n_centers, np.nan)
+    # log(1 / m) stands in for the empty balls past each prefix; no fit reads it
+    y = np.log(np.maximum(counts[fit], 1) / m)
+    slopes[fit] = _prefix_slopes(np.log(radii), y, usable[fit])
 
     good = slopes[~np.isnan(slopes)]
     if good.size == 0:
@@ -743,9 +811,14 @@ def box_counting_dimension(
 
     Unlike the pointwise ball estimator this averages over the whole support,
     which suppresses the log-periodic oscillations of grid-aligned systems.
+    Every given box size must be finite and positive.  Offsets from the min
+    corner are then at least 0, so truncating ``offset / eps`` to an integer
+    gives the same cell as its floor.
     """
     pts = cloud.points
     m = cloud.m
+    if eps_list is not None:
+        eps_list = _finite_positive(eps_list, "eps_list")
     if cloud.diameter <= 0.0:
         return BoxCountReport(0.0, np.array([]), np.array([]))
     if eps_list is None:
@@ -756,7 +829,7 @@ def box_counting_dimension(
     offsets = pts - cloud.bounding_box[0]
     eps_used, info = [], []
     for eps in eps_list:
-        counts = _cell_counts(np.floor(offsets / eps).astype(np.int64))
+        counts = _cell_counts((offsets / eps).astype(np.int64))
         if m / counts.size < min_occupancy:
             continue
         p = counts / m

@@ -245,22 +245,67 @@ def test_propagate_nan_frame_follows_the_reference(monkeypatch):
     assert np.array_equal(sums, sums_ref, equal_nan=True)
 
 
-@pytest.mark.parametrize("n", [2, 3, 300])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 300])
 @pytest.mark.parametrize("block", [1, 16, 37, 10**6])
 def test_draw_words_matches_one_choice(n, block, monkeypatch):
     # blocks of 16 and 37 symbols split rows of 23 in different places
     monkeypatch.setattr(cocycle, "_WORD_BLOCK_SYMBOLS", block)
-    p = np.random.default_rng(n).uniform(0.0, 1.0, n)
-    p[0] = 0.0  # a symbol that is never drawn
+    default = cocycle._DRAW_COMPARE_MAX
+    base = np.random.default_rng(n).uniform(0.0, 1.0, n)
+    # a symbol that is never drawn: the first, the last, or an interior one
+    for zero in sorted({0, n // 2, n - 1}) if n > 1 else [None]:
+        p = base.copy()
+        if zero is not None:
+            p[zero] = 0.0
+        p /= p.sum()
+        # comparison passes up to the default alphabet size; searchsorted above
+        # it, and for every alphabet when the crossover is 0
+        for compare_max in (default, 0):
+            monkeypatch.setattr(cocycle, "_DRAW_COMPARE_MAX", compare_max)
+            for dtype in (np.min_scalar_type(n - 1), np.int64):
+                gen = np.random.default_rng(77)
+                words = cocycle._draw_words(gen, p, np.empty((9, 23), dtype=dtype))
+                ref = np.random.default_rng(77)
+                assert np.array_equal(words, ref.choice(n, size=(9, 23), p=p))
+                assert words.dtype == dtype and (words != zero).all()
+                # the generator is left where one draw leaves it
+                assert gen.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("compare_max", [cocycle._DRAW_COMPARE_MAX, 0])
+def test_draw_words_tie_goes_to_the_next_symbol(compare_max, monkeypatch):
+    # a cdf edge equal to the generator's first double: searchsorted "right"
+    # puts that draw in the next symbol
+    monkeypatch.setattr(cocycle, "_DRAW_COMPARE_MAX", compare_max)
+    u0 = np.random.default_rng(0).random()
+    p = np.array([u0 / 2, u0 / 2, 1.0 - u0])
+    assert p.cumsum()[1] == u0 and p.cumsum()[-1] == 1.0
+    words = cocycle._draw_words(np.random.default_rng(0), p, np.empty(5, dtype=np.uint8))
+    assert words[0] == 2
+    assert np.array_equal(words, np.random.default_rng(0).choice(3, size=5, p=p))
+
+
+def test_draw_words_widest_comparison_alphabet():
+    # at the crossover the comparison count reaches 255, the largest uint8
+    n = cocycle._DRAW_COMPARE_MAX
+    p = np.ones(n)
+    p[-1] = n
     p /= p.sum()
-    for dtype in (np.min_scalar_type(n - 1), np.int64):
-        gen = np.random.default_rng(77)
-        words = cocycle._draw_words(gen, p, np.empty((9, 23), dtype=dtype))
-        ref = np.random.default_rng(77)
-        assert np.array_equal(words, ref.choice(n, size=(9, 23), p=p))
-        assert words.dtype == dtype and (words > 0).all()
-        # the generator is left where one draw leaves it
-        assert gen.bit_generator.state == ref.bit_generator.state
+    words = cocycle._draw_words(np.random.default_rng(5), p, np.empty(400, dtype=np.int64))
+    assert (words == n - 1).any()
+    assert np.array_equal(words, np.random.default_rng(5).choice(n, size=400, p=p))
+
+
+def test_sample_word_and_furstenberg_step_draw_as_choice():
+    w = BernoulliWeights(np.array([0.25, 0.0, 0.5, 0.25]))
+    assert np.array_equal(sample_word(w, 500, rng=3),
+                          np.random.default_rng(3).choice(4, size=500, p=w.p))
+    maps = [np.diag([0.5, 0.25]), np.array([[0.3, 0.1], [0.0, 0.4]]),
+            np.diag([0.2, 0.6]), np.array([[0.4, 0.0], [0.2, 0.3]])]
+    samples = furstenberg_sample(maps, w, 5, 40, rng=5, dims=(1,))
+    stepped = furstenberg_step(maps, w, samples, rng=np.random.default_rng(7))
+    want = np.random.default_rng(7).choice(4, size=40, p=w.p)
+    assert [int(s.word_prefix[0]) for s in stepped] == want.tolist()
 
 
 # ---------------------------------------------------------------------------

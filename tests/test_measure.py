@@ -19,6 +19,7 @@ from affinedim.measure import (
     _cross_pairs,
     _enumerate_cylinders,
     _nearest,
+    _prefix_slopes,
     PointCloud,
     box_counting_dimension,
     check_separation,
@@ -257,6 +258,13 @@ def test_separation_cantor_verified_with_gap():
     verdict = check_separation(cantor_ifs(), level=8)
     assert verdict.status == "ssc-verified"
     assert verdict.witness_gap == pytest.approx(1.0 / 3.0, abs=0.01)
+
+
+def test_separation_cantor_deep_level_pinned():
+    # every hull pair is apart, so the 1-D nearest-centre search decides the witness
+    verdict = check_separation(cantor_ifs(), level=15)
+    assert (verdict.status, verdict.witness_words, verdict.witness_gap, verdict.level) == (
+        "ssc-verified", ((0,) + (1,) * 14, (1,) + (0,) * 14), 0.3333332636416139, 15)
 
 
 def test_separation_identical_maps_overlap():
@@ -516,6 +524,53 @@ def test_local_dimension_rejects_radius_not_finite_and_positive(bad, monkeypatch
         local_dimension_estimate(cloud, radii=list(radii))
 
 
+def _polyfit_slopes(counts, radii, m, min_usable):
+    """Per-centre ``np.polyfit`` slopes, NaN where too few balls are non-empty."""
+    slopes = []
+    for row in counts.astype(float):
+        usable = row >= 1
+        slopes.append(np.polyfit(np.log(radii[usable]), np.log(row[usable] / m), 1)[0]
+                      if usable.sum() >= min_usable else np.nan)
+    return np.array(slopes)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grouped_slopes_equal_per_row_polyfit(d):
+    rng = np.random.default_rng(8800 + d)
+    # clusters of varied spread, and sparse points whose balls empty out early
+    pts = rng.uniform(0.0, 1.0, (40, d))[rng.integers(0, 40, 2700)]
+    pts = pts + rng.normal(0.0, 1e-3, pts.shape) * rng.uniform(0.0, 1.0, (2700, 1))
+    pts = np.concatenate([pts, rng.uniform(2.0, 3.0, (300, d))])
+    cloud = PointCloud.from_points(pts)
+    radii = 0.3 * 0.75 ** np.arange(40)
+    report = local_dimension_estimate(cloud, radii=radii, n_centers=200, rng=d)
+    counts = _ball_counts(pts, report.center_indices, report.radii)
+    usable = (counts >= 1).sum(axis=1)
+    assert np.unique(usable[usable >= 20]).size >= 3 and 0 < report.n_skipped < 200
+    want = _polyfit_slopes(counts, report.radii, cloud.m, 20)
+    assert np.array_equal(report.slopes.view(np.int64), want.view(np.int64))
+    # random count tables: each row falls to a random run of empty balls
+    m = 1000
+    table = -np.sort(-rng.integers(0, m, (200, 24)), axis=1)
+    table *= np.arange(24) < rng.integers(1, 25, (200, 1))
+    usable = (table >= 1).sum(axis=1)
+    keep = usable >= 2
+    log_r = np.log(report.radii[:24])
+    got = _prefix_slopes(log_r, np.log(np.maximum(table[keep], 1) / m), usable[keep])
+    want = _polyfit_slopes(table[keep], report.radii[:24], m, 2)
+    assert np.unique(usable[keep]).size > 10
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_grouped_slopes_raise_on_failed_svd():
+    log_r = np.log(0.5 ** np.arange(1.0, 6.0))
+    log_r[2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        np.polyfit(log_r, np.arange(5.0), 1)
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        _prefix_slopes(log_r, np.ones((2, 5)), np.array([5, 5]))
+
+
 def test_local_dimension_uniform_box_is_two():
     rng = np.random.default_rng(83)
     cloud = PointCloud.from_points(rng.uniform(0.0, 1.0, size=(200_000, 2)))
@@ -765,6 +820,18 @@ def test_nearest_equals_the_tree(d, kind, block, monkeypatch):
                           _in_order_squared(pts, ga, gb[k])[differ])
 
 
+def test_nearest_1d_ties_across_values():
+    # squares of 1e-170 and 2e-170 underflow to 0, so four distinct values tie
+    # around 0; the lowest index sits above the first neighbour in sorted order
+    pts = np.array([[0.0], [2e-170], [3.0], [-2e-170], [-1e-170], [1e-170], [5.0]])
+    ga, gb = np.array([0, 2]), np.array([1, 3, 4, 5, 6])
+    sq = (pts[ga] - pts[gb].T) ** 2
+    assert (sq[0] == 0.0).sum() == 4
+    got, dist = _nearest(pts, ga, gb)
+    assert got.tolist() == gb[np.argmin(sq, axis=1)].tolist() == [1, 6]
+    assert dist.tolist() == [0.0, 2.0]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_bounding_box_equals_axis_reductions(d):
     rng = np.random.default_rng(60 + d)
@@ -861,6 +928,43 @@ def test_box_counting_diagonal_in_r8_unchanged():
     assert _plain_key_overflows(np.floor((cloud.points - cloud.points.min(axis=0)) / eps)
                                 .astype(np.int64))
     assert rep.dimension == float.fromhex("0x1.f58a96b30cb63p-1")  # 0.97957...
+
+
+def test_box_cells_truncated_equal_floor(monkeypatch):
+    seen = []
+
+    def record(cells):
+        seen.append(cells)
+        return _cell_counts(cells)
+
+    monkeypatch.setattr(measure, "_cell_counts", record)
+    rng = np.random.default_rng(131)
+    pts = rng.uniform(-1.0, 1.0, (4000, 2))
+    pts[:, 1] = np.where(pts[:, 1] < 0.0, -0.0, 0.0) + rng.integers(0, 64, 4000) / 64.0
+    pts[:50] = pts.min(axis=0)  # points on the min corner
+    pts[50:100, 1] = -0.0  # the column's min is 0.0 or -0.0, whichever min meets first
+    cloud = PointCloud.from_points(pts)
+    assert cloud.bounding_box[0][1] == 0.0
+    eps = np.concatenate([[1.0 / 64, 1.0 / 8], 0.3 * 0.8 ** np.arange(12)])  # cell edges on points
+    box_counting_dimension(cloud, eps_list=eps, min_occupancy=1.0)
+    offsets = pts - cloud.bounding_box[0]
+    assert (offsets >= 0.0).all() and np.signbit(offsets).any()  # -0.0 offsets occur
+    for e, cells in zip(np.sort(eps)[::-1], seen, strict=True):
+        assert np.array_equal(cells, np.floor(offsets / e).astype(np.int64))
+
+
+@pytest.mark.parametrize("bad", [-0.01, np.inf, 0.0, np.nan],
+                         ids=["negative", "infinite", "zero", "nan"])
+def test_box_counting_rejects_eps_not_finite_and_positive(bad, monkeypatch):
+    def no_binning(*args):
+        raise AssertionError("points were binned before the box sizes were checked")
+
+    monkeypatch.setattr(measure, "_cell_counts", no_binning)
+    cloud = PointCloud.from_points(np.random.default_rng(7).uniform(0.0, 1.0, (300, 2)))
+    eps = 0.2 * 0.8 ** np.arange(10)
+    eps[2] = bad
+    with pytest.raises(ValueError, match=re.escape(f"eps_list[2] is {float(bad)!r}")):
+        box_counting_dimension(cloud, eps_list=list(eps))
 
 
 def test_box_counting_cantor():
