@@ -44,6 +44,13 @@ __all__ = [
 
 WEIGHT_SUM_TOL = 1e-12
 DEFAULT_RENORM_EVERY = 10
+# default cap on the matrix products of an exhaustive word or cylinder enumeration
+PRODUCT_BUDGET = 10**6
+# a fast-flag split needs a singular-value ratio below a tenth of this
+FAST_FLAG_ANGLE_TOL = 1e-6
+# word length and trials of the probe run that finds flag dimensions
+_PROBE_STEPS = 2000
+_PROBE_TRIALS = 6
 # keep the singular-value spread accumulated between renormalisations well
 # below 1/eps so the most contracted directions stay resolvable
 _MAX_LOG_SPREAD_PER_RENORM = 30.0
@@ -144,7 +151,7 @@ class FlagSample:
     word_prefix: np.ndarray
 
 
-def as_map_stack(maps, d: int | None = None, require_contractive: bool = True) -> np.ndarray:
+def as_map_stack(maps, require_contractive: bool = True) -> np.ndarray:
     """Stack a tuple of matrices into an (N, d, d) array, validating each."""
     mats = [
         check_contractive_invertible(m) if require_contractive else np.asarray(m, dtype=float)
@@ -155,8 +162,6 @@ def as_map_stack(maps, d: int | None = None, require_contractive: bool = True) -
     stack = np.stack(mats)
     if stack.shape[1] != stack.shape[2]:
         raise ValueError("maps must be square matrices")
-    if d is not None and stack.shape[1] != d:
-        raise ValueError(f"expected {d}x{d} maps, got {stack.shape[1]}x{stack.shape[2]}")
     return stack
 
 
@@ -347,7 +352,6 @@ def exterior_partial_sum_estimate(
     steps: int,
     trials: int,
     rng=None,
-    renorm_every: int = DEFAULT_RENORM_EVERY,
 ) -> tuple[float, float | None]:
     """Estimate ``chi_1 + ... + chi_p`` through the p-fold compound cocycle.
 
@@ -365,7 +369,7 @@ def exterior_partial_sum_estimate(
         raise ValueError("trials must be at least 1")
     compounds = np.stack([exterior_power(m, p) for m in mats])
     rng = np.random.default_rng(rng)
-    renorm_every = safe_renorm_interval(compounds, renorm_every)
+    renorm_every = safe_renorm_interval(compounds, DEFAULT_RENORM_EVERY)
     narrow = np.min_scalar_type(weights.n - 1)
     words = _draw_words(rng, weights.p, np.empty((trials, steps), narrow))
     v = rng.standard_normal((trials, compounds.shape[1], 1))
@@ -376,21 +380,16 @@ def exterior_partial_sum_estimate(
     return float(estimates.mean()), err
 
 
-def oseledets_fast_flag(
-    maps,
-    word,
-    depth: int,
-    angle_tol: float = 1e-6,
-    renorm_every: int = DEFAULT_RENORM_EVERY,
-) -> FlagChain:
+def oseledets_fast_flag(maps, word, depth: int) -> FlagChain:
     """Estimate the nested slow subspaces of the inverse cocycle along ``word``.
 
     The k-dimensional member is the span of the k leading image directions of
     the forward product over the first ``depth`` symbols, equivalently the
     right-singular directions of the inverse-order product with the smallest
     singular values.  A split at k is accepted only where the observed
-    singular-value ratio across it is below ``angle_tol / 10``; if no split
-    qualifies a :class:`SpectralGapError` reports the best observed ratio.
+    singular-value ratio across it is below ``FAST_FLAG_ANGLE_TOL / 10``; if
+    no split qualifies a :class:`SpectralGapError` reports the best observed
+    ratio.
     """
     mats = as_map_stack(maps)
     w = _check_word(word, mats.shape[0])
@@ -399,14 +398,14 @@ def oseledets_fast_flag(
     d = mats.shape[1]
     if d == 1:
         raise SpectralGapError("no flags exist in ambient dimension 1", observed_gap=1.0)
-    renorm_every = safe_renorm_interval(mats, renorm_every)
+    renorm_every = safe_renorm_interval(mats, DEFAULT_RENORM_EVERY)
     # product A_{w0} A_{w1} ... applied to a frame: iterate the word backwards
     q, sums = _sorted_growth_frame(mats, w[:depth][::-1], renorm_every)
     ratios = np.exp(sums[1:] - sums[:-1])  # sigma_{k+1}/sigma_k at this depth
-    splits = [k for k in range(1, d) if ratios[k - 1] <= angle_tol / 10.0]
+    splits = [k for k in range(1, d) if ratios[k - 1] <= FAST_FLAG_ANGLE_TOL / 10.0]
     if not splits:
         raise SpectralGapError(
-            f"no singular-value split below {angle_tol / 10.0:g} at depth {depth}"
+            f"no singular-value split below {FAST_FLAG_ANGLE_TOL / 10.0:g} at depth {depth}"
             f" (best ratio {ratios.min():.3g})",
             observed_gap=float(ratios.min()),
         )
@@ -421,10 +420,6 @@ def furstenberg_sample(
     count: int,
     rng=None,
     dims: tuple[int, ...] | None = None,
-    spectrum: LyapunovSpectrum | None = None,
-    renorm_every: int = DEFAULT_RENORM_EVERY,
-    probe_steps: int = 2000,
-    probe_trials: int = 6,
 ) -> list[FlagSample]:
     """Sample the stationary flag distribution of the inverse matrix action.
 
@@ -432,9 +427,9 @@ def furstenberg_sample(
     independent random orthonormal frame, first symbol outermost, so the
     returned flag is the one carried to time zero along the word; for large
     ``iterations`` its law approximates the stationary distribution.  Flag
-    dimensions default to the blocks of ``spectrum`` (estimated with a short
-    probe run when not supplied); with a single block there is no invariant
-    flag and a :class:`SpectralGapError` is raised.
+    dimensions default to the spectrum blocks found by a short probe run;
+    with a single block there is no invariant flag and a
+    :class:`SpectralGapError` is raised.
 
     Samples are drawn and reduced in index order, so output is deterministic
     given the seed.
@@ -445,8 +440,7 @@ def furstenberg_sample(
     if iterations < 1 or count < 1:
         raise ValueError("iterations and count must be positive")
     if dims is None:
-        if spectrum is None:
-            spectrum = lyapunov_spectrum(maps, weights, probe_steps, probe_trials, rng)
+        spectrum = lyapunov_spectrum(maps, weights, _PROBE_STEPS, _PROBE_TRIALS, rng)
         if len(spectrum.multiplicities) == 1:
             raise SpectralGapError(
                 "no spectral gap detected: all exponents fall in one block",
@@ -460,7 +454,7 @@ def furstenberg_sample(
         raise ValueError(f"flag dims must be strictly decreasing within 1..{d - 1}, got {dims}")
 
     invs = np.linalg.inv(mats)
-    renorm_every = safe_renorm_interval(mats, renorm_every)
+    renorm_every = safe_renorm_interval(mats, DEFAULT_RENORM_EVERY)
     words = _draw_words(rng, weights.p, np.empty((count, iterations), dtype=np.int64))
     q, _ = qr_positive(rng.standard_normal((count, d, d)))
     # the first symbol is applied last, so it ends up outermost

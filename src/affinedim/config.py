@@ -8,49 +8,95 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .cocycle import BernoulliWeights
+from .cocycle import DEFAULT_RENORM_EVERY, PRODUCT_BUDGET, BernoulliWeights
 from .dimension import PipelineConfig
+from .domination import EPS_SLOPE, MIN_FIT_LENGTH, MONTE_CARLO_SAMPLES
 from .errors import ConfigError
 from .measure import MIN_USABLE_RADII, IfsSystem
 
 CONFIG_SCHEMA_VERSION = 1
 
-LYAPUNOV_DEFAULTS: dict = {
-    "steps": 10_000,
-    "trials": 20,
-    "gap_threshold": None,
-    "renorm_every": 10,
+# the validate suite's cases: the default list and the allowed names
+VALIDATE_CASES = ("bm-carpet-formula", "bm-carpet-pipeline", "cantor-pipeline", "segment-pipeline")
+
+
+def _bounded(**bounds):
+    """A check that :func:`_number` applies with ``bounds``."""
+    return lambda value, loc: _number(value, loc, **bounds)
+
+
+def _cases(cases, loc: str) -> list[str]:
+    if not isinstance(cases, (list, tuple)) or not cases or not all(
+        isinstance(c, str) for c in cases
+    ):
+        raise ConfigError("cases must be a nonempty list of case names", loc)
+    unknown = [c for c in cases if c not in VALIDATE_CASES]
+    if unknown:
+        raise ConfigError(f"unknown case '{unknown[0]}' (known: {list(VALIDATE_CASES)})", loc)
+    return list(cases)
+
+
+_COUNT = _bounded(integer=True, minimum=1)
+_SIZE = _bounded(integer=True, minimum=100)  # word lengths and sample sizes
+_FIT_LENGTH = _bounded(integer=True, minimum=MIN_FIT_LENGTH)
+_TOL = _bounded(minimum=0.0)
+_OPTIONAL_TOL = _bounded(minimum=0.0, optional=True)
+_PIPELINE_DEFAULTS = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
+
+# section -> key -> (default, check returning the normalized value); the dim
+# section holds PipelineConfig's fields and defaults (the seed is top-level),
+# with the fiber entropy spelled H
+SECTIONS: dict[str, dict[str, tuple]] = {
+    "lyapunov": {
+        "steps": (10_000, _SIZE),
+        "trials": (20, _COUNT),
+        "gap_threshold": (None, _OPTIONAL_TOL),
+        "renorm_every": (DEFAULT_RENORM_EVERY, _COUNT),
+    },
+    "domination": {
+        "n_max": (8, _FIT_LENGTH),
+        "budget": (PRODUCT_BUDGET, _COUNT),
+        "eps_slope": (EPS_SLOPE, _TOL),
+        "monte_carlo_samples": (MONTE_CARLO_SAMPLES, _COUNT),
+    },
+    "dim": {
+        "H" if name == "fiber_entropy" else name: (_PIPELINE_DEFAULTS[name], check)
+        for name, check in {
+            "spectrum_steps": _SIZE,
+            "spectrum_trials": _COUNT,
+            "gap_threshold": _OPTIONAL_TOL,
+            "scan_n_max": _FIT_LENGTH,
+            "scan_budget": _COUNT,
+            "eps_slope": _TOL,
+            "flag_iterations": _COUNT,
+            "flag_count": _COUNT,
+            "sample_count": _SIZE,
+            "sample_depth": _bounded(integer=True, minimum=1, optional=True),
+            "centers": _COUNT,
+            "radii_count": _bounded(integer=True, minimum=MIN_USABLE_RADII),
+            "radii_ratio": _bounded(minimum=0.1, maximum=0.99),
+            "separation_level": _COUNT,
+            "separation_budget": _COUNT,
+            "fiber_entropy": _OPTIONAL_TOL,
+            "ky_tol": _TOL,
+        }.items()
+    },
+    "validate": {
+        "cases": (VALIDATE_CASES, _cases),
+        "sample_count": (30_000, _SIZE),
+        "formula_tol": (1e-9, _TOL),
+        "value_tol": (0.02, _TOL),
+        "empirical_tol": (0.05, _TOL),
+    },
 }
 
-DOMINATION_DEFAULTS: dict = {
-    "n_max": 8,
-    "budget": 10**6,
-    "eps_slope": 0.01,
-    "monte_carlo_samples": 512,
-}
-
-# the dim section holds PipelineConfig's fields (the seed is top-level), with
-# the fiber entropy spelled H
-DIM_DEFAULTS: dict = {
-    "H" if f.name == "fiber_entropy" else f.name: f.default
-    for f in dataclasses.fields(PipelineConfig)
-    if f.name != "seed"
-}
-
-VALIDATE_DEFAULTS: dict = {
-    "cases": ["bm-carpet-formula", "bm-carpet-pipeline", "cantor-pipeline", "segment-pipeline"],
-    "sample_count": 30_000,
-    "formula_tol": 1e-9,
-    "value_tol": 0.02,
-    "empirical_tol": 0.05,
-}
-
-_TOP_KEYS = {"schema_version", "notes", "ifs", "seed", "lyapunov", "domination", "dim", "validate"}
+_TOP_KEYS = {"schema_version", "notes", "ifs", "seed", *SECTIONS}
 _IFS_KEYS = {"matrices", "translations", "weights"}
 
 
@@ -70,6 +116,8 @@ def _number(value, loc: str, *, integer=False, minimum=None, maximum=None, optio
         raise ConfigError("value is required", loc)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"expected a number, got {value!r}", loc)
+    if not math.isfinite(value):  # no report could echo it as strict JSON
+        raise ConfigError(f"expected a finite number, got {value!r}", loc)
     if integer and not float(value).is_integer():
         raise ConfigError(f"expected an integer, got {value!r}", loc)
     if minimum is not None and value < minimum:
@@ -79,12 +127,12 @@ def _number(value, loc: str, *, integer=False, minimum=None, maximum=None, optio
     return int(value) if integer else float(value)
 
 
-def _merge_section(doc: dict, key: str, defaults: dict) -> dict:
-    section = doc.get(key, {})
-    section = _require_mapping(section, key, set(defaults))
-    merged = dict(defaults)
-    merged.update(section)
-    return merged
+def _section(doc: dict, name: str) -> dict:
+    """Section ``name`` of ``doc``, checked, with every default filled in."""
+    schema = SECTIONS[name]
+    section = _require_mapping(doc.get(name, {}), name, set(schema))
+    return {key: check(section.get(key, default), f"{name}.{key}")
+            for key, (default, check) in schema.items()}
 
 
 def _parse_matrix(entry, d: int | None, loc: str) -> np.ndarray:
@@ -185,48 +233,7 @@ def parse_config(doc) -> RunConfig:
         raise ConfigError("notes must be a string", "notes")
     ifs = _parse_ifs(doc)
     seed = _number(doc.get("seed", 0), "seed", integer=True, minimum=0)
-
-    lyap = _merge_section(doc, "lyapunov", LYAPUNOV_DEFAULTS)
-    _number(lyap["steps"], "lyapunov.steps", integer=True, minimum=100)
-    _number(lyap["trials"], "lyapunov.trials", integer=True, minimum=1)
-    _number(lyap["gap_threshold"], "lyapunov.gap_threshold", minimum=0.0, optional=True)
-    _number(lyap["renorm_every"], "lyapunov.renorm_every", integer=True, minimum=1)
-
-    domn = _merge_section(doc, "domination", DOMINATION_DEFAULTS)
-    _number(domn["n_max"], "domination.n_max", integer=True, minimum=6)
-    _number(domn["budget"], "domination.budget", integer=True, minimum=1)
-    _number(domn["eps_slope"], "domination.eps_slope", minimum=0.0)
-    _number(domn["monte_carlo_samples"], "domination.monte_carlo_samples", integer=True, minimum=1)
-
-    dim = _merge_section(doc, "dim", DIM_DEFAULTS)
-    for key, spec in {
-        "spectrum_steps": dict(integer=True, minimum=100),
-        "spectrum_trials": dict(integer=True, minimum=1),
-        "gap_threshold": dict(minimum=0.0, optional=True),
-        "scan_n_max": dict(integer=True, minimum=6),
-        "scan_budget": dict(integer=True, minimum=1),
-        "eps_slope": dict(minimum=0.0),
-        "flag_iterations": dict(integer=True, minimum=1),
-        "flag_count": dict(integer=True, minimum=1),
-        "sample_count": dict(integer=True, minimum=100),
-        "sample_depth": dict(integer=True, minimum=1, optional=True),
-        "centers": dict(integer=True, minimum=1),
-        "radii_count": dict(integer=True, minimum=MIN_USABLE_RADII),
-        "radii_ratio": dict(minimum=0.1, maximum=0.99),
-        "separation_level": dict(integer=True, minimum=1),
-        "separation_budget": dict(integer=True, minimum=1),
-        "H": dict(minimum=0.0, optional=True),
-        "ky_tol": dict(minimum=0.0),
-    }.items():
-        _number(dim[key], f"dim.{key}", **spec)
-
-    val = _merge_section(doc, "validate", VALIDATE_DEFAULTS)
-    if not isinstance(val["cases"], list) or not all(isinstance(c, str) for c in val["cases"]):
-        raise ConfigError("cases must be a list of case names", "validate.cases")
-    _number(val["sample_count"], "validate.sample_count", integer=True, minimum=100)
-    _number(val["formula_tol"], "validate.formula_tol", minimum=0.0)
-    _number(val["value_tol"], "validate.value_tol", minimum=0.0)
-    _number(val["empirical_tol"], "validate.empirical_tol", minimum=0.0)
+    lyap, domn, dim, val = (_section(doc, name) for name in SECTIONS)
 
     normalized = {
         "schema_version": CONFIG_SCHEMA_VERSION,
@@ -246,8 +253,13 @@ def parse_config(doc) -> RunConfig:
     return RunConfig(ifs, seed, normalized)
 
 
-def load_config(path) -> RunConfig:
-    """Read and parse a JSON config file."""
+def load_config(path, edits: dict | None = None) -> RunConfig:
+    """Read and parse a JSON config file.
+
+    ``edits`` maps ``"seed"`` or a ``"section.key"`` path to a value that is
+    written into the document before its one parse, so a command-line flag is
+    checked, with its location, and echoed like a value from the file.
+    """
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
@@ -255,4 +267,10 @@ def load_config(path) -> RunConfig:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as err:
         raise ConfigError(f"invalid JSON in {p}: {err}") from None
+    for where, value in (edits or {}).items():
+        doc = _require_mapping(doc, "<config>", _TOP_KEYS)
+        name, _, key = where.rpartition(".")
+        if name:
+            value = {**_require_mapping(doc.get(name, {}), name, set(SECTIONS[name])), key: value}
+        doc = {**doc, name or key: value}
     return parse_config(doc)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import (
+    PRODUCT_BUDGET,
     BernoulliWeights,
     LyapunovSpectrum,
     entropy,
@@ -27,8 +28,11 @@ from .domination import (
     detect_domination,
     gap_ratio_scan,
 )
-from .errors import SpectralGapError
+from .errors import BudgetExceededError, SpectralGapError
 from .measure import (
+    DEFAULT_CENTERS,
+    DEFAULT_RADII_COUNT,
+    DEFAULT_RADII_RATIO,
     BoxCountReport,
     IfsSystem,
     LocalDimensionReport,
@@ -274,17 +278,17 @@ class PipelineConfig:
     spectrum_trials: int = 12
     gap_threshold: float | None = None
     scan_n_max: int = 8
-    scan_budget: int = 10**6
+    scan_budget: int = PRODUCT_BUDGET
     eps_slope: float = EPS_SLOPE
     flag_iterations: int = 128
     flag_count: int = 12
     sample_count: int = 100_000
     sample_depth: int | None = None
-    centers: int = 64
-    radii_count: int = 24
-    radii_ratio: float = 0.8
+    centers: int = DEFAULT_CENTERS
+    radii_count: int = DEFAULT_RADII_COUNT
+    radii_ratio: float = DEFAULT_RADII_RATIO
     separation_level: int = 8
-    separation_budget: int = 10**6
+    separation_budget: int = PRODUCT_BUDGET
     fiber_entropy: float | None = None
     ky_tol: float = 0.02
 
@@ -486,18 +490,25 @@ def full_pipeline(ifs: IfsSystem, config: PipelineConfig | None = None) -> Dimen
         route = "simple-spectrum"
         indices = tuple(range(1, d))
     else:
-        table = gap_ratio_scan(maps, cfg.scan_n_max, cfg.scan_budget)
-        domination = detect_domination(table, cfg.eps_slope)
-        if domination.tds_verified:
-            route = "dominated-splitting"
-            indices = domination.dominated_indices
-        else:
-            route = "not-applicable"
-            indices = ()
+        route, indices = "not-applicable", ()
+        try:
+            table = gap_ratio_scan(maps, cfg.scan_n_max, cfg.scan_budget)
+        except BudgetExceededError:
+            # sampled maxima could only give inconclusive statuses, which route here too
             caveats.append(
-                "exponents are not all distinct and domination is inconclusive at "
-                f"some index; the dimension formula is not applied (n_max={cfg.scan_n_max})"
+                f"exponents are not all distinct and {ifs.n_maps}^{cfg.scan_n_max} words exceed "
+                f"dim.scan_budget={cfg.scan_budget}; the dimension formula is not applied "
+                "(lower dim.scan_n_max or raise dim.scan_budget)"
             )
+        else:
+            domination = detect_domination(table, cfg.eps_slope)
+            if domination.tds_verified:
+                route, indices = "dominated-splitting", domination.dominated_indices
+            else:
+                caveats.append(
+                    "exponents are not all distinct and domination is inconclusive at "
+                    f"some index; the dimension formula is not applied (n_max={cfg.scan_n_max})"
+                )
 
     separation = check_separation(ifs, cfg.separation_level, cfg.separation_budget)
 

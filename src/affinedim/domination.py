@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import (
+    DEFAULT_RENORM_EVERY,
+    PRODUCT_BUDGET,
     _check_word,
     _propagate,
     _sorted_growth_frame,
@@ -55,9 +57,13 @@ __all__ = [
 
 EPS_SLOPE = 0.01
 EPS_MINOR = 1e-12
-DEFAULT_WORD_BUDGET = 10**6
 MIN_FIT_LENGTH = 6
 RESIDUAL_TOL = 0.5
+MONTE_CARLO_SAMPLES = 512
+# a bundle estimate needs a gap ratio below BUNDLE_GAP_TOL at its depth and a
+# one-step equivariance residual below BUNDLE_EQUIV_TOL
+BUNDLE_GAP_TOL = 1e-5
+BUNDLE_EQUIV_TOL = 1e-4
 # floats of normalised compound products held by one batch of the exhaustive
 # scan; keeps memory bounded for d = 8, where one word holds ~13k floats
 _SCAN_BATCH_FLOATS = 1 << 18
@@ -108,7 +114,7 @@ def _log_ratios_from_compound_norms(log_norms: np.ndarray) -> np.ndarray:
     return padded[..., 2:] - 2.0 * padded[..., 1:-1] + padded[..., :-2]
 
 
-def gap_ratio_scan(maps, n_max: int, budget: int = DEFAULT_WORD_BUDGET) -> GapRatioTable:
+def gap_ratio_scan(maps, n_max: int, budget: int = PRODUCT_BUDGET) -> GapRatioTable:
     """Exact per-length maxima of gap ratios over every word up to ``n_max``.
 
     Words are enumerated depth-first in batches; each batch keeps the
@@ -158,7 +164,7 @@ def gap_ratio_scan(maps, n_max: int, budget: int = DEFAULT_WORD_BUDGET) -> GapRa
 
 
 def gap_ratio_scan_monte_carlo(
-    maps, n_max: int, samples: int = 512, rng=None
+    maps, n_max: int, samples: int = MONTE_CARLO_SAMPLES, rng=None
 ) -> GapRatioTable:
     """Sampled per-length maxima of gap ratios (lower bounds on the true max).
 
@@ -203,11 +209,10 @@ class IndexDomination:
 
 @dataclass(frozen=True)
 class DominationReport:
-    """Per-index domination statuses plus the thresholds used."""
+    """Per-index domination statuses plus the slope threshold used."""
 
     indices: tuple[IndexDomination, ...]
     eps_slope: float
-    residual_tol: float
 
     def __post_init__(self):
         for item in self.indices:
@@ -233,19 +238,15 @@ class DominationReport:
         raise KeyError(f"no diagnosis for index {i}")
 
 
-def detect_domination(
-    table: GapRatioTable,
-    eps_slope: float = EPS_SLOPE,
-    residual_tol: float = RESIDUAL_TOL,
-) -> DominationReport:
+def detect_domination(table: GapRatioTable, eps_slope: float = EPS_SLOPE) -> DominationReport:
     """Decide domination per index from a gap-ratio table.
 
     Fits ``log max-ratio ~ intercept + rate * n`` over lengths ``1..n_max``.
     An index is dominated when the rate is below ``-eps_slope`` with a tight
-    fit, non-dominated when the rate is above with a tight fit (ratios stay
-    bounded below), and inconclusive otherwise -- never guessed.  The reported
-    constant is the smallest C with ``max-ratio <= C * exp(rate * n)`` over
-    every observed length.
+    fit (no residual above ``RESIDUAL_TOL``), non-dominated when the rate is
+    above with a tight fit (ratios stay bounded below), and inconclusive
+    otherwise -- never guessed.  The reported constant is the smallest C with
+    ``max-ratio <= C * exp(rate * n)`` over every observed length.
     """
     if table.n_max < MIN_FIT_LENGTH:
         raise ValueError(f"table must cover lengths up to at least {MIN_FIT_LENGTH}")
@@ -255,16 +256,16 @@ def detect_domination(
         y = table.log_ratio_for_index(i)[1:]
         rate, intercept = np.polyfit(lengths, y, 1)
         resid = np.max(np.abs(y - (rate * lengths + intercept)))
-        if rate < -eps_slope and resid <= residual_tol:
+        if rate < -eps_slope and resid <= RESIDUAL_TOL:
             status = "dominated"
-        elif rate >= -eps_slope and resid <= residual_tol:
+        elif rate >= -eps_slope and resid <= RESIDUAL_TOL:
             status = "non-dominated"
         else:
             status = "inconclusive"
         all_lengths = np.arange(0, table.n_max + 1, dtype=float)
         constant = float(np.exp(np.max(table.log_ratio_for_index(i) - rate * all_lengths)))
         items.append(IndexDomination(i, status, float(rate), constant, table.n_max))
-    return DominationReport(tuple(items), eps_slope, residual_tol)
+    return DominationReport(tuple(items), eps_slope)
 
 
 @dataclass(frozen=True)
@@ -284,16 +285,16 @@ class StpCheck:
         return self.is_stp
 
 
-def stp_check(a, eps_minor: float = EPS_MINOR) -> StpCheck:
-    """Check that every minor of order 1..d-1 exceeds ``eps_minor``."""
+def stp_check(a) -> StpCheck:
+    """Check that every minor of order 1..d-1 exceeds ``EPS_MINOR``."""
     arr = np.asarray(a, dtype=float)
     minors = [float(exterior_power(arr, p).min()) for p in range(1, arr.shape[0])]
     min_minor = min(minors) if minors else None
     det = float(np.linalg.det(arr))
-    return StpCheck(min_minor is None or min_minor > eps_minor, det > eps_minor, min_minor)
+    return StpCheck(min_minor is None or min_minor > EPS_MINOR, det > EPS_MINOR, min_minor)
 
 
-def cone_invariance_check(maps, p: int, eps_minor: float = EPS_MINOR) -> bool:
+def cone_invariance_check(maps, p: int) -> bool:
     """Strict invariance of the positive p-fold exterior orthant.
 
     True when every entry of every p-th compound is strictly positive, so the
@@ -303,7 +304,7 @@ def cone_invariance_check(maps, p: int, eps_minor: float = EPS_MINOR) -> bool:
     d = mats.shape[1]
     if not 1 <= p <= d - 1:
         raise ValueError(f"need 1 <= p <= {d - 1}")
-    return all(exterior_power(m, p).min() > eps_minor for m in mats)
+    return all(exterior_power(m, p).min() > EPS_MINOR for m in mats)
 
 
 @dataclass(frozen=True)
@@ -322,7 +323,6 @@ class BundleEstimate:
     slow: SubspaceFrame
     angle_lower_bound: float
     word: np.ndarray
-    past_word: np.ndarray
     equivariance_angle: float
     growth_ratio_sup: float
 
@@ -368,24 +368,16 @@ def bundle_growth_ratios(
 
 
 def strong_stable_bundle(
-    maps,
-    word,
-    i: int,
-    depth: int,
-    domination: DominationReport,
-    past_word=None,
-    renorm_every: int = 10,
-    gap_tol: float = 1e-5,
-    equiv_tol: float = 1e-4,
+    maps, word, i: int, depth: int, domination: DominationReport
 ) -> BundleEstimate:
     """Estimate the invariant bundles at dominated index ``i`` along a word.
 
     The fast bundle is the span of the d-i most contracted right-singular
     directions of the forward product over ``word[:depth]``; the slow bundle
     comes symmetrically from the ``i`` dominant image directions of the
-    product over ``past_word`` (the same word by default, read as the past).
-    Verifies the one-step equivariance of the fast bundle to ``equiv_tol``
-    and records the supremum of the restricted-norm growth ratio.
+    product over the same word, read as the past.  Verifies the one-step
+    equivariance of the fast bundle to ``BUNDLE_EQUIV_TOL`` and records the
+    supremum of the restricted-norm growth ratio.
 
     Raises ``ValueError`` if ``i`` is not dominated in ``domination`` and
     :class:`SpectralGapError` when the depth leaves the split ambiguous.
@@ -397,20 +389,18 @@ def strong_stable_bundle(
     w = _check_word(word, mats.shape[0])
     if depth < 2 or depth + 1 > w.size:
         raise ValueError("need 2 <= depth <= len(word) - 1")
-    past = w if past_word is None else _check_word(past_word, mats.shape[0])
-
-    renorm_every = safe_renorm_interval(mats, renorm_every)
+    renorm_every = safe_renorm_interval(mats, DEFAULT_RENORM_EVERY)
     invs = np.linalg.inv(mats)
     # fast bundle: dominant image directions of the inverse-order product
     q_f, sums_f = _sorted_growth_frame(invs, w[:depth][::-1], renorm_every)
     gap_f = float(np.exp(sums_f[d - i] - sums_f[d - i - 1]))
     # slow bundle: dominant image directions of the past product
-    q_s, sums_s = _sorted_growth_frame(mats, past[:depth][::-1], renorm_every)
+    q_s, sums_s = _sorted_growth_frame(mats, w[:depth][::-1], renorm_every)
     gap_s = float(np.exp(sums_s[i] - sums_s[i - 1]))
     worst = max(gap_f, gap_s)
-    if worst > gap_tol:
+    if worst > BUNDLE_GAP_TOL:
         raise SpectralGapError(
-            f"depth {depth} leaves gap ratio {worst:.3g} above {gap_tol:g} at index {i}",
+            f"depth {depth} leaves gap ratio {worst:.3g} above {BUNDLE_GAP_TOL:g} at index {i}",
             observed_gap=worst,
         )
     fast = SubspaceFrame(q_f[:, : d - i])
@@ -421,9 +411,9 @@ def strong_stable_bundle(
     shifted = SubspaceFrame(q_shift[:, : d - i])
     pushed = SubspaceFrame.from_span(mats[w[0]] @ fast.frame)
     equiv = principal_angle_distance(pushed, shifted)
-    if equiv > equiv_tol:
+    if equiv > BUNDLE_EQUIV_TOL:
         raise SpectralGapError(
-            f"fast bundle equivariance residual {equiv:.3g} exceeds {equiv_tol:g}; "
+            f"fast bundle equivariance residual {equiv:.3g} exceeds {BUNDLE_EQUIV_TOL:g}; "
             "increase depth",
             observed_gap=equiv,
         )
@@ -431,8 +421,7 @@ def strong_stable_bundle(
     sup_ratio = float(bundle_growth_ratios(maps, w, fast, i, depth).max())
 
     angle = smallest_principal_angle(fast, slow)
-    return BundleEstimate(i, fast, slow, angle, w[:depth].copy(), past[:depth].copy(),
-                          float(equiv), float(sup_ratio))
+    return BundleEstimate(i, fast, slow, angle, w[:depth].copy(), float(equiv), float(sup_ratio))
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ FLAG_NESTING_TOL = 1e-8
 INTERSECTION_TOL = 1e-6
 
 
-def as_matrix(a, d: int | None = None) -> np.ndarray:
+def as_matrix(a) -> np.ndarray:
     """Validate ``a`` as a finite square matrix of supported size."""
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -52,21 +52,19 @@ def as_matrix(a, d: int | None = None) -> np.ndarray:
     n = arr.shape[0]
     if not 1 <= n <= MAX_DIM:
         raise ValueError(f"dimension {n} outside supported range 1..{MAX_DIM}")
-    if d is not None and n != d:
-        raise ValueError(f"expected a {d}x{d} matrix, got {n}x{n}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix has non-finite entries")
     return arr
 
 
-def check_contractive_invertible(a, det_eps: float = DET_EPS) -> np.ndarray:
+def check_contractive_invertible(a) -> np.ndarray:
     """Validate that ``a`` is a contraction (operator norm < 1) and invertible."""
     arr = as_matrix(a)
     sv = singular_values(arr)
     if sv[-1] >= 1.0:
         raise ValueError(f"matrix is not contractive: operator norm {sv[-1]:.6g} >= 1")
-    if abs(np.linalg.det(arr)) <= det_eps:
-        raise ValueError(f"matrix is numerically singular: |det| <= {det_eps:g}")
+    if abs(np.linalg.det(arr)) <= DET_EPS:
+        raise ValueError(f"matrix is numerically singular: |det| <= {DET_EPS:g}")
     return arr
 
 

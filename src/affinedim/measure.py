@@ -17,7 +17,8 @@ from functools import cached_property
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .cocycle import BernoulliWeights, as_map_stack, _check_word, _draw_words, _WORD_BLOCK_SYMBOLS
+from .cocycle import (PRODUCT_BUDGET, BernoulliWeights, _WORD_BLOCK_SYMBOLS, _check_word,
+                      _draw_words, as_map_stack)
 from .linalg import SubspaceFrame, singular_values
 
 __all__ = [
@@ -41,10 +42,12 @@ __all__ = [
     "cloud_from_csv",
 ]
 
-DEFAULT_SEPARATION_BUDGET = 10**6
 DEFAULT_RADII_COUNT = 24
 DEFAULT_RADII_RATIO = 0.8
+DEFAULT_CENTERS = 64
 MIN_USABLE_RADII = 20
+BOX_SIZES = 26  # default box grid: sizes from diam/5 down in steps of DEFAULT_RADII_RATIO
+SELF_AFFINITY_MIN_COUNT = 20
 _SWEEP_BLOCK = 1 << 18  # candidate pairs per chunk of a distance search: near cache size
 
 
@@ -264,15 +267,14 @@ class SelfAffinityReport:
         return all(b.status == "pass" for b in self.boxes if b.status != "skipped")
 
 
-def self_affinity_check(
-    cloud: PointCloud, ifs: IfsSystem, boxes, min_count: int = 20
-) -> SelfAffinityReport:
+def self_affinity_check(cloud: PointCloud, ifs: IfsSystem, boxes) -> SelfAffinityReport:
     """Empirical check of the stationarity identity on axis boxes.
 
     For each box B compares the sample mass of B with the weight-average of
     the masses of the map preimages (measured by pushing every sample through
     each map), at tolerance ``3 sqrt(mass / m)``.  Boxes holding fewer than
-    ``min_count`` samples are skipped, except exact 0 == 0 which passes.
+    ``SELF_AFFINITY_MIN_COUNT`` samples are skipped, except exact 0 == 0
+    which passes.
     """
     pts = cloud.points
     m = cloud.m
@@ -299,7 +301,7 @@ def self_affinity_check(
         disc = abs(mass - pushed)
         if count == 0 and pushed == 0.0:
             status = "pass"
-        elif count < min_count:
+        elif count < SELF_AFFINITY_MIN_COUNT:
             status = "skipped"
         else:
             status = "pass" if disc <= tol else "fail"
@@ -472,21 +474,17 @@ def _nearest(points: np.ndarray, ga: np.ndarray, gb: np.ndarray):
     return gb[near], np.sqrt(sq)
 
 
-def check_separation(
-    ifs: IfsSystem,
-    level: int,
-    budget: int = DEFAULT_SEPARATION_BUDGET,
-    guard: float | None = None,
-    resolution: float | None = None,
-) -> SeparationVerdict:
+def check_separation(ifs: IfsSystem, level: int, budget: int = PRODUCT_BUDGET) -> SeparationVerdict:
     """Certify strong separation, detect overlap, or report inconclusive.
 
     Every first-level cylinder is covered by the bounding balls of its
     level-``level`` refinements, so pairwise-positive gaps between balls of
     different first symbols certify disjoint first-level images; only such
     cross-symbol pairs are ever searched.  Overlap is declared when point
-    samples from different first-level cylinders coincide within
-    ``resolution``.  Anything else is honestly inconclusive.
+    samples from different first-level cylinders coincide within the
+    resolution ``1e-9 (1 + R)``, and hulls count as disjoint when their gap
+    exceeds the guard ``1e-12 (1 + R)``, where ``R`` is the bounding radius.
+    Anything else is honestly inconclusive.
     """
     if level < 1:
         raise ValueError("level must be positive")
@@ -495,8 +493,7 @@ def check_separation(
             f"level {level} needs {level * ifs.n_maps ** level} products, over budget {budget}"
         )
     scale = 1.0 + ifs.bounding_radius
-    guard = 1e-12 * scale if guard is None else guard
-    resolution = 1e-9 * scale if resolution is None else resolution
+    guard, resolution = 1e-12 * scale, 1e-9 * scale
     if ifs.n_maps == 1:  # no two cylinders have different first symbols
         return SeparationVerdict("ssc-verified", None, None, level)
 
@@ -705,7 +702,7 @@ def _prefix_slopes(x: np.ndarray, y: np.ndarray, lengths: np.ndarray) -> np.ndar
 def local_dimension_estimate(
     cloud: PointCloud,
     radii=None,
-    n_centers: int = 64,
+    n_centers: int = DEFAULT_CENTERS,
     rng=None,
     min_usable_radii: int = MIN_USABLE_RADII,
 ) -> LocalDimensionReport:
@@ -798,8 +795,7 @@ def _cell_counts(cells: np.ndarray) -> np.ndarray:
 
 
 def box_counting_dimension(
-    cloud: PointCloud, eps_list=None, count: int = 26, ratio: float = DEFAULT_RADII_RATIO,
-    min_occupancy: float = 5.0,
+    cloud: PointCloud, eps_list=None, min_occupancy: float = 5.0
 ) -> BoxCountReport:
     """Information (box-counting) dimension of the sampled measure.
 
@@ -822,7 +818,7 @@ def box_counting_dimension(
     if cloud.diameter <= 0.0:
         return BoxCountReport(0.0, np.array([]), np.array([]))
     if eps_list is None:
-        eps_list = (cloud.diameter / 5.0) * ratio ** np.arange(count)
+        eps_list = (cloud.diameter / 5.0) * DEFAULT_RADII_RATIO ** np.arange(BOX_SIZES)
         if cloud.truncation_floor is not None:
             eps_list = eps_list[eps_list >= cloud.truncation_floor]
     eps_list = np.sort(np.asarray(eps_list, dtype=float))[::-1]

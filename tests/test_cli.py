@@ -13,6 +13,7 @@ import pytest
 import affinedim
 from affinedim.cli import main
 from affinedim.config import parse_config
+from affinedim.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -77,6 +78,29 @@ def test_config_roundtrip_normalization(tmp_path):
     cfg = parse_config(doc)
     again = parse_config(cfg.doc)
     assert again.doc == cfg.doc
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("dim", "ky_tol", float("nan")),
+    ("lyapunov", "gap_threshold", float("inf")),
+    ("validate", "value_tol", float("inf")),
+])
+def test_non_finite_config_number_rejected_with_location(section, key, value, tmp_path, capsys):
+    # Python's json reads NaN and Infinity, which no strict-JSON report can echo
+    doc = cantor_doc()
+    doc.setdefault(section, {})[key] = value
+    code, _, err = run(["lyapunov", "--config", write_config(tmp_path, doc)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {section}.{key}: expected a finite number")
+
+
+def test_integer_valued_float_runs_and_echoes_as_integer(tmp_path, capsys):
+    doc = cantor_doc(lyapunov={"steps": 500.0, "trials": 4})
+    code, out, err = run(["lyapunov", "--config", write_config(tmp_path, doc),
+                          "--deterministic"], capsys)
+    assert code == 0, err
+    echoed = json.loads(out)["resolved_config"]["lyapunov"]["steps"]
+    assert echoed == 500 and isinstance(echoed, int)
 
 
 def test_shipped_configs_parse():
@@ -297,9 +321,18 @@ def test_validate_empty_suite_is_config_error(tmp_path, capsys):
 
 def test_validate_unknown_case_rejected(tmp_path, capsys):
     doc = cantor_doc()
-    doc["validate"] = {"cases": ["unknown-system"]}
+    doc["validate"] = {"cases": ["cantor-pipeline", "unknown-system"]}
     code, _, err = run(["validate", "--config", write_config(tmp_path, doc)], capsys)
     assert code == 2
+    # the case names are checked when the config is parsed, so every command
+    # refuses them, with their location
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert info.value.location == "validate.cases"
+    assert "unknown-system" in str(info.value)
+    code, _, err = run(["lyapunov", "--config", write_config(tmp_path, doc)], capsys)
+    assert code == 2
+    assert err.startswith("error: validate.cases: ")
 
 
 def test_validate_failure_exit_1(tmp_path, capsys):
@@ -403,6 +436,66 @@ def test_dim_single_map_report_is_strict_json(tmp_path, capsys):
     separation = report["results"]["separation"]
     assert separation["status"] == "ssc-verified"
     assert separation["witness_gap"]["value"] is None
+
+
+@pytest.mark.parametrize("argv, section, expected", [
+    (["lyapunov", "--steps", "300", "--trials", "3"], "lyapunov", {"steps": 300, "trials": 3}),
+    (["dim", "--H", "0.1"], "dim", {"H": 0.1}),
+])
+def test_flags_are_echoed_and_the_echo_reruns_them(argv, section, expected, tmp_path, capsys):
+    # a flag is an edit of the config: the resolved config echoes it, re-parses
+    # to itself, and run with no flags gives the same results
+    cfg = write_config(tmp_path, cantor_doc())
+    code, out, err = run([*argv, "--config", cfg, "--deterministic"], capsys)
+    assert code == 0, err
+    report = json.loads(out)
+    resolved = report["resolved_config"]
+    assert {key: resolved[section][key] for key in expected} == expected
+    assert parse_config(resolved).doc == resolved
+    echo = write_config(tmp_path, resolved, name="echo.json")
+    code, again, err = run([argv[0], "--config", echo, "--deterministic"], capsys)
+    assert code == 0, err
+    assert json.dumps(json.loads(again)["results"]) == json.dumps(report["results"])
+
+
+@pytest.mark.parametrize("argv, location", [
+    (["lyapunov", "--steps", "5"], "lyapunov.steps"),
+    (["lyapunov", "--trials", "0"], "lyapunov.trials"),
+    (["dim", "--H", "-1"], "dim.H"),
+])
+def test_out_of_bounds_flag_gets_located_error(argv, location, tmp_path, capsys):
+    out_path = tmp_path / "r.json"
+    code, _, err = run([*argv, "--config", write_config(tmp_path, cantor_doc()),
+                        "--out", str(out_path)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {location}: ")
+    assert not out_path.exists()
+
+
+def test_dim_over_budget_domination_scan_routes_not_applicable(tmp_path, capsys):
+    # conformal maps repeat their exponent, so the pipeline needs a domination
+    # scan, and 2^8 words exceed a budget of 200: the report says not-applicable
+    def rotation(scale, theta):
+        c, s = np.cos(theta), np.sin(theta)
+        return [[scale * c, -scale * s], [scale * s, scale * c]]
+
+    doc = cantor_doc()
+    doc["ifs"] = {
+        "matrices": [rotation(0.4, 0.7), rotation(0.3, -0.5)],
+        "translations": [[0.0, 0.0], [0.6, 0.1]],
+        "weights": [0.5, 0.5],
+    }
+    doc["dim"].update(scan_budget=200, separation_level=4)
+    code, out, err = run(["dim", "--config", write_config(tmp_path, doc), "--deterministic"],
+                         capsys)
+    assert code == 0, err
+    results = json.loads(out, parse_constant=_reject_constant)["results"]
+    assert results["route"] == "not-applicable"
+    assert results["spectrum"]["multiplicities"] == [2]
+    assert "domination" not in results  # no sampled scan stands in for the exact one
+    assert results["ly_dim"] is None and results["ly_dim_conditional"] is None
+    caveat = next(c for c in results["caveats"] if "scan_budget" in c)
+    assert "2^8 words" in caveat and "dim.scan_n_max" in caveat and "dim.scan_budget" in caveat
 
 
 def test_radii_count_below_usable_minimum_rejected(tmp_path, capsys):
