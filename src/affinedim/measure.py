@@ -49,6 +49,7 @@ MIN_USABLE_RADII = 20
 BOX_SIZES = 26  # default box grid: sizes from diam/5 down in steps of DEFAULT_RADII_RATIO
 SELF_AFFINITY_MIN_COUNT = 20
 _SWEEP_BLOCK = 1 << 18  # candidate pairs per chunk of a distance search: near cache size
+_SAMPLE_BLOCK_ROWS = 4096  # samples stepped together past the suffix table: near cache size
 
 
 @dataclass(frozen=True)
@@ -120,12 +121,31 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_symbols(words: np.ndarray, n_maps: int | None = None) -> None:
+    """Raise ``ValueError`` naming the first entry of ``words`` that is not a symbol.
+
+    A symbol is an entry of an integer (not bool) dtype that is at least 0
+    and, when ``n_maps`` is given, below it.
+    """
+    if words.dtype.kind not in "iu":
+        first = f"words{[0] * words.ndim} is {words.flat[0].item()!r}; " if words.size else ""
+        raise ValueError(f"{first}words must have an integer dtype, not {words.dtype}")
+    if n_maps is None and words.dtype.kind == "u":
+        return
+    bad = words < 0 if n_maps is None else (words < 0) | (words >= n_maps)
+    if bad.any():
+        at = np.argwhere(bad)[0].tolist()
+        alphabet = "non-negative" if n_maps is None else f"in 0..{n_maps - 1}"
+        raise ValueError(f"words{at} is {int(words[tuple(at)])}; symbols must be {alphabet}")
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Sampled points with their generating words and truncation bounds.
 
     ``words`` and ``errors`` are ``None`` for synthetic clouds that came
-    from somewhere other than an IFS.
+    from somewhere other than an IFS.  Words keep the integer dtype they are
+    given, and every entry must be a non-negative symbol.
     """
 
     points: np.ndarray
@@ -143,9 +163,10 @@ class PointCloud:
             raise ValueError(f"point {bad} has non-finite coordinates {pts[bad].tolist()}")
         object.__setattr__(self, "points", _frozen(pts))
         if self.words is not None:
-            w = np.asarray(self.words, dtype=np.int64)
+            w = np.asarray(self.words)
             if w.shape[0] != pts.shape[0]:
                 raise ValueError("one word per point required")
+            _check_symbols(w)
             object.__setattr__(self, "words", _frozen(w))
         if self.errors is not None:
             e = np.asarray(self.errors, dtype=float)
@@ -208,13 +229,16 @@ def sample_measure(ifs: IfsSystem, count: int, depth: int, rng=None) -> PointClo
     """Draw ``count`` approximate samples of the stationary measure.
 
     Words of length ``depth`` are drawn i.i.d. from the weights, in bounded
-    flat blocks (the same words and generator state as one draw), and pushed through
+    flat blocks (the same words and generator state as one draw), into the
+    narrowest unsigned type that holds a symbol, and pushed through
     :func:`natural_projection` (vectorised); per-point truncation bounds are
     recorded.  Points are built from the last symbol inwards, so after ``j``
     steps there are at most ``N**j`` distinct partial points: while that table
     is no longer than the sample, every suffix is stepped once and each sample
-    keeps its table row; then each sample goes on alone.  Every row takes the
-    same einsum step either way, so the points do not depend on the split.
+    keeps its table row; then each sample goes on alone, in blocks of
+    ``_SAMPLE_BLOCK_ROWS`` rows that take all their remaining steps while they
+    are in cache.  Every row takes the same einsum step either way, and no
+    row's step reads another row, so the points do not depend on the split.
     Deterministic given the seed.
     """
     if count < 1 or depth < 1:
@@ -222,26 +246,31 @@ def sample_measure(ifs: IfsSystem, count: int, depth: int, rng=None) -> PointClo
     seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     rng = np.random.default_rng(rng)
     n = ifs.n_maps
-    words = _draw_words(rng, ifs.weights.p, np.empty((count, depth), dtype=np.int64))
+    words = _draw_words(rng, ifs.weights.p, np.empty((count, depth), np.min_scalar_type(n - 1)))
     errors = np.empty(count)
     rows = max(1, _WORD_BLOCK_SYMBOLS // depth)  # bounds the product's float temporaries
     for s in range(0, count, rows):
         errors[s:s + rows] = ifs.truncation_bound(words[s:s + rows])
 
     def step(sel, x):
-        return np.einsum("nij,nj->ni", ifs.matrices[sel], x) + ifs.translations[sel]
+        mats = np.take(ifs.matrices, sel, axis=0)
+        return np.einsum("nij,nj->ni", mats, x) + np.take(ifs.translations, sel, axis=0)
 
-    pts = np.zeros((1, ifs.d))  # one row per distinct suffix so far
+    table = np.zeros((1, ifs.d))  # one row per distinct suffix so far
     row = np.zeros(count, dtype=np.int64)
     k = depth - 1
-    while k >= 0 and pts.shape[0] * n <= count:
-        parent, sel = divmod(np.arange(pts.shape[0] * n), n)
-        pts = step(sel, pts[parent])
+    while k >= 0 and table.shape[0] * n <= count:
+        parent, sel = divmod(np.arange(table.shape[0] * n), n)
+        table = step(sel, table[parent])
         row = row * n + words[:, k]
         k -= 1
-    pts = pts[row]
-    for k in range(k, -1, -1):
-        pts = step(words[:, k], pts)
+    pts = np.empty((count, ifs.d))
+    for s in range(0, count, _SAMPLE_BLOCK_ROWS):
+        block = slice(s, s + _SAMPLE_BLOCK_ROWS)
+        x = table[row[block]]
+        for j in range(k, -1, -1):
+            x = step(words[block, j], x)
+        pts[block] = x
     for a in (pts, words, errors):  # fresh arrays: the cloud keeps them without a copy
         a.flags.writeable = False
     return PointCloud(pts, words, errors, depth, seed)
@@ -858,8 +887,10 @@ def cloud_to_csv(cloud: PointCloud, path) -> None:
 def cloud_from_csv(path, ifs: IfsSystem | None = None) -> PointCloud:
     """Read a cloud written by :func:`cloud_to_csv`.
 
-    Truncation bounds are recomputed when the generating system is supplied;
-    the seed is not stored in the file and comes back as ``None``.
+    Truncation bounds are recomputed when the generating system is supplied,
+    after every symbol is checked to lie in its alphabet (an error names the
+    first bad entry as ``words[row, position]``); the seed is not stored in
+    the file and comes back as ``None``.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -875,5 +906,8 @@ def cloud_from_csv(path, ifs: IfsSystem | None = None) -> PointCloud:
     if len(set(depths)) > 1:
         raise ValueError("mixed depths in cloud file")
     words = np.asarray(words, dtype=np.int64)
-    errors = None if ifs is None else ifs.truncation_bound(words)
+    errors = None
+    if ifs is not None:
+        _check_symbols(words, ifs.n_maps)
+        errors = ifs.truncation_bound(words)
     return PointCloud(np.asarray(pts), words, errors, depths[0] if depths else None, None)

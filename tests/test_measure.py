@@ -2,6 +2,8 @@
 
 import itertools
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from scipy.spatial import cKDTree
 
 from affinedim import cocycle, measure
 from affinedim.cocycle import BernoulliWeights
+from affinedim.config import load_config
 from affinedim.linalg import SubspaceFrame, singular_values
 from affinedim.measure import (
     IfsSystem,
@@ -34,6 +37,7 @@ from affinedim.measure import (
 )
 
 CANTOR_DIM = np.log(2) / np.log(3)
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -137,22 +141,29 @@ def test_sample_keeps_the_drawn_arrays(monkeypatch):
 
 
 def _per_sample_sampling(ifs, count, depth, seed):
-    """Reference sampler: one draw of every word, then each sample stepped alone."""
+    """Reference sampler: one draw of every word, then each sample stepped alone.
+
+    Every step gathers by fancy indexing.  Returns the points, words and
+    bounds, and the generator after the draw.
+    """
     rng = np.random.default_rng(seed)
     words = rng.choice(ifs.n_maps, size=(count, depth), p=ifs.weights.p)
     pts = np.zeros((count, ifs.d))
     for k in range(depth - 1, -1, -1):
         sel = words[:, k]
         pts = np.einsum("nij,nj->ni", ifs.matrices[sel], pts) + ifs.translations[sel]
-    return pts, words, ifs.truncation_bound(words)
+    return pts, words, ifs.truncation_bound(words), rng
 
 
 def _assert_sampling_exact(ifs, count, depth, seed):
-    cloud = sample_measure(ifs, count, depth, rng=seed)
-    pts, words, errors = _per_sample_sampling(ifs, count, depth, seed)
-    assert np.array_equal(cloud.points, pts)
-    assert np.array_equal(cloud.words, words)
-    assert np.array_equal(cloud.errors, errors)
+    gen = np.random.default_rng(seed)
+    cloud = sample_measure(ifs, count, depth, rng=gen)
+    pts, words, errors, ref = _per_sample_sampling(ifs, count, depth, seed)
+    assert np.array_equal(cloud.points, pts), (count, depth)
+    assert np.array_equal(cloud.words, words), (count, depth)
+    assert np.array_equal(cloud.errors, errors), (count, depth)
+    assert gen.bit_generator.state == ref.bit_generator.state
+    return cloud
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -190,6 +201,47 @@ def test_sample_block_draw_matches_one_draw():
     # the generator is left where one draw leaves it
     assert gen.bit_generator.state == ref.bit_generator.state
     assert gen.random() == ref.random()
+
+
+def _random_contractions(rng, n_maps, d):
+    mats, ts = _random_maps(rng, n_maps, d)
+    p = rng.uniform(0.1, 1.0, n_maps)
+    return IfsSystem(mats, ts, BernoulliWeights(p / p.sum()))
+
+
+@pytest.mark.parametrize("n_maps, d", [(1, 2), (2, 3), (3, 1), (300, 2)])
+@pytest.mark.parametrize("rows_for", [lambda c: 1, lambda c: 7, lambda c: c - 1, lambda c: c + 1],
+                         ids=["1", "7", "count-1", "count+1"])
+def test_sample_blocks_equal_per_sample_recursion(n_maps, d, rows_for, monkeypatch):
+    ifs = _random_contractions(np.random.default_rng(1500 + n_maps + d), n_maps, d)
+    full = (n_maps**2, 2) if n_maps <= 3 else (n_maps, 1)  # count >= n_maps**depth
+    for count, depth in [(37, 1), full, (37, 6), (200, 9)]:
+        monkeypatch.setattr(measure, "_SAMPLE_BLOCK_ROWS", max(1, rows_for(count)))
+        cloud = _assert_sampling_exact(ifs, count, depth, 77 + count + depth)
+        assert cloud.words.dtype == (np.uint8 if n_maps <= 256 else np.uint16)
+
+
+@pytest.mark.parametrize("n_maps, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
+def test_sample_words_in_the_narrowest_unsigned_type(n_maps, dtype):
+    ifs = _random_contractions(np.random.default_rng(n_maps), n_maps, 1)
+    cloud = sample_measure(ifs, 50, 3, rng=5)
+    assert cloud.words.dtype == dtype
+    assert np.array_equal(cloud.words, _per_sample_sampling(ifs, 50, 3, 5)[1])
+
+
+def test_sample_memory_stays_bounded():
+    # stp3 at the dim report's sample size and depth: the words are one byte
+    # per symbol and every sample's steps run on cache-sized blocks
+    ifs = load_config(CONFIG_DIR / "stp3.json").ifs
+    count, depth = 100_000, 39
+    tracemalloc.start()
+    try:
+        cloud = sample_measure(ifs, count, depth, rng=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cloud.words.nbytes == count * depth
+    assert peak < 20e6, peak
 
 
 # ---------------------------------------------------------------------------
@@ -302,16 +354,21 @@ def test_cylinder_centres_are_natural_projections(ifs):
         assert np.allclose(center, natural_projection(ifs, word)[0], rtol=0.0, atol=1e-14)
 
 
-def _random_small_ifs(rng, kind):
-    d = int(rng.integers(1, 4))
-    n = 1 if kind == "one-map" else int(rng.integers(2, 5))
+def _random_maps(rng, n, d):
+    """``n`` random contractions of R^d and their translations."""
     # independent singular values per map give unequal hull radii, so hulls
     # can be near one another and still apart
     mats = np.array([
         u @ np.diag(rng.uniform(0.05, 0.6, d)) @ vt
         for u, _, vt in (np.linalg.svd(rng.standard_normal((d, d))) for _ in range(n))
     ])
-    ts = rng.uniform(-1.0, 1.0, size=(n, d))
+    return mats, rng.uniform(-1.0, 1.0, size=(n, d))
+
+
+def _random_small_ifs(rng, kind):
+    d = int(rng.integers(1, 4))
+    n = 1 if kind == "one-map" else int(rng.integers(2, 5))
+    mats, ts = _random_maps(rng, n, d)
     if kind == "identical":
         mats[1], ts[1] = mats[0], ts[0]
     elif kind == "zero-translations":
@@ -479,6 +536,25 @@ def test_point_cloud_copies_writeable_input():
     view = base[:]
     view.flags.writeable = False
     assert not np.shares_memory(PointCloud(np.zeros((4, 2)), view, None, 3, None).words, base)
+
+
+@pytest.mark.parametrize("words, message", [
+    ([[0.7, 1.2]], r"words\[0, 0\] is 0.7; words must have an integer dtype, not float64"),
+    ([[True, False]], r"words\[0, 0\] is True; .* not bool"),
+    ([["1", "0"]], r"words\[0, 0\] is '1'; .* not <U1"),
+    ([[0, -1]], r"words\[0, 1\] is -1; symbols must be non-negative"),
+], ids=["float", "bool", "str", "negative"])
+def test_point_cloud_rejects_words_that_are_not_symbols(words, message):
+    with pytest.raises(ValueError, match=message):
+        PointCloud(np.zeros((1, 2)), words, None, 2, None)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, np.int64])
+def test_point_cloud_keeps_the_word_dtype(dtype):
+    words = np.array([[0, 2], [1, 0]], dtype=dtype)
+    words.flags.writeable = False
+    cloud = PointCloud(np.zeros((2, 2)), words, None, 2, None)
+    assert cloud.words is words
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -876,6 +952,26 @@ def test_cloud_csv_rejects_non_finite_row(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="point 2 has non-finite"):
         cloud_from_csv(path)
+
+
+@pytest.mark.parametrize("symbol, message", [
+    ("5", r"words\[2, 1\] is 5; symbols must be in 0..2"),
+    ("-1", r"words\[2, 1\] is -1; symbols must be in 0..2"),
+], ids=["too-large", "negative"])
+def test_cloud_csv_rejects_symbols_outside_the_alphabet(tmp_path, symbol, message):
+    ifs = bm_carpet_ifs()
+    cloud = sample_measure(ifs, 5, 4, rng=107)
+    path = tmp_path / "cloud.csv"
+    cloud_to_csv(cloud, path)
+    lines = path.read_text().splitlines()
+    cells = lines[3].split(",")  # data row 2
+    symbols = cells[2].split(".")
+    symbols[1] = symbol
+    cells[2] = ".".join(symbols)
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
+        cloud_from_csv(path, ifs=ifs)
 
 
 def test_cloud_csv_requires_words(tmp_path):
