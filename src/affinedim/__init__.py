@@ -12,163 +12,25 @@ Modules
 ``domination``  gap-ratio scans, STP/cone checks, invariant bundles
 ``measure``     IFS sampling, separation certificates, dimension estimators
 ``dimension``   dimension formulas, closed-form oracles, the full pipeline
+``errors``      the exception types
 ``cli``         the ``affine-dim`` command-line front end
+
+The package exports the public names (each module's ``__all__``) of every
+module but ``cli`` and ``config``.
 """
 
 __version__ = "0.1.0"
 
-from .cocycle import (
-    BernoulliWeights,
-    FlagSample,
-    LyapunovSpectrum,
-    entropy,
-    exterior_partial_sum_estimate,
-    furstenberg_sample,
-    furstenberg_step,
-    lyapunov_spectrum,
-    oseledets_fast_flag,
-    sample_word,
-    word_product,
-)
-from .dimension import (
-    CarpetOracle,
-    DimensionInputs,
-    DimensionReport,
-    KYEquivalence,
-    LyapunovDimensionResult,
-    PipelineConfig,
-    bedford_mcmullen_closed_form,
-    bedford_mcmullen_ifs,
-    full_pipeline,
-    kaplan_yorke_equivalence_check,
-    ly_dimension,
-    lyapunov_dimension,
-    telescoping_identity_check,
-)
-from .domination import (
-    BundleEstimate,
-    DominationReport,
-    GapRatioTable,
-    SplittingDecomposition,
-    StpCheck,
-    bundle_growth_ratios,
-    cone_invariance_check,
-    detect_domination,
-    gap_ratio_scan,
-    gap_ratio_scan_monte_carlo,
-    splitting_subspaces,
-    stp_check,
-    strong_stable_bundle,
-)
-from .errors import (
-    AffineDimError,
-    BudgetExceededError,
-    ConfigError,
-    SpectralGapError,
-    SubspaceInconsistencyError,
-)
-from .linalg import (
-    FlagChain,
-    SubspaceFrame,
-    exterior_power,
-    minor,
-    orthogonal_projection,
-    principal_angle_distance,
-    restricted_conorm,
-    restricted_norm,
-    singular_values,
-    smallest_principal_angle,
-    subspace_intersection,
-)
-from .measure import (
-    BoxCountReport,
-    IfsSystem,
-    LiftedIfs,
-    LocalDimensionReport,
-    PointCloud,
-    SelfAffinityReport,
-    SeparationVerdict,
-    box_counting_dimension,
-    check_separation,
-    cloud_from_csv,
-    cloud_to_csv,
-    lift_ifs,
-    local_dimension_estimate,
-    natural_projection,
-    project_cloud,
-    sample_measure,
-    self_affinity_check,
-)
+from . import cocycle, dimension, domination, errors, linalg, measure
+from .cocycle import *  # noqa: F403
+from .dimension import *  # noqa: F403
+from .domination import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .linalg import *  # noqa: F403
+from .measure import *  # noqa: F403
 
 __all__ = [
-    "AffineDimError",
-    "BernoulliWeights",
-    "BoxCountReport",
-    "BudgetExceededError",
-    "BundleEstimate",
-    "CarpetOracle",
-    "ConfigError",
-    "DimensionInputs",
-    "DimensionReport",
-    "DominationReport",
-    "FlagChain",
-    "FlagSample",
-    "GapRatioTable",
-    "IfsSystem",
-    "KYEquivalence",
-    "LiftedIfs",
-    "LocalDimensionReport",
-    "LyapunovDimensionResult",
-    "LyapunovSpectrum",
-    "PipelineConfig",
-    "PointCloud",
-    "SelfAffinityReport",
-    "SeparationVerdict",
-    "SpectralGapError",
-    "SplittingDecomposition",
-    "StpCheck",
-    "SubspaceFrame",
-    "SubspaceInconsistencyError",
-    "bedford_mcmullen_closed_form",
-    "bedford_mcmullen_ifs",
-    "box_counting_dimension",
-    "bundle_growth_ratios",
-    "check_separation",
-    "cloud_from_csv",
-    "cloud_to_csv",
-    "cone_invariance_check",
-    "detect_domination",
-    "entropy",
-    "exterior_partial_sum_estimate",
-    "exterior_power",
-    "full_pipeline",
-    "furstenberg_sample",
-    "furstenberg_step",
-    "gap_ratio_scan",
-    "gap_ratio_scan_monte_carlo",
-    "kaplan_yorke_equivalence_check",
-    "lift_ifs",
-    "local_dimension_estimate",
-    "ly_dimension",
-    "lyapunov_dimension",
-    "lyapunov_spectrum",
-    "minor",
-    "natural_projection",
-    "orthogonal_projection",
-    "oseledets_fast_flag",
-    "principal_angle_distance",
-    "project_cloud",
-    "restricted_conorm",
-    "restricted_norm",
-    "sample_measure",
-    "sample_word",
-    "self_affinity_check",
-    "singular_values",
-    "smallest_principal_angle",
-    "splitting_subspaces",
-    "stp_check",
-    "strong_stable_bundle",
-    "subspace_intersection",
-    "telescoping_identity_check",
-    "word_product",
+    name
+    for module in (cocycle, dimension, domination, errors, linalg, measure)
+    for name in module.__all__
 ]

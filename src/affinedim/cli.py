@@ -28,13 +28,7 @@ from .dimension import (
     full_pipeline,
     ly_dimension,
 )
-from .domination import (
-    cone_invariance_check,
-    detect_domination,
-    gap_ratio_scan,
-    gap_ratio_scan_monte_carlo,
-    stp_check,
-)
+from .domination import cone_invariance_check, detect_domination, gap_ratio_scan, stp_check
 from .errors import AffineDimError, BudgetExceededError, ConfigError
 from .measure import IfsSystem
 
@@ -137,35 +131,28 @@ def cmd_domination(args) -> int:
     cfg = _load(args, {})
     ifs = cfg.ifs
     opts = cfg.domination
-    warnings: list[str] = []
     maps = list(ifs.matrices)
-    demoted = False
     try:
         table = gap_ratio_scan(maps, opts["n_max"], opts["budget"])
     except BudgetExceededError as err:
-        warnings.append(f"{err}; falling back to sampled maxima, statuses are inconclusive")
-        table = gap_ratio_scan_monte_carlo(
-            maps, opts["n_max"], opts["monte_carlo_samples"], rng=cfg.seed
-        )
-        demoted = True
+        raise ConfigError(
+            f"{err} (lower domination.n_max or raise domination.budget)", "domination"
+        ) from None
 
     report = detect_domination(table, opts["eps_slope"])
-    indices = []
-    for item in report.indices:
-        entry = {
-            "index": item.index,
-            "status": "inconclusive" if demoted else item.status,
-            "decay_rate": _tag(item.decay_rate, "estimated"),
-            "constant_estimate": _tag(item.constant_estimate, "estimated"),
-            "n_max": item.n_max,
-        }
-        if demoted:
-            entry["fitted_status"] = item.status
-        indices.append(entry)
     results = {
-        "method": table.method,
-        "indices": indices,
-        "dominated_indices": [] if demoted else list(report.dominated_indices),
+        "method": "exhaustive",
+        "indices": [
+            {
+                "index": item.index,
+                "status": item.status,
+                "decay_rate": _tag(item.decay_rate, "estimated"),
+                "constant_estimate": _tag(item.constant_estimate, "estimated"),
+                "n_max": item.n_max,
+            }
+            for item in report.indices
+        ],
+        "dominated_indices": list(report.dominated_indices),
         "stp": [
             {"map": j, "is_stp": bool(chk), "det_positive": chk.det_positive,
              "min_minor": _tag(chk.min_minor, "closed-form")}
@@ -175,7 +162,7 @@ def cmd_domination(args) -> int:
             str(p): cone_invariance_check(maps, p) for p in range(1, ifs.d)
         },
     }
-    _emit(_report_shell("domination", cfg, results, warnings), args)
+    _emit(_report_shell("domination", cfg, results, []), args)
     return EXIT_OK
 
 

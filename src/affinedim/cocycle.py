@@ -1,9 +1,9 @@
 """Random matrix cocycles driven by i.i.d. symbols.
 
-Provides word sampling, matrix products along words, Lyapunov spectrum
-estimation with re-orthonormalised frame propagation, fast-subspace flag
-estimation, backward-iteration sampling of the stationary flag distribution,
-and Bernoulli entropy.
+Provides word sampling and checking, Lyapunov spectrum estimation with
+re-orthonormalised frame propagation, fast-subspace flag estimation,
+backward-iteration sampling of the stationary flag distribution, and
+Bernoulli entropy.
 
 All estimators consume a ``numpy.random.Generator`` (or an integer seed) and
 are bitwise deterministic given the seed.  Trials and samples are independent
@@ -33,7 +33,6 @@ __all__ = [
     "as_map_stack",
     "safe_renorm_interval",
     "sample_word",
-    "word_product",
     "entropy",
     "lyapunov_spectrum",
     "exterior_partial_sum_estimate",
@@ -173,21 +172,31 @@ def sample_word(weights: BernoulliWeights, n: int, rng=None) -> np.ndarray:
     return _draw_words(rng, weights.p, np.empty(n, dtype=np.int64))
 
 
+def _check_symbols(words: np.ndarray, n_maps: int | None = None) -> None:
+    """Raise ``ValueError`` naming the first entry of ``words`` that is not a symbol.
+
+    A symbol is an entry of an integer (not bool) dtype that is at least 0
+    and, when ``n_maps`` is given, below it.
+    """
+    if words.dtype.kind not in "iu":
+        first = f"words{[0] * words.ndim} is {words.flat[0].item()!r}; " if words.size else ""
+        raise ValueError(f"{first}words must have an integer dtype, not {words.dtype}")
+    if n_maps is None and words.dtype.kind == "u":
+        return
+    bad = words < 0 if n_maps is None else (words < 0) | (words >= n_maps)
+    if bad.any():
+        at = np.argwhere(bad)[0].tolist()
+        alphabet = "non-negative" if n_maps is None else f"in 0..{n_maps - 1}"
+        raise ValueError(f"words{at} is {int(words[tuple(at)])}; symbols must be {alphabet}")
+
+
 def _check_word(word, n_maps: int) -> np.ndarray:
-    w = np.asarray(word, dtype=np.int64).ravel()
-    if w.size and (w.min() < 0 or w.max() >= n_maps):
-        raise ValueError(f"word symbols must lie in 0..{n_maps - 1}")
-    return w
-
-
-def word_product(maps, word) -> np.ndarray:
-    """Left-to-right product of the maps named by ``word`` (empty -> identity)."""
-    mats = as_map_stack(maps, require_contractive=False)
-    w = _check_word(word, mats.shape[0])
-    out = np.eye(mats.shape[1])
-    for s in w:
-        out = out @ mats[s]
-    return out
+    """``word`` as a flat int64 array of symbols in ``0..n_maps - 1``; may be empty."""
+    w = np.asarray(word).ravel()
+    if w.size == 0:
+        return np.empty(0, dtype=np.int64)
+    _check_symbols(w, n_maps)
+    return w.astype(np.int64, copy=False)
 
 
 def entropy(weights: BernoulliWeights) -> float:

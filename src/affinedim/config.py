@@ -16,7 +16,7 @@ import numpy as np
 
 from .cocycle import DEFAULT_RENORM_EVERY, PRODUCT_BUDGET, BernoulliWeights
 from .dimension import PipelineConfig
-from .domination import EPS_SLOPE, MIN_FIT_LENGTH, MONTE_CARLO_SAMPLES
+from .domination import EPS_SLOPE, MIN_FIT_LENGTH
 from .errors import ConfigError
 from .measure import MIN_USABLE_RADII, IfsSystem
 
@@ -63,7 +63,6 @@ SECTIONS: dict[str, dict[str, tuple]] = {
         "n_max": (8, _FIT_LENGTH),
         "budget": (PRODUCT_BUDGET, _COUNT),
         "eps_slope": (EPS_SLOPE, _TOL),
-        "monte_carlo_samples": (MONTE_CARLO_SAMPLES, _COUNT),
     },
     "dim": {
         "H" if name == "fiber_entropy" else name: (_PIPELINE_DEFAULTS[name], check)

@@ -2,9 +2,8 @@
 
 Evaluates the entropy/exponent dimension formula (simple-spectrum and
 dominated-splitting variants), the Kaplan-Yorke candidate value, a
-grid-carpet closed form used as an oracle, the telescoping identity the
-formula rests on, and an end-to-end pipeline that estimates every input
-empirically and assembles a provenance-tagged report.
+grid-carpet closed form used as an oracle, and an end-to-end pipeline that
+estimates every input empirically and assembles a provenance-tagged report.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ __all__ = [
     "bedford_mcmullen_closed_form",
     "bedford_mcmullen_ifs",
     "kaplan_yorke_equivalence_check",
-    "telescoping_identity_check",
     "full_pipeline",
 ]
 
@@ -235,34 +233,6 @@ def kaplan_yorke_equivalence_check(inputs: DimensionInputs, tol: float) -> KYEqu
     else:
         status = "inconclusive"
     return KYEquivalence(status, float(gap), float(inputs.fiber_entropy), resids, tol)
-
-
-def telescoping_identity_check(hseq, exponents, rtol: float = 1e-12) -> bool:
-    """Verify the exchange of the double sum behind the dimension formula.
-
-    With a nonincreasing sequence ``H^0 >= ... >= H^d`` and ascending
-    positive exponents, both arrangements of the weighted sum must agree:
-    the grouped form ``(H^0 - H^d)/chi_d + sum_i ((chi_{i+1}-chi_i)/chi_d)
-    * sum_{k<i} (H^k - H^{k+1})/chi_{k+1}`` and the flat form
-    ``sum_j (H^j - H^{j+1})/chi_{j+1}``.
-    """
-    big_h = np.asarray(hseq, dtype=float).ravel()
-    chi = np.asarray(exponents, dtype=float).ravel()
-    if big_h.size != chi.size + 1:
-        raise ValueError("need one more H value than exponents")
-    if np.any(np.diff(big_h) > 1e-12):
-        raise ValueError("H sequence must be nonincreasing")
-    if np.any(chi <= 0) or np.any(np.diff(chi) < -1e-12):
-        raise ValueError("exponents must be positive ascending")
-    d = chi.size
-    drops = big_h[:-1] - big_h[1:]
-    lhs = (big_h[0] - big_h[-1]) / chi[-1]
-    for i in range(1, d):
-        inner = np.sum(drops[:i] / chi[:i])
-        lhs += ((chi[i] - chi[i - 1]) / chi[-1]) * inner
-    rhs = float(np.sum(drops / chi))
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return bool(abs(lhs - rhs) <= rtol * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +464,6 @@ def full_pipeline(ifs: IfsSystem, config: PipelineConfig | None = None) -> Dimen
         try:
             table = gap_ratio_scan(maps, cfg.scan_n_max, cfg.scan_budget)
         except BudgetExceededError:
-            # sampled maxima could only give inconclusive statuses, which route here too
             caveats.append(
                 f"exponents are not all distinct and {ifs.n_maps}^{cfg.scan_n_max} words exceed "
                 f"dim.scan_budget={cfg.scan_budget}; the dimension formula is not applied "

@@ -47,7 +47,6 @@ __all__ = [
     "BundleEstimate",
     "SplittingDecomposition",
     "gap_ratio_scan",
-    "gap_ratio_scan_monte_carlo",
     "detect_domination",
     "stp_check",
     "cone_invariance_check",
@@ -59,7 +58,6 @@ EPS_SLOPE = 0.01
 EPS_MINOR = 1e-12
 MIN_FIT_LENGTH = 6
 RESIDUAL_TOL = 0.5
-MONTE_CARLO_SAMPLES = 512
 # a bundle estimate needs a gap ratio below BUNDLE_GAP_TOL at its depth and a
 # one-step equivariance residual below BUNDLE_EQUIV_TOL
 BUNDLE_GAP_TOL = 1e-5
@@ -73,15 +71,14 @@ _SCAN_BATCH_FLOATS = 1 << 18
 class GapRatioTable:
     """Per-length maxima of the singular-value gap ratios, in log space.
 
-    ``log_ratios[n, j]`` is the max over all (or sampled) words of length
-    ``n`` of ``log(alpha_{i+1}/alpha_i)`` for math index ``i = j + 1``, where
+    ``log_ratios[n, j]`` is the max over all words of length ``n`` of
+    ``log(alpha_{i+1}/alpha_i)`` for math index ``i = j + 1``, where
     ``alpha`` are singular values in descending order.  Row 0 is the identity.
     """
 
     d: int
     n_max: int
     log_ratios: np.ndarray
-    method: str
     products_examined: int
 
     def __post_init__(self):
@@ -122,8 +119,7 @@ def gap_ratio_scan(maps, n_max: int, budget: int = PRODUCT_BUDGET) -> GapRatioTa
     their log norms, so the N children of every word are formed at once.
     A batch holds at most ``_SCAN_BATCH_FLOATS`` floats of products, or the
     children of a single word when those alone are more.
-    Raises :class:`BudgetExceededError` when ``N ** n_max`` exceeds ``budget``;
-    use :func:`gap_ratio_scan_monte_carlo` beyond the budget.
+    Raises :class:`BudgetExceededError` when ``N ** n_max`` exceeds ``budget``.
     """
     mats = as_map_stack(maps)
     n_maps, d = mats.shape[0], mats.shape[1]
@@ -131,8 +127,7 @@ def gap_ratio_scan(maps, n_max: int, budget: int = PRODUCT_BUDGET) -> GapRatioTa
         raise ValueError("n_max must be nonnegative")
     if n_maps**n_max > budget:
         raise BudgetExceededError(
-            f"{n_maps}^{n_max} words exceed the {budget} product budget; "
-            "use gap_ratio_scan_monte_carlo for sampled maxima"
+            f"{n_maps}^{n_max} words exceed the {budget} product budget"
         )
     compounds = _compound_stack(mats)
     floats_per_word = sum(c[0].size for c in compounds)
@@ -160,40 +155,7 @@ def gap_ratio_scan(maps, n_max: int, budget: int = PRODUCT_BUDGET) -> GapRatioTa
                 logs.append((off[:, None] + np.log(norm)).ravel())
             products_examined += len(logs[0])
             stack.append((depth + 1, children, np.stack(logs, axis=1)))
-    return GapRatioTable(d, n_max, best, "exhaustive", products_examined)
-
-
-def gap_ratio_scan_monte_carlo(
-    maps, n_max: int, samples: int = MONTE_CARLO_SAMPLES, rng=None
-) -> GapRatioTable:
-    """Sampled per-length maxima of gap ratios (lower bounds on the true max).
-
-    Draws ``samples`` uniform words of length ``n_max`` and records ratios at
-    every prefix, reusing the running compound products.
-    """
-    mats = as_map_stack(maps)
-    n_maps, d = mats.shape[0], mats.shape[1]
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
-    rng = np.random.default_rng(rng)
-    compounds = _compound_stack(mats)
-    words = rng.integers(0, n_maps, size=(samples, n_max))
-    best = np.full((n_max + 1, max(d - 1, 0)), -np.inf)
-    best[0, :] = 0.0
-    prods = [np.broadcast_to(np.eye(c.shape[1]), (samples, c.shape[1], c.shape[1])).copy()
-             for c in compounds]
-    offsets = np.zeros((samples, d))
-    for t in range(n_max):
-        log_norms = np.empty((samples, d))
-        for p in range(d):
-            prods[p] = compounds[p][words[:, t]] @ prods[p]
-            norms = np.linalg.norm(prods[p], ord=2, axis=(1, 2))
-            offsets[:, p] += np.log(norms)
-            prods[p] /= norms[:, None, None]
-            log_norms[:, p] = offsets[:, p]
-        if d > 1:
-            best[t + 1, :] = _log_ratios_from_compound_norms(log_norms).max(axis=0)
-    return GapRatioTable(d, n_max, best, "monte-carlo", samples * n_max)
+    return GapRatioTable(d, n_max, best, products_examined)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "AffineDimError",
+    "SpectralGapError",
+    "BudgetExceededError",
+    "SubspaceInconsistencyError",
+    "ConfigError",
+]
+
 
 class AffineDimError(Exception):
     """Base class for errors raised by this package."""

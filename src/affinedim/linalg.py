@@ -34,7 +34,6 @@ __all__ = [
     "smallest_principal_angle",
     "subspace_intersection",
     "qr_positive",
-    "haar_frame",
 ]
 
 MAX_DIM = 8          # compound sizes stay small; larger d is rejected outright
@@ -83,13 +82,6 @@ def qr_positive(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sign = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     sign[sign == 0] = 1.0
     return q * sign[..., None, :], r * sign[..., :, None]
-
-
-def haar_frame(d: int, rng: np.random.Generator, k: int | None = None) -> np.ndarray:
-    """Haar-random orthonormal ``d x k`` frame (``k = d`` by default)."""
-    g = rng.standard_normal((d, d))
-    q, _ = qr_positive(g)
-    return q if k is None else q[:, :k].copy()
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ and pointwise (ball-mass slope) dimension estimation.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -17,8 +16,8 @@ from functools import cached_property
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .cocycle import (PRODUCT_BUDGET, BernoulliWeights, _WORD_BLOCK_SYMBOLS, _check_word,
-                      _draw_words, as_map_stack)
+from .cocycle import (PRODUCT_BUDGET, BernoulliWeights, _WORD_BLOCK_SYMBOLS, _check_symbols,
+                      _check_word, _draw_words, as_map_stack)
 from .linalg import SubspaceFrame, singular_values
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "project_cloud",
     "local_dimension_estimate",
     "box_counting_dimension",
-    "cloud_to_csv",
-    "cloud_from_csv",
 ]
 
 DEFAULT_RADII_COUNT = 24
@@ -119,24 +116,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
         a = a.copy()
         a.flags.writeable = False
     return a
-
-
-def _check_symbols(words: np.ndarray, n_maps: int | None = None) -> None:
-    """Raise ``ValueError`` naming the first entry of ``words`` that is not a symbol.
-
-    A symbol is an entry of an integer (not bool) dtype that is at least 0
-    and, when ``n_maps`` is given, below it.
-    """
-    if words.dtype.kind not in "iu":
-        first = f"words{[0] * words.ndim} is {words.flat[0].item()!r}; " if words.size else ""
-        raise ValueError(f"{first}words must have an integer dtype, not {words.dtype}")
-    if n_maps is None and words.dtype.kind == "u":
-        return
-    bad = words < 0 if n_maps is None else (words < 0) | (words >= n_maps)
-    if bad.any():
-        at = np.argwhere(bad)[0].tolist()
-        alphabet = "non-negative" if n_maps is None else f"in 0..{n_maps - 1}"
-        raise ValueError(f"words{at} is {int(words[tuple(at)])}; symbols must be {alphabet}")
 
 
 @dataclass(frozen=True)
@@ -866,48 +845,3 @@ def box_counting_dimension(
     info = np.asarray(info)
     slope = float(np.polyfit(np.log(eps_used), info, 1)[0])
     return BoxCountReport(slope, eps_used, info)
-
-
-def cloud_to_csv(cloud: PointCloud, path) -> None:
-    """Write ``x1..xk,word,depth`` rows; floats round-trip bit-exactly."""
-    if cloud.words is None:
-        raise ValueError("cloud has no generating words; only IFS clouds are exportable")
-    k = cloud.dim
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(k)] + ["word", "depth"])
-        depth = cloud.depth if cloud.depth is not None else cloud.words.shape[1]
-        for row, word in zip(cloud.points, cloud.words):
-            writer.writerow(
-                [repr(float(x)) for x in row]
-                + [".".join(str(int(s)) for s in word), str(depth)]
-            )
-
-
-def cloud_from_csv(path, ifs: IfsSystem | None = None) -> PointCloud:
-    """Read a cloud written by :func:`cloud_to_csv`.
-
-    Truncation bounds are recomputed when the generating system is supplied,
-    after every symbol is checked to lie in its alphabet (an error names the
-    first bad entry as ``words[row, position]``); the seed is not stored in
-    the file and comes back as ``None``.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[-2:] != ["word", "depth"] or not header[0].startswith("x"):
-            raise ValueError(f"unexpected header {header}")
-        k = len(header) - 2
-        pts, words, depths = [], [], []
-        for row in reader:
-            pts.append([float(x) for x in row[:k]])
-            words.append([int(s) for s in row[k].split(".")])
-            depths.append(int(row[k + 1]))
-    if len(set(depths)) > 1:
-        raise ValueError("mixed depths in cloud file")
-    words = np.asarray(words, dtype=np.int64)
-    errors = None
-    if ifs is not None:
-        _check_symbols(words, ifs.n_maps)
-        errors = ifs.truncation_bound(words)
-    return PointCloud(np.asarray(pts), words, errors, depths[0] if depths else None, None)

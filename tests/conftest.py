@@ -1,9 +1,10 @@
-"""Shared generators for random map tuples and reference systems."""
+"""Shared generators for random map tuples and reference systems, and test oracles."""
 
 import numpy as np
 
-from affinedim.cocycle import BernoulliWeights
+from affinedim.cocycle import BernoulliWeights, _check_word, as_map_stack
 from affinedim.domination import stp_check
+from affinedim.linalg import qr_positive
 from affinedim.measure import IfsSystem
 
 PASCAL3 = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0], [1.0, 3.0, 6.0]])
@@ -103,3 +104,51 @@ def gentle_stp_matrix(rng, d, norm=0.8, max_log_cond=0.85):
 
 def gentle_stp_tuple(rng, d, n_maps, norm=0.8):
     return [gentle_stp_matrix(rng, d, norm) for _ in range(n_maps)]
+
+
+# ---------------------------------------------------------------------------
+# oracles: direct products, Haar frames and the formula's double-sum identity
+
+
+def word_product(maps, word):
+    """Left-to-right product of the maps named by ``word`` (empty -> identity)."""
+    mats = as_map_stack(maps, require_contractive=False)
+    out = np.eye(mats.shape[1])
+    for s in _check_word(word, mats.shape[0]):
+        out = out @ mats[s]
+    return out
+
+
+def haar_frame(d: int, rng: np.random.Generator, k: int | None = None) -> np.ndarray:
+    """Haar-random orthonormal ``d x k`` frame (``k = d`` by default)."""
+    g = rng.standard_normal((d, d))
+    q, _ = qr_positive(g)
+    return q if k is None else q[:, :k].copy()
+
+
+def telescoping_identity_check(hseq, exponents, rtol: float = 1e-12) -> bool:
+    """Verify the exchange of the double sum behind the dimension formula.
+
+    With a nonincreasing sequence ``H^0 >= ... >= H^d`` and ascending
+    positive exponents, both arrangements of the weighted sum must agree:
+    the grouped form ``(H^0 - H^d)/chi_d + sum_i ((chi_{i+1}-chi_i)/chi_d)
+    * sum_{k<i} (H^k - H^{k+1})/chi_{k+1}`` and the flat form
+    ``sum_j (H^j - H^{j+1})/chi_{j+1}``.
+    """
+    big_h = np.asarray(hseq, dtype=float).ravel()
+    chi = np.asarray(exponents, dtype=float).ravel()
+    if big_h.size != chi.size + 1:
+        raise ValueError("need one more H value than exponents")
+    if np.any(np.diff(big_h) > 1e-12):
+        raise ValueError("H sequence must be nonincreasing")
+    if np.any(chi <= 0) or np.any(np.diff(chi) < -1e-12):
+        raise ValueError("exponents must be positive ascending")
+    d = chi.size
+    drops = big_h[:-1] - big_h[1:]
+    lhs = (big_h[0] - big_h[-1]) / chi[-1]
+    for i in range(1, d):
+        inner = np.sum(drops[:i] / chi[:i])
+        lhs += ((chi[i] - chi[i - 1]) / chi[-1]) * inner
+    rhs = float(np.sum(drops / chi))
+    scale = max(1.0, abs(lhs), abs(rhs))
+    return bool(abs(lhs - rhs) <= rtol * scale)

@@ -15,6 +15,7 @@ from conftest import (
     gentle_stp_tuple,
     random_contractive_tuple,
     random_stp_tuple,
+    telescoping_identity_check,
 )
 
 from affinedim.cli import main as cli_main
@@ -32,7 +33,6 @@ from affinedim.dimension import (
     kaplan_yorke_equivalence_check,
     ly_dimension,
     lyapunov_dimension,
-    telescoping_identity_check,
 )
 from affinedim.domination import (
     bundle_growth_ratios,

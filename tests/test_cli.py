@@ -186,16 +186,24 @@ def test_domination_conformal_empty(tmp_path, capsys):
     assert statuses[1] == "non-dominated"
 
 
-def test_domination_budget_exceeded_honest_inconclusive(tmp_path, capsys):
+def test_domination_over_budget_exits_2_without_report(tmp_path, capsys):
     doc = cantor_doc()
-    doc["domination"] = {"n_max": 30, "budget": 1000, "monte_carlo_samples": 64}
-    code, out, _ = run(["domination", "--config", write_config(tmp_path, doc),
-                        "--deterministic"], capsys)
-    assert code == 0
-    doc_out = json.loads(out)
-    assert doc_out["results"]["method"] == "monte-carlo"
-    assert all(e["status"] == "inconclusive" for e in doc_out["results"]["indices"])
-    assert any("budget" in w for w in doc_out["warnings"])
+    doc["domination"] = {"n_max": 30, "budget": 1000}
+    out_path = tmp_path / "report.json"
+    code, out, err = run(["domination", "--config", write_config(tmp_path, doc),
+                          "--deterministic", "--out", str(out_path)], capsys)
+    assert code == 2
+    assert out == "" and not out_path.exists()
+    assert err.startswith("error: domination: 2^30 words exceed the 1000 product budget")
+    assert "domination.n_max" in err and "domination.budget" in err
+
+
+def test_domination_monte_carlo_samples_key_rejected(tmp_path, capsys):
+    doc = cantor_doc()
+    doc["domination"] = {"monte_carlo_samples": 64}
+    code, out, err = run(["domination", "--config", write_config(tmp_path, doc)], capsys)
+    assert code == 2 and out == ""
+    assert "domination: unknown key 'monte_carlo_samples'" in err
 
 
 # ---------------------------------------------------------------------------
@@ -361,24 +369,29 @@ def test_reports_byte_identical_under_deterministic(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("command, name, digest", [
-    ("dim", "bm.json", "4a6d68eaed71"),
-    ("dim", "stp3.json", "8d906f328154"),
-    ("dim", "cantor.json", "45f8843c6253"),
-    ("dim", "overlap.json", "8f0c304dee15"),
-    ("validate", "cantor.json", "bbab47ef899c"),
-    ("lyapunov", "stp3.json", "fe6afe955173"),
-    ("lyapunov", "bm.json", "185e1d20eb4e"),
-    ("domination", "stp3.json", "7a18639b5800"),
-    ("domination", "bm.json", "02c567a9551d"),
-])
-def test_shipped_config_report_bytes_pinned(command, name, digest, tmp_path, capsys):
+# (command, config) -> sha256 prefix of its --deterministic report; kept out of
+# the test ids, so that a re-pinned digest does not rename a test
+PINNED_DIGESTS = {
+    ("dim", "bm.json"): "3761a9409c26",
+    ("dim", "stp3.json"): "6e70d47c1ac5",
+    ("dim", "cantor.json"): "31ca125aa6d7",
+    ("dim", "overlap.json"): "4171406a91d6",
+    ("validate", "cantor.json"): "35e6b702540b",
+    ("lyapunov", "stp3.json"): "68fe78d436f3",
+    ("lyapunov", "bm.json"): "c48a16d3b9df",
+    ("domination", "stp3.json"): "33cc91317978",
+    ("domination", "bm.json"): "fb888d963f82",
+}
+
+
+@pytest.mark.parametrize("command, name", PINNED_DIGESTS)
+def test_shipped_config_report_bytes_pinned(command, name, tmp_path, capsys):
     # the byte contract: any change to these reports must be explained
     path = tmp_path / "report.json"
     code, _, _ = run([command, "--config", str(CONFIG_DIR / name), "--deterministic",
                       "--out", str(path)], capsys)
     assert code == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest()[:12] == digest
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:12] == PINNED_DIGESTS[command, name]
 
 
 def _fresh_python(code, *args):
@@ -403,7 +416,7 @@ def test_dim_report_bytes_without_scipy(tmp_path):
                   "from affinedim.cli import main\nsys.exit(main(sys.argv[1:]))",
                   "dim", "--config", str(CONFIG_DIR / "cantor.json"), "--deterministic",
                   "--out", str(path))
-    assert hashlib.sha256(path.read_bytes()).hexdigest()[:12] == "45f8843c6253"
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:12] == "31ca125aa6d7"
 
 
 def test_timestamp_present_without_deterministic(tmp_path, capsys):

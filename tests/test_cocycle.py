@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import word_product
 from scipy import stats
 
 from affinedim import cocycle
@@ -17,7 +18,6 @@ from affinedim.cocycle import (
     lyapunov_spectrum,
     oseledets_fast_flag,
     sample_word,
-    word_product,
 )
 from affinedim.errors import SpectralGapError
 from affinedim.linalg import SubspaceFrame, principal_angle_distance
@@ -81,6 +81,19 @@ def test_word_product_single_and_empty():
 def test_word_product_diagonal_order():
     maps = [np.diag([0.2, 0.3]), np.diag([0.5, 0.7])]
     assert np.allclose(word_product(maps, [0, 1]), np.diag([0.1, 0.21]))
+
+
+def test_check_word_returns_flat_int64_and_keeps_empty_words():
+    empty = cocycle._check_word([], 2)
+    assert empty.dtype == np.int64 and empty.size == 0
+    w = cocycle._check_word(np.array([[1, 0], [0, 1]], dtype=np.uint8), 2)
+    assert w.dtype == np.int64 and w.tolist() == [1, 0, 0, 1]
+
+
+def test_fast_flag_rejects_bool_word():
+    maps = [np.diag([0.5, 0.1]), np.diag([0.4, 0.05])]
+    with pytest.raises(ValueError, match=r"^words\[0\] is True; .* not bool$"):
+        oseledets_fast_flag(maps, [True, False] * 5, 4)
 
 
 def test_entropy_values():

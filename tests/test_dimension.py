@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import bm_carpet_ifs, cantor_ifs
+from conftest import bm_carpet_ifs, cantor_ifs, telescoping_identity_check
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +18,6 @@ from affinedim.dimension import (
     kaplan_yorke_equivalence_check,
     ly_dimension,
     lyapunov_dimension,
-    telescoping_identity_check,
 )
 from affinedim.measure import IfsSystem
 

@@ -4,15 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import PASCAL3, random_contractive_tuple, random_stp_tuple
+from conftest import PASCAL3, random_contractive_tuple, random_stp_tuple, word_product
 
 from affinedim import domination
-from affinedim.cocycle import BernoulliWeights, sample_word, word_product
+from affinedim.cocycle import BernoulliWeights, sample_word
 from affinedim.domination import (
     cone_invariance_check,
     detect_domination,
     gap_ratio_scan,
-    gap_ratio_scan_monte_carlo,
     splitting_subspaces,
     stp_check,
     strong_stable_bundle,
@@ -53,13 +52,9 @@ def test_scan_identity_row():
     assert np.allclose(table.log_ratios[0], 0.0)
 
 
-def test_scan_budget_error_and_monte_carlo_fallback():
-    with pytest.raises(BudgetExceededError):
+def test_scan_budget_error():
+    with pytest.raises(BudgetExceededError, match=r"^2\^25 words exceed the 1000 product budget$"):
         gap_ratio_scan(DIAG_PAIR, n_max=25, budget=1000)
-    table = gap_ratio_scan_monte_carlo(DIAG_PAIR, n_max=25, samples=32, rng=0)
-    assert table.method == "monte-carlo"
-    # deterministic tuple: sampled maxima are exact here
-    assert table.log_ratios[25, 0] == pytest.approx(25 * np.log(2.0 / 3.0), abs=1e-8)
 
 
 def test_scan_maximum_over_words_is_exact():

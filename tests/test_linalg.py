@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import haar_frame
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,6 @@ from affinedim.linalg import (
     FlagChain,
     SubspaceFrame,
     exterior_power,
-    haar_frame,
     index_tuples,
     minor,
     orthogonal_projection,

@@ -26,8 +26,6 @@ from affinedim.measure import (
     PointCloud,
     box_counting_dimension,
     check_separation,
-    cloud_from_csv,
-    cloud_to_csv,
     lift_ifs,
     local_dimension_estimate,
     natural_projection,
@@ -78,6 +76,17 @@ def test_natural_projection_refinement_within_bound():
 def test_natural_projection_rejects_empty_word():
     with pytest.raises(ValueError):
         natural_projection(cantor_ifs(), [])
+
+
+@pytest.mark.parametrize("word, message", [
+    ([0.7, 1.9], r"^words\[0\] is 0.7; words must have an integer dtype, not float64$"),
+    ([True, False], r"^words\[0\] is True; words must have an integer dtype, not bool$"),
+    ([0, 5], r"^words\[1\] is 5; symbols must be in 0..1$"),
+    ([0, -1], r"^words\[1\] is -1; symbols must be in 0..1$"),
+], ids=["float", "bool", "too-large", "negative"])
+def test_natural_projection_rejects_words_that_are_not_symbols(word, message):
+    with pytest.raises(ValueError, match=message):
+        natural_projection(cantor_ifs(), word)
 
 
 # ---------------------------------------------------------------------------
@@ -923,61 +932,6 @@ def test_bounding_box_equals_axis_reductions(d):
     # the box-counting grid anchor: the same cells as the axis-0 minimum gives
     eps = cloud.diameter / 37.0
     assert np.array_equal(np.floor((pts - lo) / eps), np.floor((pts - pts.min(axis=0)) / eps))
-
-
-# ---------------------------------------------------------------------------
-# CSV round trip
-
-
-def test_cloud_csv_roundtrip_bit_exact(tmp_path):
-    ifs = bm_carpet_ifs()
-    cloud = sample_measure(ifs, 200, 18, rng=103)
-    path = tmp_path / "cloud.csv"
-    cloud_to_csv(cloud, path)
-    back = cloud_from_csv(path, ifs=ifs)
-    assert np.array_equal(back.points, cloud.points)
-    assert np.array_equal(back.words, cloud.words)
-    assert back.depth == cloud.depth
-    assert np.allclose(back.errors, cloud.errors, rtol=1e-15)
-    header = path.read_text().splitlines()[0]
-    assert header == "x1,x2,word,depth"
-
-
-def test_cloud_csv_rejects_non_finite_row(tmp_path):
-    cloud = sample_measure(bm_carpet_ifs(), 5, 6, rng=105)
-    path = tmp_path / "cloud.csv"
-    cloud_to_csv(cloud, path)
-    lines = path.read_text().splitlines()
-    lines[3] = "nan," + lines[3].split(",", 1)[1]
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="point 2 has non-finite"):
-        cloud_from_csv(path)
-
-
-@pytest.mark.parametrize("symbol, message", [
-    ("5", r"words\[2, 1\] is 5; symbols must be in 0..2"),
-    ("-1", r"words\[2, 1\] is -1; symbols must be in 0..2"),
-], ids=["too-large", "negative"])
-def test_cloud_csv_rejects_symbols_outside_the_alphabet(tmp_path, symbol, message):
-    ifs = bm_carpet_ifs()
-    cloud = sample_measure(ifs, 5, 4, rng=107)
-    path = tmp_path / "cloud.csv"
-    cloud_to_csv(cloud, path)
-    lines = path.read_text().splitlines()
-    cells = lines[3].split(",")  # data row 2
-    symbols = cells[2].split(".")
-    symbols[1] = symbol
-    cells[2] = ".".join(symbols)
-    lines[3] = ",".join(cells)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=message):
-        cloud_from_csv(path, ifs=ifs)
-
-
-def test_cloud_csv_requires_words(tmp_path):
-    cloud = PointCloud.from_points(np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        cloud_to_csv(cloud, tmp_path / "nope.csv")
 
 
 # ---------------------------------------------------------------------------
