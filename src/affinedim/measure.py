@@ -46,7 +46,7 @@ MIN_USABLE_RADII = 20
 BOX_SIZES = 26  # default box grid: sizes from diam/5 down in steps of DEFAULT_RADII_RATIO
 SELF_AFFINITY_MIN_COUNT = 20
 _SWEEP_BLOCK = 1 << 18  # candidate pairs per chunk of a distance search: near cache size
-_SAMPLE_BLOCK_ROWS = 4096  # samples stepped together past the suffix table: near cache size
+_SAMPLE_BLOCK_ROWS = 4096  # rows of points stepped or gathered together: near cache size
 
 
 @dataclass(frozen=True)
@@ -213,11 +213,12 @@ def sample_measure(ifs: IfsSystem, count: int, depth: int, rng=None) -> PointClo
     :func:`natural_projection` (vectorised); per-point truncation bounds are
     recorded.  Points are built from the last symbol inwards, so after ``j``
     steps there are at most ``N**j`` distinct partial points: while that table
-    is no longer than the sample, every suffix is stepped once and each sample
-    keeps its table row; then each sample goes on alone, in blocks of
-    ``_SAMPLE_BLOCK_ROWS`` rows that take all their remaining steps while they
-    are in cache.  Every row takes the same einsum step either way, and no
-    row's step reads another row, so the points do not depend on the split.
+    is no longer than the sample, every suffix is stepped once, the next level
+    written in blocks of ``_SAMPLE_BLOCK_ROWS`` rows, and each sample keeps its
+    table row; then each sample goes on alone, in blocks of that many rows
+    that take all their remaining steps while they are in cache.  Every row
+    takes the same einsum step either way, and no row's step reads another
+    row, so the points do not depend on the split.
     Deterministic given the seed.
     """
     if count < 1 or depth < 1:
@@ -239,9 +240,13 @@ def sample_measure(ifs: IfsSystem, count: int, depth: int, rng=None) -> PointClo
     row = np.zeros(count, dtype=np.int64)
     k = depth - 1
     while k >= 0 and table.shape[0] * n <= count:
-        parent, sel = divmod(np.arange(table.shape[0] * n), n)
-        table = step(sel, table[parent])
-        row = row * n + words[:, k]
+        grown = np.empty((table.shape[0] * n, ifs.d))
+        for s in range(0, grown.shape[0], _SAMPLE_BLOCK_ROWS):
+            parent, sel = divmod(np.arange(s, min(s + _SAMPLE_BLOCK_ROWS, grown.shape[0])), n)
+            grown[s:s + _SAMPLE_BLOCK_ROWS] = step(sel, table[parent])
+        table = grown
+        row *= n
+        row += words[:, k]
         k -= 1
     pts = np.empty((count, ifs.d))
     for s in range(0, count, _SAMPLE_BLOCK_ROWS):
@@ -392,23 +397,23 @@ def _windows(lo: np.ndarray, hi: np.ndarray):
 
 
 def _cross_pairs(points: np.ndarray, groups, r: float):
-    """Every pair of ``points`` in different groups within distance ``r``.
+    """Every pair of ``points`` in different groups within distance ``r``, in chunks.
 
-    ``groups[g]`` holds the global indices of group ``g``.  Returns the
-    global indices ``i < j`` of each pair and the distance between them.
-    Each group is sorted once by its first coordinate, and each point is
-    compared with the run of every later group within ``r (1 + 1e-9)`` in
-    that coordinate.  A pair is kept when its squared distance (see
-    :func:`_squared_distances`) is at most ``r * r``, as the KD-tree keeps it;
-    then the first coordinate's rounded square is at most ``r * r`` too, so
-    its difference is within a few ulp of ``r``, and the padded run bounds,
-    rounded like the coordinates themselves, cannot leave the pair out.
+    ``groups[g]`` holds the global indices of group ``g``.  Yields, per chunk
+    of at most about ``_SWEEP_BLOCK`` candidates, the global indices ``i < j``
+    of each pair found and the distance between them.  Each group is sorted
+    once by its first coordinate, and each point is compared with the run of
+    every later group within ``r (1 + 1e-9)`` in that coordinate.  A pair is
+    kept when its squared distance (see :func:`_squared_distances`) is at
+    most ``r * r``, as the KD-tree keeps it; then the first coordinate's
+    rounded square is at most ``r * r`` too, so its difference is within a
+    few ulp of ``r``, and the padded run bounds, rounded like the coordinates
+    themselves, cannot leave the pair out.
     """
     r2 = r * r
     reach = r * (1.0 + 1e-9)
     groups = [g[np.argsort(points[g, 0], kind="stable")] for g in groups]
     cols = [points[g].T.copy() for g in groups]  # one contiguous row per coordinate
-    found = []
     for a, b in itertools.combinations(range(len(groups)), 2):
         ga, gb, ca, cb = groups[a], groups[b], cols[a], cols[b]
         lo = np.searchsorted(cb[0], ca[0] - reach, "left")
@@ -417,8 +422,28 @@ def _cross_pairs(points: np.ndarray, groups, r: float):
             sq = _squared_distances(ca[:, ka], cb[:, kb])
             keep = sq <= r2
             i, j = ga[ka[keep]], gb[kb[keep]]
-            found.append((np.minimum(i, j), np.maximum(i, j), np.sqrt(sq[keep])))
-    return [np.concatenate(col) for col in zip(*found)]
+            yield np.minimum(i, j), np.maximum(i, j), np.sqrt(sq[keep])
+
+
+def _first_smallest(chunks, value, floor: float = -np.inf):
+    """``(value, i, j)`` of the first pair with the smallest ``value(i, j, dist)``, or ``None``.
+
+    ``chunks`` yields ``(i, j, dist)`` arrays, as :func:`_cross_pairs` does.
+    Ties go to the earliest pair, so the pair is the one that ``np.argmin``
+    picks over all chunks joined end to end.  No value lies below ``floor``,
+    so once the smallest reaches it no later pair can replace it, and the
+    search stops there.
+    """
+    best = None
+    for i, j, dist in chunks:
+        if dist.size:
+            v = value(i, j, dist)
+            k = int(np.argmin(v))
+            if best is None or v[k] < best[0]:
+                best = (float(v[k]), int(i[k]), int(j[k]))
+                if best[0] <= floor:
+                    break
+    return best
 
 
 def _closest(pa: np.ndarray, pb: np.ndarray, k: np.ndarray, kb: np.ndarray):
@@ -511,28 +536,27 @@ def check_separation(ifs: IfsSystem, level: int, budget: int = PRODUCT_BUDGET) -
     def witness(i, j):
         return (tuple(words[i].tolist()), tuple(words[j].tolist()))
 
-    i, j, dist = _cross_pairs(centers, groups, 2.0 * float(radii.max()) + guard)
-    near = i.size > 0
+    def gap(i, j, dist):
+        return dist - radii[i] - radii[j]
+
+    worst = _first_smallest(_cross_pairs(centers, groups, 2.0 * float(radii.max()) + guard), gap)
+    near = worst is not None
     if not near:
         # every hull gap exceeds the guard; the witness pairs each cylinder
         # with its nearest centre of a later first symbol
-        found = []
-        for a, b in itertools.combinations(range(len(groups)), 2):
-            found.append((groups[a], *_nearest(centers, groups[a], groups[b])))
-        i, j, dist = (np.concatenate(col) for col in zip(*found))
-    gaps = dist - radii[i] - radii[j]
-    worst = int(np.argmin(gaps))
-    worst_pair = witness(i[worst], j[worst])
-    if not near or gaps[worst] > guard:
-        return SeparationVerdict("ssc-verified", worst_pair, float(gaps[worst]), level)
-    # hulls touch or overlap: look for coinciding attractor points
-    pi, pj, pd = _cross_pairs(samples, groups, resolution)
-    if pd.size:
-        hit = int(np.argmin(pd))
-        return SeparationVerdict(
-            "overlap-detected", witness(pi[hit], pj[hit]), float(pd[hit]), level
-        )
-    return SeparationVerdict("inconclusive", worst_pair, float(gaps[worst]), level)
+        worst = _first_smallest(
+            ((groups[a], *_nearest(centers, groups[a], groups[b]))
+             for a, b in itertools.combinations(range(len(groups)), 2)), gap)
+    worst_gap, worst_pair = worst[0], witness(*worst[1:])
+    if not near or worst_gap > guard:
+        return SeparationVerdict("ssc-verified", worst_pair, worst_gap, level)
+    # hulls touch or overlap: look for coinciding attractor points; the
+    # first pair at distance 0 settles the search
+    hit = _first_smallest(_cross_pairs(samples, groups, resolution),
+                          lambda i, j, dist: dist, floor=0.0)
+    if hit is not None:
+        return SeparationVerdict("overlap-detected", witness(*hit[1:]), hit[0], level)
+    return SeparationVerdict("inconclusive", worst_pair, worst_gap, level)
 
 
 @dataclass(frozen=True)
@@ -576,7 +600,9 @@ def project_cloud(cloud: PointCloud, v: SubspaceFrame) -> PointCloud:
     """
     if cloud.dim != v.d:
         raise ValueError(f"cloud dimension {cloud.dim} does not match ambient {v.d}")
-    return PointCloud(cloud.points @ v.frame, cloud.words, cloud.errors, cloud.depth, cloud.seed)
+    points = cloud.points @ v.frame
+    points.flags.writeable = False  # a fresh array: the cloud keeps it without a copy
+    return PointCloud(points, cloud.words, cloud.errors, cloud.depth, cloud.seed)
 
 
 @dataclass(frozen=True)
@@ -650,7 +676,11 @@ def _ball_counts(pts: np.ndarray, center_idx: np.ndarray, radii: np.ndarray) -> 
         # the run is [start, up) upward and [rstart, down) downward; the
         # start is in both, and the centre is not counted
         return (up - start + down - rstart - 2).reshape(center_idx.size, radii.size)
-    cols = pts[np.argsort(pts[:, 0])].T.copy()  # one contiguous row per coordinate
+    order = np.argsort(pts[:, 0])
+    cols = np.empty((pts.shape[1], order.size))  # one contiguous row per coordinate
+    for s in range(0, order.size, _SAMPLE_BLOCK_ROWS):  # no (m, d) temporary
+        cols[:, s:s + _SAMPLE_BLOCK_ROWS] = pts[order[s:s + _SAMPLE_BLOCK_ROWS]].T
+    del order  # not held through the windows
     xs, c = cols[0], pts[center_idx]
     r2 = radii * radii
     widest = r2.max()
@@ -779,25 +809,30 @@ class BoxCountReport:
 _KEY_LIMIT = int(np.iinfo(np.int64).max)
 
 
-def _cell_counts(cells: np.ndarray) -> np.ndarray:
-    """Occupancy of each distinct row of non-negative ``cells``, in lexicographic row order.
+def _cell_counts(columns) -> np.ndarray:
+    """Occupancy of each distinct cell, in lexicographic cell order.
 
-    The counts equal ``np.unique(cells, axis=0, return_counts=True)[1]``.
-    Columns are folded into one int64 key per row, mixed-radix over the column
-    extents.  When the next fold could overflow, the partial key and the column
-    are first replaced by their dense ranks, which keep their order.
+    ``columns`` yields one non-negative int64 array per coordinate, the
+    cells' indices along it; the function may overwrite them.  The counts
+    equal ``np.unique(cells, axis=0, return_counts=True)[1]`` for the
+    ``(m, d)`` array ``cells`` whose columns they are.  Columns are folded in
+    place into one int64 key per cell, mixed-radix over the column extents.
+    When the next fold could overflow, the partial key and the column are
+    first replaced by their dense ranks, which keep their order.
     """
-    key = cells[:, 0]
+    columns = iter(columns)
+    key = next(columns)
     size = int(key.max()) + 1  # every key lies in [0, size)
-    for col in cells.T[1:]:
+    for col in columns:
         n = int(col.max()) + 1
         if size * n > _KEY_LIMIT:
             key = np.unique(key, return_inverse=True)[1]
             col = np.unique(col, return_inverse=True)[1]
             size, n = int(key.max()) + 1, int(col.max()) + 1
-        key = key * n + col
+        key *= n
+        key += col
         size *= n
-    key = np.sort(key)
+    key.sort()
     starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     return np.diff(np.append(starts, key.size))
 
@@ -817,7 +852,8 @@ def box_counting_dimension(
     which suppresses the log-periodic oscillations of grid-aligned systems.
     Every given box size must be finite and positive.  Offsets from the min
     corner are then at least 0, so truncating ``offset / eps`` to an integer
-    gives the same cell as its floor.
+    gives the same cell as its floor.  Cells are formed one coordinate at a
+    time, so no ``(m, d)`` temporary is made for any box size.
     """
     pts = cloud.points
     m = cloud.m
@@ -830,10 +866,10 @@ def box_counting_dimension(
         if cloud.truncation_floor is not None:
             eps_list = eps_list[eps_list >= cloud.truncation_floor]
     eps_list = np.sort(np.asarray(eps_list, dtype=float))[::-1]
-    offsets = pts - cloud.bounding_box[0]
+    corner = cloud.bounding_box[0]
     eps_used, info = [], []
     for eps in eps_list:
-        counts = _cell_counts((offsets / eps).astype(np.int64))
+        counts = _cell_counts(((x - lo) / eps).astype(np.int64) for x, lo in zip(pts.T, corner))
         if m / counts.size < min_occupancy:
             continue
         p = counts / m

@@ -1,4 +1,6 @@
-"""Shared generators for random map tuples and reference systems, and test oracles."""
+"""Shared generators for random maps and reference systems, test oracles, and a memory probe."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -152,3 +154,18 @@ def telescoping_identity_check(hseq, exponents, rtol: float = 1e-12) -> bool:
     rhs = float(np.sum(drops / chi))
     scale = max(1.0, abs(lhs), abs(rhs))
     return bool(abs(lhs - rhs) <= rtol * scale)
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the peak bytes that ``tracemalloc`` traced during the call."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak

@@ -2,12 +2,11 @@
 
 import itertools
 import re
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import bm_carpet_ifs, cantor_dust_ifs, cantor_ifs, segment_ifs
+from conftest import bm_carpet_ifs, cantor_dust_ifs, cantor_ifs, segment_ifs, traced_peak
 from scipy import stats
 from scipy.spatial import cKDTree
 
@@ -130,7 +129,8 @@ def test_sample_deterministic_given_seed():
     assert a.seed == 9
 
 
-def test_sample_keeps_the_drawn_arrays(monkeypatch):
+def _record_copies(monkeypatch):
+    """The shapes of the arrays that ``PointCloud`` copies from here on."""
     copied = []
 
     def recording(a):
@@ -141,6 +141,11 @@ def test_sample_keeps_the_drawn_arrays(monkeypatch):
 
     real = measure._frozen
     monkeypatch.setattr(measure, "_frozen", recording)
+    return copied
+
+
+def test_sample_keeps_the_drawn_arrays(monkeypatch):
+    copied = _record_copies(monkeypatch)
     ifs = bm_carpet_ifs()
     cloud = sample_measure(ifs, 300, 20, rng=61)
     assert copied == []
@@ -224,6 +229,8 @@ def _random_contractions(rng, n_maps, d):
 def test_sample_blocks_equal_per_sample_recursion(n_maps, d, rows_for, monkeypatch):
     ifs = _random_contractions(np.random.default_rng(1500 + n_maps + d), n_maps, d)
     full = (n_maps**2, 2) if n_maps <= 3 else (n_maps, 1)  # count >= n_maps**depth
+    # blocks of 1 and 7 rows split the suffix table's levels too, and count - 1
+    # rows split the full table of `full`
     for count, depth in [(37, 1), full, (37, 6), (200, 9)]:
         monkeypatch.setattr(measure, "_SAMPLE_BLOCK_ROWS", max(1, rows_for(count)))
         cloud = _assert_sampling_exact(ifs, count, depth, 77 + count + depth)
@@ -240,17 +247,25 @@ def test_sample_words_in_the_narrowest_unsigned_type(n_maps, dtype):
 
 def test_sample_memory_stays_bounded():
     # stp3 at the dim report's sample size and depth: the words are one byte
-    # per symbol and every sample's steps run on cache-sized blocks
+    # per symbol, and the suffix table and every sample's steps are built in
+    # cache-sized blocks (the finished cloud holds 7.1 MB)
     ifs = load_config(CONFIG_DIR / "stp3.json").ifs
     count, depth = 100_000, 39
-    tracemalloc.start()
-    try:
-        cloud = sample_measure(ifs, count, depth, rng=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    cloud, peak = traced_peak(sample_measure, ifs, count, depth, rng=3)
     assert cloud.words.nbytes == count * depth
-    assert peak < 20e6, peak
+    assert peak < 13e6, peak
+
+
+def _bm_cloud():
+    """The bm dim report's cloud: 200,000 samples at its depth of 15."""
+    return sample_measure(load_config(CONFIG_DIR / "bm.json").ifs, 200_000, 15, rng=7)
+
+
+def test_sample_bm_memory_stays_bounded():
+    # the finished cloud holds 7.8 MB; no temporary is as large as its points
+    cloud, peak = traced_peak(_bm_cloud)
+    assert cloud.points.nbytes + cloud.words.nbytes + cloud.errors.nbytes == 7_800_000
+    assert peak < 15e6, peak
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +444,57 @@ def test_separation_matches_brute_force_on_random_systems():
     assert seen == {"ssc-verified", "overlap-detected", "inconclusive"}
 
 
+def _overlap_ifs(shift=0.0):
+    """Two maps ``x/3 + 0.1`` and ``x/3 + 0.1 + shift``: every hull and sample coincide at 0."""
+    return IfsSystem(np.array([[[1.0 / 3.0]], [[1.0 / 3.0]]]), np.array([[0.1], [0.1 + shift]]),
+                     BernoulliWeights.uniform(2))
+
+
+@pytest.mark.parametrize("ifs, level, status, tied", [
+    (_overlap_ifs(), 5, "overlap-detected", True),
+    (_overlap_ifs(1e-13), 5, "overlap-detected", False),  # the closest samples are apart
+    (_overlap_ifs(1e-6), 5, "inconclusive", False),
+    (segment_ifs(), 6, "inconclusive", False),
+    (bm_carpet_ifs(), 3, "inconclusive", False),
+    (bm_carpet_ifs(((0, 0), (1, 0), (0, 1), (1, 1)), 2, 2), 3, "inconclusive", True),
+    (cantor_dust_ifs(), 3, "ssc-verified", True),
+], ids=["overlap", "near-overlap", "apart", "segment", "bm", "square", "dust"])
+@pytest.mark.parametrize("block", [1, 3, 40])
+def test_streamed_witness_is_argmin_over_all_pairs(ifs, level, status, tied, block, monkeypatch):
+    # tiny chunks, so that tied smallest gaps and distances fall in several chunks
+    monkeypatch.setattr(measure, "_SWEEP_BLOCK", block)
+    verdict = check_separation(ifs, level)
+    assert verdict.status == status
+    centers, radii, firsts, samples, words = _enumerate_cylinders(ifs, level)
+    groups = [np.flatnonzero(firsts == g) for g in range(ifs.n_maps)]
+    scale = 1.0 + ifs.bounding_radius
+    if status == "overlap-detected":
+        chunks = list(_cross_pairs(samples, groups, 1e-9 * scale))
+    else:
+        if status == "inconclusive":
+            chunks = _cross_pairs(centers, groups, 2.0 * float(radii.max()) + 1e-12 * scale)
+        else:
+            chunks = ((groups[a], *_nearest(centers, groups[a], groups[b]))
+                      for a, b in itertools.combinations(range(ifs.n_maps), 2))
+        chunks = [(i, j, dist - radii[i] - radii[j]) for i, j, dist in chunks]
+    i, j, value = (np.concatenate(col) for col in zip(*chunks))
+    k = int(np.argmin(value))
+    # the witness is argmin's over all pairs joined end to end
+    assert verdict.witness_gap == float(value[k])
+    assert verdict.witness_words == (tuple(words[i[k]].tolist()), tuple(words[j[k]].tolist()))
+    assert (sum(bool((c[2] == value[k]).any()) for c in chunks) > 1) == tied
+
+
+def test_separation_overlap_memory_stays_bounded():
+    # the first coinciding sample pair settles the search, and the 2^24 hull
+    # pairs are searched in bounded chunks
+    ifs = load_config(CONFIG_DIR / "overlap.json").ifs
+    verdict, peak = traced_peak(check_separation, ifs, 13)
+    assert (verdict.status, verdict.witness_words, verdict.witness_gap, verdict.level) == (
+        "overlap-detected", ((1,) * 13, (0,) + (1,) * 12), 0.0, 13)
+    assert peak < 40e6, peak
+
+
 def test_separation_budget_precondition():
     with pytest.raises(ValueError):
         check_separation(cantor_dust_ifs(), level=12, budget=10_000)
@@ -530,6 +596,16 @@ def test_project_shares_frozen_words_and_errors():
     assert np.shares_memory(proj.words, cloud.words)
     assert np.shares_memory(proj.errors, cloud.errors)
     assert not proj.words.flags.writeable
+
+
+def test_project_keeps_the_fresh_projection(monkeypatch):
+    cloud = sample_measure(bm_carpet_ifs(), 300, 20, rng=67)
+    copied = _record_copies(monkeypatch)
+    frame = SubspaceFrame.from_span(np.array([1.0, 2.0]))
+    proj = project_cloud(cloud, frame)
+    assert copied == []
+    assert np.array_equal(proj.points, cloud.points @ frame.frame)
+    assert proj.points.flags.owndata and not proj.points.flags.writeable
 
 
 def test_point_cloud_copies_writeable_input():
@@ -822,6 +898,21 @@ def test_ball_counts_tie_where_count_neighbors_differs(centre, near, far, r, ins
     assert tree.count_neighbors(cKDTree(pts[:1]), [r])[0] - 1 == 1 - inside
 
 
+def test_ball_counts_memory_stays_bounded():
+    # the sorted coordinates are gathered in blocks, straight into their
+    # rows (the cloud's points hold 3.2 MB)
+    cloud = _bm_cloud()
+    centers = np.random.default_rng(5).choice(cloud.m, 64, replace=False)
+    counts, peak = traced_peak(_ball_counts, cloud.points, centers, measure.default_radii(cloud))
+    assert counts.shape == (64, 24)
+    assert peak < 5.7e6, peak
+
+
+def _all_cross_pairs(pts, groups, r):
+    """Every chunk of :func:`_cross_pairs` joined end to end."""
+    return [np.concatenate(col) for col in zip(*_cross_pairs(pts, groups, r))]
+
+
 def test_searches_keep_a_point_past_the_rounded_bound():
     # (x - c)**2 <= r * r, yet c + r rounds one ulp below x: a window
     # bounded by c + r would drop the point
@@ -830,7 +921,7 @@ def test_searches_keep_a_point_past_the_rounded_bound():
     pts = np.array([[c, 0.0], [x, 0.0]])
     assert _tree_counts(pts, np.array([0]), np.array([r])).tolist() == [[1]]
     assert _ball_counts(pts, np.array([0]), np.array([r])).tolist() == [[1]]
-    i, j, dist = _cross_pairs(pts, [np.array([0]), np.array([1])], r)
+    i, j, dist = _all_cross_pairs(pts, [np.array([0]), np.array([1])], r)
     assert (i.tolist(), j.tolist(), dist.tolist()) == ([0], [1], [np.sqrt((x - c) ** 2)])
 
 
@@ -878,7 +969,7 @@ def test_cross_pairs_equal_the_tree(d, kind, block, monkeypatch):
     radii = np.concatenate([dist, np.nextafter(dist, 0.0), np.nextafter(dist, np.inf),
                             [0.0, 0.02 * np.ptp(pts, axis=0).max()]])
     for r in radii[::-every]:
-        got = _sorted_pairs(*_cross_pairs(pts, groups, r))
+        got = _sorted_pairs(*_all_cross_pairs(pts, groups, r))
         want = _sorted_pairs(*_tree_cross_pairs(pts, groups, r))
         for g, w in zip(got, want):  # the same pairs, and distances with the same bits
             assert np.array_equal(g, w), r
@@ -957,7 +1048,7 @@ def test_cell_counts_match_unique(d, eps, overflows):
     cells = np.floor(pts / eps).astype(np.int64)
     assert _plain_key_overflows(cells) == overflows
     _, want = np.unique(cells, axis=0, return_counts=True)
-    assert np.array_equal(_cell_counts(cells), want)
+    assert np.array_equal(_cell_counts(cells.T.copy()), want)
 
 
 def test_cell_counts_with_huge_columns():
@@ -966,7 +1057,7 @@ def test_cell_counts_with_huge_columns():
     cells = rng.integers(0, 2**62, size=(400, 3))
     cells = np.concatenate([cells, cells[:100], cells[:40] // 2])
     _, want = np.unique(cells, axis=0, return_counts=True)
-    assert np.array_equal(_cell_counts(cells), want)
+    assert np.array_equal(_cell_counts(cells.T.copy()), want)
 
 
 def test_box_counting_diagonal_in_r8_unchanged():
@@ -983,9 +1074,10 @@ def test_box_counting_diagonal_in_r8_unchanged():
 def test_box_cells_truncated_equal_floor(monkeypatch):
     seen = []
 
-    def record(cells):
-        seen.append(cells)
-        return _cell_counts(cells)
+    def record(columns):
+        columns = list(columns)
+        seen.append(np.column_stack(columns))  # a copy: the count may overwrite the columns
+        return _cell_counts(columns)
 
     monkeypatch.setattr(measure, "_cell_counts", record)
     rng = np.random.default_rng(131)
@@ -1015,6 +1107,15 @@ def test_box_counting_rejects_eps_not_finite_and_positive(bad, monkeypatch):
     eps[2] = bad
     with pytest.raises(ValueError, match=re.escape(f"eps_list[2] is {float(bad)!r}")):
         box_counting_dimension(cloud, eps_list=list(eps))
+
+
+def test_box_counting_memory_stays_bounded():
+    # cells are formed one coordinate at a time: no (m, d) float or int64
+    # array is made for any box size (the cloud's points hold 3.2 MB)
+    cloud = _bm_cloud()
+    rep, peak = traced_peak(box_counting_dimension, cloud)
+    assert rep.dimension == pytest.approx(1.34, abs=0.05)
+    assert peak < 6.5e6, peak
 
 
 def test_box_counting_cantor():
