@@ -150,11 +150,7 @@ def _parse_matrix(entry, d: int | None, loc: str) -> np.ndarray:
             raise ConfigError(f"flat matrix of length {len(flat)} is not square", loc)
     if d is not None and n != d:
         raise ConfigError(f"matrix is {n}x{n}, expected {d}x{d}", loc)
-    try:
-        vals = [float(x) for x in flat]
-    except (TypeError, ValueError):
-        raise ConfigError("matrix entries must be numbers", loc) from None
-    return np.array(vals).reshape(n, n)
+    return np.array([_number(x, loc) for x in flat]).reshape(n, n)
 
 
 def _parse_ifs(doc: dict) -> IfsSystem:

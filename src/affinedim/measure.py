@@ -654,44 +654,42 @@ def _ball_counts(pts: np.ndarray, center_idx: np.ndarray, radii: np.ndarray) -> 
     comparison of the norm with ``r``.  The cloud is sorted once by its
     first coordinate: since ``x - c`` rounds monotonically in ``x``, the
     points with ``(x - c)**2 <= r*r`` in that coordinate form one run around
-    the centre, whose two ends are found for all centres at once by
-    bisection under that same rule.  A 1-D cloud is then counted from those
-    ends alone, for every radius.  Otherwise each centre's run for the
-    largest radius is its window: the squared distances over it (see
-    :func:`_squared_distances`, the tree's summation order) are sorted, and
-    each radius is counted by one search for ``r * r``.  The full sum is at
-    least the first coordinate's square, so the window holds every point in
-    the ball.  SciPy's one-pass ``count_neighbors`` was never a substitute:
-    it decides points within an ulp of the sphere by node bounds and can
+    the centre, and the two ends of the run of every (centre, radius) pair
+    are found at once by bisection under that same rule.  A 1-D cloud is
+    counted from those ends alone.  Otherwise each centre's squared
+    distances (see :func:`_squared_distances`, the tree's summation order)
+    are computed once over its widest run, and each radius is counted over
+    its own run, which lies inside the widest: the full sum is at least the
+    first coordinate's square, so a radius's run holds every point in its
+    ball.  SciPy's one-pass ``count_neighbors`` was never a substitute: it
+    decides points within an ulp of the sphere by node bounds and can
     disagree with the rule above.
     """
     if pts.shape[1] == 1:
-        xs = np.sort(pts[:, 0])
-        c = np.repeat(pts[center_idx, 0], radii.size)
-        r2 = np.tile(radii * radii, center_idx.size)
-        start = np.searchsorted(xs, c)  # a position holding the centre's value
-        rstart = xs.size - 1 - start  # the same position in the reversed order
-        up = _run_end(xs, c, r2, start)
-        down = _run_end(xs[::-1], c, r2, rstart)
-        # the run is [start, up) upward and [rstart, down) downward; the
-        # start is in both, and the centre is not counted
-        return (up - start + down - rstart - 2).reshape(center_idx.size, radii.size)
-    order = np.argsort(pts[:, 0])
-    cols = np.empty((pts.shape[1], order.size))  # one contiguous row per coordinate
-    for s in range(0, order.size, _SAMPLE_BLOCK_ROWS):  # no (m, d) temporary
-        cols[:, s:s + _SAMPLE_BLOCK_ROWS] = pts[order[s:s + _SAMPLE_BLOCK_ROWS]].T
-    del order  # not held through the windows
+        cols = np.sort(pts[:, 0])[None]
+    else:
+        order = np.argsort(pts[:, 0])
+        cols = np.empty((pts.shape[1], order.size))  # one contiguous row per coordinate
+        for s in range(0, order.size, _SAMPLE_BLOCK_ROWS):  # no (m, d) temporary
+            cols[:, s:s + _SAMPLE_BLOCK_ROWS] = pts[order[s:s + _SAMPLE_BLOCK_ROWS]].T
+        del order  # not held through the runs
     xs, c = cols[0], pts[center_idx]
     r2 = radii * radii
-    widest = r2.max()
-    start = np.searchsorted(xs, c[:, 0])
-    hi = _run_end(xs, c[:, 0], widest, start)
-    lo = xs.size - _run_end(xs[::-1], c[:, 0], widest, xs.size - 1 - start)
-    counts = np.empty((center_idx.size, radii.size), dtype=np.int64)
+    c0 = np.repeat(c[:, 0], radii.size)
+    r2s = np.tile(r2, center_idx.size)
+    start = np.searchsorted(xs, c0)  # a position holding the centre's value
+    # the run is [lo, hi): upward from start, and downward from start in the reversed order
+    hi = _run_end(xs, c0, r2s, start).reshape(center_idx.size, radii.size)
+    lo = xs.size - _run_end(xs[::-1], c0, r2s, xs.size - 1 - start).reshape(hi.shape)
+    if pts.shape[1] == 1:
+        return hi - lo - 1  # the centre is not counted
+    counts = np.empty(hi.shape, dtype=np.int64)
     for k in range(center_idx.size):
-        sq = np.sort(_squared_distances(cols[:, lo[k]:hi[k]], c[k]))
-        counts[k] = np.searchsorted(sq, r2, "right") - 1
-    return counts
+        first = lo[k].min()
+        sq = _squared_distances(cols[:, first:hi[k].max()], c[k])
+        runs = zip((lo[k] - first).tolist(), (hi[k] - first).tolist(), r2.tolist())
+        counts[k] = [np.count_nonzero(sq[a:b] <= r) for a, b, r in runs]
+    return counts - 1  # the centre is not counted
 
 
 def _finite_positive(values, name: str) -> np.ndarray:

@@ -94,6 +94,16 @@ def test_non_finite_config_number_rejected_with_location(section, key, value, tm
     assert err.startswith(f"error: {section}.{key}: expected a finite number")
 
 
+@pytest.mark.parametrize("value", ["0.1", True, float("nan"), float("inf")])
+def test_non_number_matrix_entry_rejected_with_location(value, tmp_path, capsys):
+    # a string or a bool is no number, and NaN or Infinity no finite one
+    doc = cantor_doc()
+    doc["ifs"]["matrices"][0] = [[value]]
+    code, _, err = run(["lyapunov", "--config", write_config(tmp_path, doc)], capsys)
+    assert code == 2
+    assert err.startswith("error: ifs.matrices[0]:")
+
+
 def test_integer_valued_float_runs_and_echoes_as_integer(tmp_path, capsys):
     doc = cantor_doc(lyapunov={"steps": 500.0, "trials": 4})
     code, out, err = run(["lyapunov", "--config", write_config(tmp_path, doc),

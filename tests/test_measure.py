@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import bm_carpet_ifs, cantor_dust_ifs, cantor_ifs, segment_ifs, traced_peak
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.spatial import cKDTree
 
@@ -865,7 +867,9 @@ def _cloud(kind, rng, d, n=2000):
 def test_ball_counts_equal_the_tree(d, kind, seed):
     rng = np.random.default_rng(9100 + 10 * d + seed)
     pts = _cloud(kind, rng, d)
-    center_idx = rng.choice(pts.shape[0], 24, replace=False)
+    # the extremes of the first coordinate put runs at both ends of the sorted cloud
+    center_idx = np.concatenate([[np.argmin(pts[:, 0]), np.argmax(pts[:, 0])],
+                                 rng.choice(pts.shape[0], 24, replace=False)])
     # exact centre-to-point distances, their neighbours, and a geometric grid
     dist = np.linalg.norm(pts[rng.choice(pts.shape[0], 48)] - pts[np.resize(center_idx, 48)], axis=1)
     dist = dist[dist > 0]
@@ -873,11 +877,12 @@ def test_ball_counts_equal_the_tree(d, kind, seed):
         dist, np.nextafter(dist, 0.0), np.nextafter(dist, np.inf),
         np.ptp(pts, axis=0).max() * 0.8 ** np.arange(40),
     ]))
-    for order in (radii[::-1], radii):  # descending as the estimator passes them, and ascending
-        want = _tree_counts(pts, center_idx, order)
-        assert np.array_equal(_ball_counts(pts, center_idx, order), want)
+    want = _tree_counts(pts, center_idx, radii)
+    # descending as the estimator passes them, ascending, and shuffled
+    for order in (np.arange(radii.size)[::-1], np.arange(radii.size), rng.permutation(radii.size)):
+        assert np.array_equal(_ball_counts(pts, center_idx, radii[order]), want[:, order])
     # the family is adversarial: comparing the norm with r misses the tree's rule somewhere
-    assert np.any(_norm_sort_counts(pts, center_idx, order) != want)
+    assert np.any(_norm_sort_counts(pts, center_idx, radii) != want)
 
 
 @pytest.mark.parametrize("centre, near, far, r, inside", [
@@ -896,6 +901,31 @@ def test_ball_counts_tie_where_count_neighbors_differs(centre, near, far, r, ins
     # the one-pass pair count decides this point by its node's bounds, the other way
     tree = cKDTree(pts)
     assert tree.count_neighbors(cKDTree(pts[:1]), [r])[0] - 1 == 1 - inside
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_property_ball_counts_equal_brute_force(data):
+    # a dyadic grid: with few bits every squared distance is exact and points
+    # tie on spheres; with many, the sums round
+    d = data.draw(st.integers(1, 3))
+    bits = data.draw(st.integers(1, 30))
+    scale = 2.0 ** data.draw(st.integers(-40, 4))
+    coord = st.integers(0, (1 << bits) - 1)
+    rows = data.draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=2, max_size=120))
+    pts = np.array(rows, dtype=float) * scale
+    repeat = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=80))
+    pts = np.concatenate([pts, pts[repeat]])
+    every = st.integers(0, pts.shape[0] - 1)
+    center_idx = np.array(data.draw(st.lists(every, min_size=1, max_size=8)))
+    others = np.array(data.draw(st.lists(every, min_size=1, max_size=8)))
+    # exact centre-to-point distances and their neighbours, in random order
+    dist = np.sqrt(_in_order_squared(pts, center_idx[:, None], others[None, :])).ravel()
+    dist = np.concatenate([dist, np.nextafter(dist, 0.0), np.nextafter(dist, np.inf)])
+    radii = np.array(data.draw(st.permutations(np.unique(dist[dist > 0]).tolist() or [1.0])))
+    sq = _in_order_squared(pts, center_idx[:, None], np.arange(pts.shape[0])[None, :])
+    want = (sq[:, :, None] <= radii * radii).sum(axis=1) - 1
+    assert np.array_equal(_ball_counts(pts, center_idx, radii), want)
 
 
 def test_ball_counts_memory_stays_bounded():
