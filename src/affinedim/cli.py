@@ -22,6 +22,8 @@ from .cocycle import BernoulliWeights, entropy, lyapunov_spectrum
 from .config import RunConfig, load_config
 from .dimension import (
     PipelineConfig,
+    _domination_block,
+    _spectrum_block,
     _tag,
     bedford_mcmullen_closed_form,
     bedford_mcmullen_ifs,
@@ -95,17 +97,12 @@ def cmd_lyapunov(args) -> int:
         sum(p * np.log(abs(np.linalg.det(m))) for p, m in zip(ifs.weights.p, ifs.matrices))
     )
     results = {
-        "exponents": _tag(
-            [float(x) for x in spectrum.exponents], "estimated",
-            stderr=None if spectrum.stderr is None else [float(x) for x in spectrum.stderr],
-        ),
-        "stderr": None if spectrum.stderr is None else [float(x) for x in spectrum.stderr],
-        "multiplicities": list(spectrum.multiplicities),
-        "gap_threshold": spectrum.gap_threshold,
+        **_spectrum_block(spectrum),
         "sum_exponents": _tag(float(spectrum.exponents.sum()), "estimated"),
         "mean_log_det_rate": _tag(expected_sum, "closed-form"),
         "entropy": _tag(entropy(ifs.weights), "closed-form"),
     }
+    results["exponents"]["stderr"] = results["stderr"]
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -142,17 +139,7 @@ def cmd_domination(args) -> int:
     report = detect_domination(table, opts["eps_slope"])
     results = {
         "method": "exhaustive",
-        "indices": [
-            {
-                "index": item.index,
-                "status": item.status,
-                "decay_rate": _tag(item.decay_rate, "estimated"),
-                "constant_estimate": _tag(item.constant_estimate, "estimated"),
-                "n_max": item.n_max,
-            }
-            for item in report.indices
-        ],
-        "dominated_indices": list(report.dominated_indices),
+        **_domination_block(report),
         "stp": [
             {"map": j, "is_stp": bool(chk), "det_positive": chk.det_positive,
              "min_minor": _tag(chk.min_minor, "closed-form")}

@@ -36,6 +36,7 @@ from .measure import (
     IfsSystem,
     LocalDimensionReport,
     SeparationVerdict,
+    _cylinder_products,
     box_counting_dimension,
     check_separation,
     local_dimension_estimate,
@@ -273,7 +274,7 @@ class PipelineConfig:
             depth = int(np.ceil(np.log(target / r) / np.log(alpha))) + 1
             depth = int(min(max(depth, 10), 200))
         level = self.separation_level
-        while level > 1 and level * ifs.n_maps**level > self.separation_budget:
+        while level > 1 and _cylinder_products(ifs.n_maps, level) > self.separation_budget:
             level -= 1
         return dataclasses.replace(self, sample_depth=depth, separation_level=level)
 
@@ -281,6 +282,29 @@ class PipelineConfig:
 def _tag(value, provenance: str, **extra) -> dict:
     """A report number with its provenance and any extra fields."""
     return {"value": value, "provenance": provenance, **extra}
+
+
+def _spectrum_block(spec: LyapunovSpectrum) -> dict:
+    """The report block of a Lyapunov spectrum."""
+    return {
+        "exponents": _tag([float(x) for x in spec.exponents], "estimated"),
+        "stderr": None if spec.stderr is None else [float(x) for x in spec.stderr],
+        "multiplicities": list(spec.multiplicities),
+        "gap_threshold": spec.gap_threshold,
+    }
+
+
+def _domination_block(report: DominationReport) -> dict:
+    """The report block of a domination scan: per-index verdicts and the dominated indices."""
+    return {
+        "dominated_indices": list(report.dominated_indices),
+        "indices": [
+            {"index": item.index, "status": item.status, "n_max": item.n_max,
+             "decay_rate": _tag(item.decay_rate, "estimated"),
+             "constant_estimate": _tag(item.constant_estimate, "estimated")}
+            for item in report.indices
+        ],
+    }
 
 
 @dataclass(frozen=True)
@@ -309,18 +333,12 @@ class DimensionReport:
 
     def to_dict(self) -> dict:
         """JSON-ready structure; every result number carries a provenance tag."""
-        spec = self.spectrum
         doc = {
             "schema_version": self.schema_version,
             "route": self.route,
             "entropy": _tag(self.entropy, "closed-form"),
             "fiber_entropy": _tag(self.fiber_entropy, self.fiber_entropy_provenance),
-            "spectrum": {
-                "exponents": _tag(list(spec.exponents), "estimated"),
-                "stderr": None if spec.stderr is None else list(spec.stderr),
-                "multiplicities": list(spec.multiplicities),
-                "gap_threshold": spec.gap_threshold,
-            },
+            "spectrum": _spectrum_block(self.spectrum),
             "separation": {
                 "status": self.separation.status,
                 "witness_gap": _tag(self.separation.witness_gap, "closed-form"),
@@ -362,19 +380,7 @@ class DimensionReport:
             "caveats": list(self.caveats),
         }
         if self.domination is not None:
-            doc["domination"] = {
-                "dominated_indices": list(self.domination.dominated_indices),
-                "indices": [
-                    {
-                        "index": it.index,
-                        "status": it.status,
-                        "decay_rate": it.decay_rate,
-                        "constant_estimate": it.constant_estimate,
-                        "n_max": it.n_max,
-                    }
-                    for it in self.domination.indices
-                ],
-            }
+            doc["domination"] = _domination_block(self.domination)
         return doc
 
 

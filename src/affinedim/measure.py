@@ -332,50 +332,71 @@ class SeparationVerdict:
     level: int
 
 
-def _enumerate_cylinders(ifs: IfsSystem, level: int):
-    """Centers, hull radii, first symbols, point samples and words of all level-n cylinders.
+def _cylinder_products(n_maps: int, level: int) -> int:
+    """Matrix products that a level-``level`` cylinder table of ``n_maps`` maps costs."""
+    return level * n_maps**level
 
-    Each level's products and shifts are formed as one array; cylinders come
-    out in reverse lexicographic order of their words.
+
+def _enumerate_cylinders(ifs: IfsSystem, level: int):
+    """Centers, hull radii and point samples of all level-``level`` cylinders.
+
+    Each level's products and shifts are formed as one array, with the maps
+    taken in descending symbol order, so row ``k`` is the word whose symbols
+    are the base-N digits of ``N**level - 1 - k`` (reverse lexicographic
+    order; see :func:`_cylinder_word`).  The rows of one first symbol form
+    one block, and the parent of row ``k`` one level up is row ``k // N``.
     """
+    maps = np.ascontiguousarray(ifs.matrices[::-1])
     mats = np.eye(ifs.d)[None]
     shifts = np.zeros((1, ifs.d))
-    words = np.zeros((1, 0), dtype=np.int64)
     for _ in range(level):
-        shifts = np.stack([mats @ t for t in ifs.translations], axis=1) + shifts[:, None]
+        shifts = np.stack([mats @ t for t in ifs.translations[::-1]], axis=1) + shifts[:, None]
         shifts = shifts.reshape(-1, ifs.d)
-        mats = (mats[:, None] @ ifs.matrices[None]).reshape(-1, ifs.d, ifs.d)
-        symbols = np.tile(np.arange(ifs.n_maps), len(words))
-        words = np.column_stack([np.repeat(words, ifs.n_maps, axis=0), symbols])
-    mats, shifts, words = mats[::-1], shifts[::-1], words[::-1]
+        mats = (mats[:, None] @ maps[None]).reshape(-1, ifs.d, ifs.d)
     radii = np.linalg.norm(mats, 2, axis=(1, 2)) * ifs.bounding_radius
     samples = mats @ ifs.map_fixed_point(0) + shifts
-    return shifts, radii, words[:, 0], samples, words
+    return shifts, radii, samples
+
+
+def _cylinder_word(n_maps: int, level: int, row: int) -> tuple[int, ...]:
+    """The word of row ``row`` of :func:`_enumerate_cylinders`."""
+    code = n_maps**level - 1 - row
+    return tuple(code // n_maps**p % n_maps for p in range(level - 1, -1, -1))
 
 
 def _squared_distances(x, c):
     """``sum_k (x[k] - c[k])**2``, summed over coordinates in the KD-tree's order.
 
     ``x`` and ``c`` hold one entry (an array or a scalar) per coordinate, and
-    broadcast against each other.  Every full block of four coordinates is
-    added into four running sums, one per position in the block; the four
-    sums are added left to right, and the leftover coordinates are then added
-    in order.  This is the order of SciPy's ``cKDTree``, so every squared
-    distance and its ``sqrt`` carries the tree's bits; for fewer than eight
-    coordinates it is the plain in-order sum.  Adding a term never lowers the
-    rounded sum, so the result is at least each ``(x[k] - c[k])**2``.
+    each pair broadcasts to an array.  From eight coordinates on, every full
+    block of four coordinates is added into four running sums, one per
+    position in the block; the four sums are added left to right, and the
+    leftover coordinates are then added in order.  Below eight coordinates
+    the sum runs in order.  This is the order of SciPy's ``cKDTree``, so
+    every squared distance and its ``sqrt`` carries the tree's bits.  Terms
+    are squared and added in place, into the running sums and one scratch
+    array.  Adding a term never lowers the rounded sum, so the result is at
+    least each ``(x[k] - c[k])**2``.
     """
-    terms = [(xk - ck) ** 2 for xk, ck in zip(x, c, strict=True)]
-    full = len(terms) - len(terms) % 4
-    if full:
-        acc = terms[:4]
-        for k in range(4, full):
-            acc[k % 4] = acc[k % 4] + terms[k]
-        terms = [acc[0] + acc[1] + acc[2] + acc[3], *terms[full:]]
-    s = terms[0]
-    for t in terms[1:]:
-        s = s + t
-    return s
+    def term(k, out=None):
+        t = np.subtract(x[k], c[k], out=out)
+        return np.multiply(t, t, out=t)
+
+    d = len(x)
+    ways = 4 if d >= 8 else 1
+    full = d - d % ways
+    sums = [term(k) for k in range(ways)]
+    scratch = None
+    for k in range(ways, full):
+        scratch = term(k, scratch)
+        sums[k % ways] += scratch
+    total = sums[0]
+    for s in sums[1:]:
+        total += s
+    for k in range(full, d):
+        scratch = term(k, scratch)
+        total += scratch
+    return total
 
 
 def _windows(lo: np.ndarray, hi: np.ndarray):
@@ -446,18 +467,6 @@ def _first_smallest(chunks, value, floor: float = -np.inf):
     return best
 
 
-def _closest(pa: np.ndarray, pb: np.ndarray, k: np.ndarray, kb: np.ndarray):
-    """Per row ``k`` (ascending, every row present), the candidate ``kb`` nearest ``pa[k]``.
-
-    Candidates are decided by :func:`_squared_distances`, with ties going to
-    the lowest ``kb``; returns the chosen ``kb`` and squared distance per row.
-    """
-    dist2 = _squared_distances(pa[k].T, pb[kb].T)
-    pick = np.lexsort((kb, dist2, k))  # by row, then squared distance, then index
-    pick = pick[np.r_[True, k[pick][1:] != k[pick][:-1]]]  # first of each row
-    return kb[pick], dist2[pick]
-
-
 def _nearest(points: np.ndarray, ga: np.ndarray, gb: np.ndarray):
     """Nearest point of ``points[gb]`` to each of ``points[ga]``: global index and distance.
 
@@ -466,18 +475,14 @@ def _nearest(points: np.ndarray, ga: np.ndarray, gb: np.ndarray):
     rise as ``x`` nears ``a`` from either side, so over ``gb`` sorted by value
     the points at the smallest squared distance form one run through the
     neighbours below and above ``a``; its ends are bisected as in
-    :func:`_ball_counts`, and the run's points are the candidates.  Otherwise
-    candidates come from the Gram form ``|b|^2 - 2 a.b``, one matrix product
-    per chunk of rows of ``a``.  With ``u`` the unit roundoff and ``B`` the
-    largest ``|b|``, the Gram form is within ``(2d + 2) u (|a| + B)^2`` of
-    its exact value and a squared distance within ``(d + 4) u`` relative of
-    its own, so the nearest point's Gram value is within
-    ``(7d + 16) u (|a| + B)^2`` of the row's smallest.  Every point within
-    twice that is a candidate.  Candidates are decided by their squared
-    distances.
+    :func:`_ball_counts`, every point in it ties, and the lowest index in the
+    run is the answer.  Otherwise every row of ``a`` is scanned against all
+    of ``gb``, in chunks of a quarter of ``_SWEEP_BLOCK`` squared distances
+    (so that a chunk's sums stay in cache), and ``argmin`` picks the first
+    smallest.
     """
     pa, pb = points[ga], points[gb]
-    near, sq = np.empty(ga.size, dtype=np.int64), np.empty(ga.size)
+    near = np.empty(ga.size, dtype=np.int64)
     if points.shape[1] == 1:
         order = np.argsort(pb[:, 0], kind="stable")
         xs, a = pb[order, 0], pa[:, 0]
@@ -489,21 +494,16 @@ def _nearest(points: np.ndarray, ga: np.ndarray, gb: np.ndarray):
         hi = _run_end(xs, a, best, start)
         lo = xs.size - _run_end(xs[::-1], a, best, xs.size - 1 - start)
         for k, p in _windows(lo, hi):
-            rows = slice(k[0], k[-1] + 1)
-            near[rows], sq[rows] = _closest(pa, pb, k, order[p])
-        return gb[near], np.sqrt(sq)
-    bb = np.einsum("ij,ij->i", pb, pb)
-    left = np.column_stack([-2.0 * pa, np.ones(ga.size)])  # (-2a, 1) . (b, |b|^2)
-    right = np.vstack([pb.T, bb])
-    norm_a = np.sqrt(np.einsum("ij,ij->i", pa, pa))
-    tol = (7 * points.shape[1] + 16) * np.finfo(float).eps * (norm_a + np.sqrt(bb.max())) ** 2
-    rows = max(1, _SWEEP_BLOCK // gb.size)
+            first = np.flatnonzero(np.diff(k, prepend=-1))  # every row holds a point
+            near[k[first]] = np.minimum.reduceat(order[p], first)
+        return gb[near], np.sqrt(best)
+    sq = np.empty(ga.size)
+    ca, cb = pa.T.copy(), pb.T[:, None, :].copy()  # one contiguous row per coordinate
+    rows = max(1, (_SWEEP_BLOCK // 4) // gb.size)
     for s in range(0, ga.size, rows):
-        gram = left[s:s + rows] @ right
-        cut = gram.min(axis=1, keepdims=True)
-        cut += tol[s:s + rows, None]
-        k, kb = np.divmod(np.flatnonzero(gram <= cut), gb.size)
-        near[s:s + rows], sq[s:s + rows] = _closest(pa[s:s + rows], pb, k, kb)
+        dist2 = _squared_distances(ca[:, s:s + rows, None], cb)
+        k = np.argmin(dist2, axis=1)
+        near[s:s + rows], sq[s:s + rows] = k, dist2[np.arange(k.size), k]
     return gb[near], np.sqrt(sq)
 
 
@@ -521,20 +521,21 @@ def check_separation(ifs: IfsSystem, level: int, budget: int = PRODUCT_BUDGET) -
     """
     if level < 1:
         raise ValueError("level must be positive")
-    if level * ifs.n_maps**level > budget:
-        raise ValueError(
-            f"level {level} needs {level * ifs.n_maps ** level} products, over budget {budget}"
-        )
+    products = _cylinder_products(ifs.n_maps, level)
+    if products > budget:
+        raise ValueError(f"level {level} needs {products} products, over budget {budget}")
     scale = 1.0 + ifs.bounding_radius
     guard, resolution = 1e-12 * scale, 1e-9 * scale
     if ifs.n_maps == 1:  # no two cylinders have different first symbols
         return SeparationVerdict("ssc-verified", None, None, level)
 
-    centers, radii, firsts, samples, words = _enumerate_cylinders(ifs, level)
-    groups = [np.flatnonzero(firsts == g) for g in range(ifs.n_maps)]
+    centers, radii, samples = _enumerate_cylinders(ifs, level)
+    block = ifs.n_maps ** (level - 1)  # the rows of one first symbol
+    groups = [np.arange(block * (ifs.n_maps - 1 - g), block * (ifs.n_maps - g))
+              for g in range(ifs.n_maps)]
 
     def witness(i, j):
-        return (tuple(words[i].tolist()), tuple(words[j].tolist()))
+        return (_cylinder_word(ifs.n_maps, level, i), _cylinder_word(ifs.n_maps, level, j))
 
     def gap(i, j, dist):
         return dist - radii[i] - radii[j]

@@ -230,6 +230,28 @@ def test_dim_cantor_report(tmp_path, capsys):
     assert results["fiber_entropy"]["provenance"] == "closed-form"
 
 
+def test_dim_domination_block_equals_domination_command(tmp_path, capsys):
+    # the conformal dust repeats its exponent, so the dim pipeline runs the
+    # domination scan too; both reports write the same tagged block
+    doc = cantor_doc()
+    doc["ifs"] = {
+        "matrices": [[[1 / 3, 0.0], [0.0, 1 / 3]]] * 4,
+        "translations": [[0.0, 0.0], [2 / 3, 0.0], [0.0, 2 / 3], [2 / 3, 2 / 3]],
+        "weights": [0.25] * 4,
+    }
+    doc["dim"].update(sample_count=2000, scan_n_max=6, separation_level=4)
+    doc["domination"] = {"n_max": 6}
+    cfg = write_config(tmp_path, doc)
+    code, out, err = run(["dim", "--config", cfg, "--deterministic"], capsys)
+    assert code == 0, err
+    dim_block = json.loads(out)["results"]["domination"]
+    code, out, err = run(["domination", "--config", cfg, "--deterministic"], capsys)
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    assert dim_block == {key: results[key] for key in ("indices", "dominated_indices")}
+    assert dim_block["indices"][0]["decay_rate"]["provenance"] == "estimated"
+
+
 def test_dim_overlap_conditional_exit_0(capsys):
     code, out, _ = run(
         ["dim", "--config", str(CONFIG_DIR / "overlap.json"), "--deterministic"], capsys

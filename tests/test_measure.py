@@ -21,6 +21,7 @@ from affinedim.measure import (
     _ball_counts,
     _cell_counts,
     _cross_pairs,
+    _cylinder_word,
     _enumerate_cylinders,
     _nearest,
     _prefix_slopes,
@@ -370,14 +371,21 @@ def test_separation_single_map_has_no_witness():
                          ids=["cantor", "bm", "dust"])
 def test_cylinder_centres_are_natural_projections(ifs):
     level = 4
-    centers, radii, firsts, samples, words = _enumerate_cylinders(ifs, level)
-    assert words.shape == (ifs.n_maps**level, level)
-    # every word once, in reverse lexicographic order
-    codes = words @ ifs.n_maps ** np.arange(level - 1, -1, -1)
-    assert np.array_equal(codes, np.arange(ifs.n_maps**level)[::-1])
-    assert np.array_equal(firsts, words[:, 0])
+    centers, radii, samples = _enumerate_cylinders(ifs, level)
+    words = _cylinder_words(ifs.n_maps, level)
+    assert centers.shape == (ifs.n_maps**level, ifs.d)
+    # row k's word is read back from k alone, and every row's parent is k // N
+    decoded = [_cylinder_word(ifs.n_maps, level, k) for k in range(len(words))]
+    assert decoded == [tuple(w) for w in words.tolist()]
+    parents = _cylinder_words(ifs.n_maps, level - 1)[np.arange(len(words)) // ifs.n_maps]
+    assert np.array_equal(words[:, :-1], parents)
     for center, word in zip(centers, words):
         assert np.allclose(center, natural_projection(ifs, word)[0], rtol=0.0, atol=1e-14)
+
+
+def _cylinder_words(n_maps, level):
+    """Every word of length ``level`` once, in reverse lexicographic order."""
+    return np.array(list(itertools.product(range(n_maps), repeat=level))[::-1])
 
 
 def _random_maps(rng, n, d):
@@ -404,7 +412,9 @@ def _random_small_ifs(rng, kind):
 
 def _brute_force_cross_pairs(ifs, level):
     """Hull gaps and sample distances of every cross-first-symbol pair, all O(n^2) of them."""
-    centers, radii, firsts, samples, words = _enumerate_cylinders(ifs, level)
+    centers, radii, samples = _enumerate_cylinders(ifs, level)
+    words = _cylinder_words(ifs.n_maps, level)
+    firsts = words[:, 0]
     i, j = np.nonzero(firsts[:, None] != firsts[None, :])
     gaps = np.linalg.norm(centers[i] - centers[j], axis=1) - radii[i] - radii[j]
     sample_dist = np.linalg.norm(samples[i] - samples[j], axis=1)
@@ -467,8 +477,9 @@ def test_streamed_witness_is_argmin_over_all_pairs(ifs, level, status, tied, blo
     monkeypatch.setattr(measure, "_SWEEP_BLOCK", block)
     verdict = check_separation(ifs, level)
     assert verdict.status == status
-    centers, radii, firsts, samples, words = _enumerate_cylinders(ifs, level)
-    groups = [np.flatnonzero(firsts == g) for g in range(ifs.n_maps)]
+    centers, radii, samples = _enumerate_cylinders(ifs, level)
+    words = _cylinder_words(ifs.n_maps, level)
+    groups = [np.flatnonzero(words[:, 0] == g) for g in range(ifs.n_maps)]
     scale = 1.0 + ifs.bounding_radius
     if status == "overlap-detected":
         chunks = list(_cross_pairs(samples, groups, 1e-9 * scale))
@@ -981,7 +992,7 @@ def _tree_cross_pairs(pts, groups, r):
     return [np.concatenate(col) for col in zip(*found)]
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 9])  # from d = 8 the tree sums in four accumulators
 @pytest.mark.parametrize("kind", ["uniform", "dyadic", "clusters", "cumsum"])
 @pytest.mark.parametrize("block", [None, 97])
 def test_cross_pairs_equal_the_tree(d, kind, block, monkeypatch):
@@ -1005,7 +1016,7 @@ def test_cross_pairs_equal_the_tree(d, kind, block, monkeypatch):
             assert np.array_equal(g, w), r
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 9])  # from d = 8 the tree sums in four accumulators
 @pytest.mark.parametrize("kind", ["uniform", "dyadic", "clusters", "cumsum"])
 @pytest.mark.parametrize("block", [None, 1000])
 def test_nearest_equals_the_tree(d, kind, block, monkeypatch):
@@ -1024,6 +1035,33 @@ def test_nearest_equals_the_tree(d, kind, block, monkeypatch):
     differ = got != gb[k]
     assert np.array_equal(_in_order_squared(pts, ga, got)[differ],
                           _in_order_squared(pts, ga, gb[k])[differ])
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_property_nearest_equals_brute_force(data):
+    # a dyadic grid with repeated rows, as for the ball counts: points tie
+    # exactly, and with many bits the sums round
+    d = data.draw(st.integers(1, 3))
+    bits = data.draw(st.integers(1, 30))
+    scale = 2.0 ** data.draw(st.integers(-40, 4))
+    coord = st.integers(0, (1 << bits) - 1)
+    rows = data.draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=2, max_size=120))
+    pts = np.array(rows, dtype=float) * scale
+    repeat = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=80))
+    pts = np.concatenate([pts, pts[repeat]])
+    every = np.array(data.draw(st.permutations(range(pts.shape[0]))))
+    cut = data.draw(st.integers(1, pts.shape[0] - 1))
+    ga, gb = every[:cut], every[cut:]
+    # one row of ``a`` per chunk, three, or all of them
+    block = data.draw(st.sampled_from([1, 12 * gb.size, measure._SWEEP_BLOCK]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measure, "_SWEEP_BLOCK", block)
+        got, dist = _nearest(pts, ga, gb)
+    sq = _in_order_squared(pts, ga[:, None], gb[None, :])
+    k = np.argmin(sq, axis=1)  # ties go to the first of ``gb``
+    assert np.array_equal(got, gb[k])
+    assert np.array_equal(dist.view(np.int64), np.sqrt(sq[np.arange(ga.size), k]).view(np.int64))
 
 
 def test_nearest_1d_ties_across_values():
