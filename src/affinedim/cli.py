@@ -181,35 +181,40 @@ def cmd_dim(args) -> int:
 # validate
 
 
-def _cantor_ifs() -> IfsSystem:
-    mats = np.array([[[1.0 / 3.0]], [[1.0 / 3.0]]])
-    ts = np.array([[0.0], [2.0 / 3.0]])
+# the validate suite's pipeline budgets, below the dim defaults so that the
+# suite stays quick
+VALIDATE_BUDGETS = {
+    "spectrum_steps": 2000,
+    "spectrum_trials": 8,
+    "flag_iterations": 96,
+    "flag_count": 8,
+    "centers": 48,
+}
+
+
+def _two_map_interval(scale: float, shift: float) -> IfsSystem:
+    """The maps ``scale * x`` and ``scale * x + shift`` with equal weights."""
+    mats = np.array([[[scale]], [[scale]]])
+    ts = np.array([[0.0], [shift]])
     return IfsSystem(mats, ts, BernoulliWeights.uniform(2))
-
-
-def _segment_ifs() -> IfsSystem:
-    mats = np.array([[[0.5]], [[0.5]]])
-    ts = np.array([[0.0], [0.5]])
-    return IfsSystem(mats, ts, BernoulliWeights.uniform(2))
-
-
-def _validate_pipeline_cfg(cfg: RunConfig, sample_count: int, fiber) -> PipelineConfig:
-    return PipelineConfig(
-        seed=cfg.seed,
-        spectrum_steps=2000,
-        spectrum_trials=8,
-        flag_iterations=96,
-        flag_count=8,
-        sample_count=sample_count,
-        centers=48,
-        fiber_entropy=fiber,
-    )
 
 
 def cmd_validate(args) -> int:
     cfg = _load(args, {})
     opts = cfg.validate
     oracle = bedford_mcmullen_closed_form(BM_REFERENCE_DIGITS, [1.0 / 3.0] * 3, 3, 2)
+    # pipeline case -> (system, supplied fiber entropy, reference dimension)
+    pipelines = {
+        # corners of the carpet touch, so strong separation cannot be
+        # certified; the open-set condition justifies a zero correction
+        "bm-carpet-pipeline": (bedford_mcmullen_ifs(BM_REFERENCE_DIGITS, [1.0 / 3.0] * 3, 3, 2),
+                               0.0, oracle.value),
+        "cantor-pipeline": (_two_map_interval(1.0 / 3.0, 2.0 / 3.0), None,
+                            float(np.log(2) / np.log(3))),
+        # the two half-scale maps abut at 1/2: open-set condition only,
+        # so the zero fiber correction is supplied
+        "segment-pipeline": (_two_map_interval(0.5, 0.5), 0.0, 1.0),
+    }
     rows = []
 
     def add_row(case, check, value, reference, tol):
@@ -231,34 +236,20 @@ def cmd_validate(args) -> int:
         if case == "bm-carpet-formula":
             add_row(case, "generic formula vs closed form",
                     ly_dimension(oracle.as_inputs()), oracle.value, opts["formula_tol"])
-        elif case == "bm-carpet-pipeline":
-            # corners of the carpet touch, so strong separation cannot be
-            # certified; the open-set condition justifies a zero correction
-            ifs = bedford_mcmullen_ifs(BM_REFERENCE_DIGITS, [1.0 / 3.0] * 3, 3, 2)
-            rep = full_pipeline(ifs, _validate_pipeline_cfg(cfg, opts["sample_count"], 0.0))
-            add_row(case, "pipeline formula value", rep.ly_dim, oracle.value, opts["value_tol"])
-            add_row(case, "box-count dimension", rep.empirical_boxcount.dimension,
-                    oracle.value, opts["empirical_tol"])
-        elif case == "cantor-pipeline":
-            ref = float(np.log(2) / np.log(3))
-            rep = full_pipeline(_cantor_ifs(), _validate_pipeline_cfg(cfg, opts["sample_count"], None))
-            add_row(case, "pipeline formula value", rep.ly_dim, ref, opts["value_tol"])
-            add_row(case, "box-count dimension", rep.empirical_boxcount.dimension, ref,
-                    opts["empirical_tol"])
-        elif case == "segment-pipeline":
-            # the two half-scale maps abut at 1/2: open-set condition only,
-            # so the zero fiber correction is supplied
-            rep = full_pipeline(_segment_ifs(), _validate_pipeline_cfg(cfg, opts["sample_count"], 0.0))
-            add_row(case, "pipeline formula value", rep.ly_dim, 1.0, opts["value_tol"])
-            add_row(case, "box-count dimension", rep.empirical_boxcount.dimension, 1.0,
-                    opts["empirical_tol"])
+            continue
+        ifs, fiber, ref = pipelines[case]
+        rep = full_pipeline(ifs, PipelineConfig(seed=cfg.seed, sample_count=opts["sample_count"],
+                                                fiber_entropy=fiber, **VALIDATE_BUDGETS))
+        add_row(case, "pipeline formula value", rep.ly_dim, ref, opts["value_tol"])
+        add_row(case, "box-count dimension", rep.empirical_boxcount.dimension, ref,
+                opts["empirical_tol"])
 
     width = max(len(r["case"] + r["check"]) for r in rows) + 4
     for r in rows:
         label = f"{r['case']}: {r['check']}"
         diff = "missing" if r["difference"] is None else f"{r['difference']:.3e}"
         print(f"{label:<{width}} |value-ref|={diff} tol={r['tolerance']:.1e} "
-              f"{r['status'].upper()}")
+              f"{r['status'].upper()}", file=sys.stderr)
     all_pass = all(r["status"] == "pass" for r in rows)
     results = {"rows": rows, "all_pass": all_pass}
     _emit(_report_shell("validate", cfg, results, []), args)

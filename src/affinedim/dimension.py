@@ -36,7 +36,6 @@ from .measure import (
     IfsSystem,
     LocalDimensionReport,
     SeparationVerdict,
-    _cylinder_products,
     box_counting_dimension,
     check_separation,
     local_dimension_estimate,
@@ -264,19 +263,15 @@ class PipelineConfig:
     ky_tol: float = 0.02
 
     def resolved(self, ifs: IfsSystem) -> "PipelineConfig":
-        """Fill derived defaults (sampling depth, feasible separation level)."""
-        depth = self.sample_depth
-        if depth is None:
-            alpha = float(ifs.top_singular_values.max())
-            r_min = 0.2 * float(ifs.bounding_radius) * self.radii_ratio ** (self.radii_count - 1)
-            target = max(r_min / 10.0, 1e-14)
-            r = max(float(ifs.bounding_radius), 1e-12)
-            depth = int(np.ceil(np.log(target / r) / np.log(alpha))) + 1
-            depth = int(min(max(depth, 10), 200))
-        level = self.separation_level
-        while level > 1 and _cylinder_products(ifs.n_maps, level) > self.separation_budget:
-            level -= 1
-        return dataclasses.replace(self, sample_depth=depth, separation_level=level)
+        """Fill the sampling depth when it is not set."""
+        if self.sample_depth is not None:
+            return self
+        alpha = float(ifs.top_singular_values.max())
+        r_min = 0.2 * float(ifs.bounding_radius) * self.radii_ratio ** (self.radii_count - 1)
+        target = max(r_min / 10.0, 1e-14)
+        r = max(float(ifs.bounding_radius), 1e-12)
+        depth = int(np.ceil(np.log(target / r) / np.log(alpha))) + 1
+        return dataclasses.replace(self, sample_depth=int(min(max(depth, 10), 200)))
 
 
 def _tag(value, provenance: str, **extra) -> dict:
@@ -444,22 +439,24 @@ def full_pipeline(ifs: IfsSystem, config: PipelineConfig | None = None) -> Dimen
     estimation at sampled invariant directions, and the formula evaluations.
     The fiber-entropy correction is set to zero only when strong separation
     is verified and all weights are positive; otherwise it must be supplied
-    in the config, or the formula value is reported conditional on it.
+    in the config, or the formula value is reported conditional on it.  A
+    supplied value outside ``[0, h]`` is refused before any stage runs.
     """
     cfg = (config or PipelineConfig()).resolved(ifs)
+    h = entropy(ifs.weights)
+    if cfg.fiber_entropy is not None and not 0.0 <= cfg.fiber_entropy <= h + INPUT_SLACK:
+        raise ValueError(f"supplied fiber entropy {float(cfg.fiber_entropy)} outside [0, {h}]")
     seeds = np.random.SeedSequence(cfg.seed).spawn(5)
     rng_spectrum, rng_flags, rng_cloud, rng_centers, rng_proj = (
         np.random.default_rng(s) for s in seeds
     )
     caveats: list[str] = []
     d = ifs.d
-    maps = list(ifs.matrices)
 
     spectrum = lyapunov_spectrum(
-        maps, ifs.weights, cfg.spectrum_steps, cfg.spectrum_trials, rng_spectrum,
+        ifs.matrices, ifs.weights, cfg.spectrum_steps, cfg.spectrum_trials, rng_spectrum,
         gap_threshold=cfg.gap_threshold,
     )
-    h = entropy(ifs.weights)
 
     domination = None
     if spectrum.simple:
@@ -468,7 +465,7 @@ def full_pipeline(ifs: IfsSystem, config: PipelineConfig | None = None) -> Dimen
     else:
         route, indices = "not-applicable", ()
         try:
-            table = gap_ratio_scan(maps, cfg.scan_n_max, cfg.scan_budget)
+            table = gap_ratio_scan(ifs.matrices, cfg.scan_n_max, cfg.scan_budget)
         except BudgetExceededError:
             caveats.append(
                 f"exponents are not all distinct and {ifs.n_maps}^{cfg.scan_n_max} words exceed "
@@ -489,8 +486,6 @@ def full_pipeline(ifs: IfsSystem, config: PipelineConfig | None = None) -> Dimen
 
     if cfg.fiber_entropy is not None:
         fiber, fiber_prov = float(cfg.fiber_entropy), "user-supplied"
-        if not 0.0 <= fiber <= h + INPUT_SLACK:
-            raise ValueError(f"supplied fiber entropy {fiber} outside [0, {h}]")
     elif separation.status == "ssc-verified" and ifs.weights.strictly_positive:
         fiber, fiber_prov = 0.0, "closed-form"
     else:
@@ -510,7 +505,7 @@ def full_pipeline(ifs: IfsSystem, config: PipelineConfig | None = None) -> Dimen
     proj_used: dict[int, float] = {}
     proj_raw: dict[int, float] = {}
     proj_spread: dict[int, float] = {}
-    if route != "not-applicable" and indices:
+    if indices:  # empty whenever the route is not-applicable
         try:
             proj_used, proj_raw, proj_spread, extra = _estimate_projection_dims(
                 ifs, indices, cloud, cfg, rng_flags, rng_proj
@@ -525,12 +520,8 @@ def full_pipeline(ifs: IfsSystem, config: PipelineConfig | None = None) -> Dimen
     conditional = None
     equivalence = None
     if route != "not-applicable":
-        base_inputs = DimensionInputs(
-            h, 0.0, spectrum, proj_used if indices else {}, indices
-        )
-        at_zero = ly_dimension(base_inputs)
+        inputs = DimensionInputs(h, 0.0 if fiber is None else fiber, spectrum, proj_used, indices)
         if fiber is not None:
-            inputs = DimensionInputs(h, fiber, spectrum, proj_used if indices else {}, indices)
             ly_val = ly_dimension(inputs)
             equivalence = kaplan_yorke_equivalence_check(inputs, cfg.ky_tol)
             if not 0.0 <= ly_val <= float(d):
@@ -541,7 +532,7 @@ def full_pipeline(ifs: IfsSystem, config: PipelineConfig | None = None) -> Dimen
                 ly_val = clamped
         else:
             conditional = {
-                "at_zero_fiber_entropy": at_zero,
+                "at_zero_fiber_entropy": ly_dimension(inputs),
                 "fiber_entropy_coefficient": float(-1.0 / spectrum.exponents[-1]),
             }
 

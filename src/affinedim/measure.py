@@ -518,12 +518,15 @@ def check_separation(ifs: IfsSystem, level: int, budget: int = PRODUCT_BUDGET) -
     resolution ``1e-9 (1 + R)``, and hulls count as disjoint when their gap
     exceeds the guard ``1e-12 (1 + R)``, where ``R`` is the bounding radius.
     Anything else is honestly inconclusive.
+
+    The check runs at the deepest level up to ``level`` whose cylinder table
+    costs at most ``budget`` matrix products, and at level 1 (the maps
+    themselves) when none does; the verdict's ``level`` names the level run.
     """
     if level < 1:
         raise ValueError("level must be positive")
-    products = _cylinder_products(ifs.n_maps, level)
-    if products > budget:
-        raise ValueError(f"level {level} needs {products} products, over budget {budget}")
+    while level > 1 and _cylinder_products(ifs.n_maps, level) > budget:
+        level -= 1
     scale = 1.0 + ifs.bounding_radius
     guard, resolution = 1e-12 * scale, 1e-9 * scale
     if ifs.n_maps == 1:  # no two cylinders have different first symbols

@@ -320,6 +320,15 @@ def test_dim_H_flag_overrides(capsys, tmp_path):
     assert results["ly_dim"]["value"] == pytest.approx(0.0, abs=0.02)
 
 
+def test_dim_H_outside_entropy_refused_before_work(tmp_path, capsys):
+    out_path = tmp_path / "r.json"
+    code, _, err = run(["dim", "--config", str(CONFIG_DIR / "cantor.json"), "--H", "5",
+                        "--out", str(out_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: supplied fiber entropy 5.0 outside [0, ")
+    assert not out_path.exists()
+
+
 def test_dim_histogram_csv(tmp_path, capsys):
     cfg = write_config(tmp_path, cantor_doc())
     hist = tmp_path / "hist.csv"
@@ -341,10 +350,10 @@ def test_dim_histogram_csv(tmp_path, capsys):
 def test_validate_all_pass_exit_0(tmp_path, capsys):
     doc = cantor_doc()
     doc["validate"] = {"sample_count": 20000}
-    code, out, _ = run(["validate", "--config", write_config(tmp_path, doc),
+    code, _, err = run(["validate", "--config", write_config(tmp_path, doc),
                         "--deterministic", "--out", str(tmp_path / "v.json")], capsys)
     assert code == 0
-    assert "PASS" in out
+    assert "PASS" in err
     report = json.loads((tmp_path / "v.json").read_text())
     assert report["results"]["all_pass"] is True
     bm_rows = [r for r in report["results"]["rows"] if r["case"] == "bm-carpet-pipeline"]
@@ -379,10 +388,10 @@ def test_validate_failure_exit_1(tmp_path, capsys):
     doc = cantor_doc()
     doc["validate"] = {"cases": ["cantor-pipeline"], "sample_count": 5000,
                        "value_tol": 1e-12, "empirical_tol": 1e-12}
-    code, out, _ = run(["validate", "--config", write_config(tmp_path, doc),
+    code, _, err = run(["validate", "--config", write_config(tmp_path, doc),
                         "--deterministic"], capsys)
     assert code == 1
-    assert "FAIL" in out
+    assert "FAIL" in err
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +408,22 @@ def test_reports_byte_identical_under_deterministic(tmp_path, capsys):
         assert code == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command", ["lyapunov", "domination", "dim", "validate"])
+def test_stdout_is_one_strict_json_report(command, tmp_path, capsys):
+    doc = cantor_doc(domination={"n_max": 6},
+                     validate={"cases": ["cantor-pipeline"], "sample_count": 2000})
+    doc["dim"].update(sample_count=2000, scan_n_max=6, separation_level=4)
+    code, out, _ = run([command, "--config", write_config(tmp_path, doc), "--deterministic"],
+                       capsys)
+    assert code == 0
+
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    # json.loads takes exactly one document, so any text around it fails
+    assert json.loads(out, parse_constant=refuse)["command"] == command
 
 
 # (command, config) -> sha256 prefix of its --deterministic report; kept out of

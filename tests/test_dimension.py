@@ -8,6 +8,7 @@ from conftest import bm_carpet_ifs, cantor_ifs, telescoping_identity_check
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affinedim import dimension
 from affinedim.cocycle import BernoulliWeights, LyapunovSpectrum
 from affinedim.dimension import (
     DimensionInputs,
@@ -304,6 +305,15 @@ def test_pipeline_bm_carpet():
     assert report.lyapunov_dim.value == pytest.approx(BM_KY, abs=0.01)
     assert report.equivalence.status == "fails"
     assert report.projection_dims[1] == pytest.approx(BM_PROJ, abs=0.05)
+
+
+def test_supplied_fiber_entropy_checked_before_any_stage(monkeypatch):
+    def first_stage(*args, **kwargs):
+        raise AssertionError("a stage ran before the supplied fiber entropy was checked")
+
+    monkeypatch.setattr(dimension, "lyapunov_spectrum", first_stage)
+    with pytest.raises(ValueError, match=r"^supplied fiber entropy 5\.0 outside \[0, "):
+        full_pipeline(cantor_ifs(), PipelineConfig(fiber_entropy=5.0))
 
 
 def test_pipeline_bm_carpet_without_fiber_entropy_is_conditional():

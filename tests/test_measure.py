@@ -508,9 +508,16 @@ def test_separation_overlap_memory_stays_bounded():
     assert peak < 40e6, peak
 
 
-def test_separation_budget_precondition():
-    with pytest.raises(ValueError):
-        check_separation(cantor_dust_ifs(), level=12, budget=10_000)
+@pytest.mark.parametrize("level, budget, fitted", [
+    (12, 10_000, 5),  # 5 * 4^5 products fit, 6 * 4^6 do not
+    (6, 6 * 4**6, 6),  # exactly at the budget
+    (3, 1, 1),  # no level fits: level 1, the maps themselves
+])
+def test_separation_clamps_level_to_budget(level, budget, fitted):
+    ifs = cantor_dust_ifs()
+    verdict = check_separation(ifs, level, budget)
+    assert verdict.level == fitted
+    assert verdict == check_separation(ifs, fitted)
 
 
 # ---------------------------------------------------------------------------
