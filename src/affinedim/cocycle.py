@@ -53,6 +53,9 @@ _PROBE_TRIALS = 6
 # keep the singular-value spread accumulated between renormalisations well
 # below 1/eps so the most contracted directions stay resolvable
 _MAX_LOG_SPREAD_PER_RENORM = 30.0
+# a tabulated block product spends at most half of that spread, so the
+# frame it multiplies keeps the other half
+_MAX_LOG_SPREAD_PER_BLOCK = 15.0
 # floats of step matrices gathered at once by the frame propagation kernel
 _PROPAGATE_CHUNK_FLOATS = 1 << 16
 # symbols drawn by one generator call, bounding its float and int64 temporaries
@@ -62,10 +65,15 @@ _WORD_BLOCK_SYMBOLS = 1 << 16
 _DRAW_COMPARE_MAX = 256
 
 
+def _log_condition(mats: np.ndarray) -> float:
+    """The largest ``log(sigma_1 / sigma_d)`` over the maps."""
+    sv = np.linalg.svd(mats, compute_uv=False)
+    return float(np.max(np.log(sv[:, 0] / sv[:, -1])))
+
+
 def safe_renorm_interval(mats: np.ndarray, requested: int) -> int:
     """Shorten the renormalisation interval for badly conditioned maps."""
-    sv = np.linalg.svd(mats, compute_uv=False)
-    log_cond = float(np.max(np.log(sv[:, 0] / sv[:, -1])))
+    log_cond = _log_condition(mats)
     if log_cond <= 0:
         return max(1, requested)
     return max(1, min(requested, int(_MAX_LOG_SPREAD_PER_RENORM / log_cond)))
@@ -239,6 +247,64 @@ def _draw_words(rng: np.random.Generator, p: np.ndarray, out: np.ndarray) -> np.
     return out
 
 
+def _block_length(use: np.ndarray, interval: int) -> int:
+    """Symbols per tabulated block product in an ``interval``-step renormalisation.
+
+    The largest ``b <= interval`` whose worst log singular-value spread,
+    ``b * _log_condition(use)``, stays within ``_MAX_LOG_SPREAD_PER_BLOCK``
+    and whose table of every word of length at most ``b`` holds at most
+    ``_PROPAGATE_CHUNK_FLOATS`` floats; at least 1.
+    """
+    if interval == 1:
+        return 1
+    log_cond = _log_condition(use)
+    cap = interval if log_cond * interval <= _MAX_LOG_SPREAD_PER_BLOCK else int(
+        _MAX_LOG_SPREAD_PER_BLOCK / log_cond)
+    n_maps, b, rows = use.shape[0], 1, use.shape[0]
+    while b < cap and (rows + n_maps ** (b + 1)) * use[0].size <= _PROPAGATE_CHUNK_FLOATS:
+        b += 1
+        rows += n_maps**b
+    return b
+
+
+def _block_table(use: np.ndarray, b: int) -> tuple[np.ndarray, list[int]]:
+    """The product of every word of length 1 to ``b``, and the first row of each length.
+
+    Row ``first[k] + sum_j s_j N**j`` holds ``use[s_{k-1}] @ ... @ use[s_0]``;
+    each length is built from the one before by left-multiplying one map.
+    """
+    levels, first = [use], [0, 0]
+    for _ in range(1, b):
+        levels.append((use[:, None] @ levels[-1][None]).reshape((-1,) + use.shape[1:]))
+        first.append(first[-1] + levels[-2].shape[0])
+    return np.concatenate(levels), first
+
+
+def _block_codes(w: np.ndarray, length: int, b: int, n_maps: int, first: list[int]) -> np.ndarray:
+    """The :func:`_block_table` rows that step ``w``, time-major: (blocks, batch).
+
+    ``w`` is a (batch, n * length) symbol slice that starts an interval;
+    each ``length``-step interval splits into blocks of ``b`` symbols, the
+    last block taking what is left.
+    """
+    if b == 1:
+        return w.T
+    batch = w.shape[0]
+    w = w.reshape(batch, -1, length)
+    starts = range(0, length, b)
+    codes = np.empty((w.shape[1], len(starts), batch), dtype=np.intp)
+    for j, s in enumerate(starts):
+        k = min(b, length - s)
+        # Horner's rule for first[k] + sum_i w[s + i] * n_maps**i
+        code = codes[:, j].T
+        code[...] = w[:, :, s + k - 1]
+        for i in range(s + k - 2, s - 1, -1):
+            code *= n_maps
+            code += w[:, :, i]
+        code += first[k]
+    return codes.reshape(-1, batch)
+
+
 def _propagate(
     use: np.ndarray, words: np.ndarray, renorm_every: int, q0: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -251,30 +317,48 @@ def _propagate(
     the per-column log growth, which estimates the log singular values of
     each word's product (in column order, not sorted).
 
-    The floating-point operations are exactly those of ``q = use[words[:, t]]
-    @ q`` per step and ``np.linalg.qr`` per renorm, so the results are
-    bit-identical to that loop; only the work around them is cut.  Step
-    matrices are gathered time-major in chunks of at most
-    ``_PROPAGATE_CHUNK_FLOATS`` floats, and each step multiplies by one
-    contiguous slice of the chunk.  Each renorm calls the two LAPACK gufuncs
-    that ``np.linalg.qr`` wraps (``geqrf``, then ``orgqr``) without the
-    wrapper's copy, ``triu`` and error-state set-up: ``qr_r_raw`` factors the
-    fresh matmul output in place, its diagonal is R's, and ``qr_reduced``
-    forms Q from it.  A NaN frame stays NaN, as under ``np.linalg.qr``.
+    Each renormalisation interval is stepped in blocks of ``b`` symbols
+    (:func:`_block_length`), the last block of an interval taking what is
+    left, and each block multiplies the frame by its product, read from a
+    table built once per call (:func:`_block_table`).  With ``b = 1`` the
+    floating-point operations are exactly those of ``q = use[words[:, t]]
+    @ q`` per step and ``np.linalg.qr`` per renorm.  Block codes and step
+    matrices are formed time-major for a chunk of whole intervals at a time,
+    gathering at most ``_PROPAGATE_CHUNK_FLOATS`` floats of block products
+    at once, or one block if a block alone exceeds that.  Each renorm calls
+    the two LAPACK gufuncs that ``np.linalg.qr`` wraps (``geqrf``, then
+    ``orgqr``) without the wrapper's copy, ``triu`` and error-state set-up:
+    ``qr_r_raw`` factors the fresh matmul output in place, its diagonal is
+    R's, and ``qr_reduced`` forms Q from it.  A NaN frame stays NaN, as
+    under ``np.linalg.qr``.
     """
     q0 = np.eye(use.shape[1]) if q0 is None else np.asarray(q0, dtype=float)
     batch, steps = words.shape
     q = np.broadcast_to(q0, (batch,) + q0.shape[-2:]).copy()
     sums = np.zeros((batch, q.shape[2]))
+    interval = max(1, min(renorm_every, steps))
+    b = _block_length(use, interval)
+    table, first = _block_table(use, b)
     chunk = max(1, _PROPAGATE_CHUNK_FLOATS // max(1, batch * use[0].size))
-    for c0 in range(0, steps, chunk):
-        for t, step in enumerate(use[words[:, c0:c0 + chunk].T], c0):
-            q = step @ q
-            if (t + 1) % renorm_every == 0 or t == steps - 1:
-                # factors q in place: R on and above its diagonal
-                tau = _umath_linalg.qr_r_raw(q, signature="d->d")
-                sums += np.log(np.abs(q.diagonal(0, -2, -1)))
-                q = _umath_linalg.qr_reduced(q, tau, signature="dd->d")
+    full, rest = divmod(steps, interval)
+    # (first step, length, count) of the runs of equal-length intervals
+    for t0, length, count in ((0, interval, full), (full * interval, rest, int(rest > 0))):
+        if not count:
+            continue
+        nb = -(-length // b)
+        per_chunk = max(1, chunk // nb)
+        for i0 in range(0, count, per_chunk):
+            a = t0 + i0 * length
+            w = words[:, a:a + min(per_chunk, count - i0) * length]
+            codes = _block_codes(w, length, b, use.shape[0], first)
+            for g0 in range(0, codes.shape[0], chunk):
+                for g, step in enumerate(table[codes[g0:g0 + chunk]], g0 + 1):
+                    q = step @ q
+                    if g % nb == 0:
+                        # factors q in place: R on and above its diagonal
+                        tau = _umath_linalg.qr_r_raw(q, signature="d->d")
+                        sums += np.log(np.abs(q.diagonal(0, -2, -1)))
+                        q = _umath_linalg.qr_reduced(q, tau, signature="dd->d")
     return q, sums
 
 

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .cocycle import DEFAULT_RENORM_EVERY, PRODUCT_BUDGET, BernoulliWeights
-from .dimension import PipelineConfig
+from .cocycle import DEFAULT_RENORM_EVERY, PRODUCT_BUDGET, BernoulliWeights, entropy
+from .dimension import PipelineConfig, _check_fiber_entropy
 from .domination import EPS_SLOPE, MIN_FIT_LENGTH
 from .errors import ConfigError
 from .measure import MIN_USABLE_RADII, IfsSystem
@@ -229,6 +229,11 @@ def parse_config(doc) -> RunConfig:
     ifs = _parse_ifs(doc)
     seed = _number(doc.get("seed", 0), "seed", integer=True, minimum=0)
     lyap, domn, dim, val = (_section(doc, name) for name in SECTIONS)
+    if dim["H"] is not None:
+        try:
+            _check_fiber_entropy(dim["H"], entropy(ifs.weights))
+        except ValueError as err:
+            raise ConfigError(str(err), "dim.H") from None
 
     normalized = {
         "schema_version": CONFIG_SCHEMA_VERSION,

@@ -431,6 +431,12 @@ def _estimate_projection_dims(
     return used, raw, spread, caveats
 
 
+def _check_fiber_entropy(value: float, h: float) -> None:
+    """Refuse a supplied fiber entropy outside ``[0, h]`` (``INPUT_SLACK`` above ``h`` is allowed)."""
+    if not 0.0 <= value <= h + INPUT_SLACK:
+        raise ValueError(f"supplied fiber entropy {float(value)} outside [0, {h}]")
+
+
 def full_pipeline(ifs: IfsSystem, config: PipelineConfig | None = None) -> DimensionReport:
     """Run every stage and assemble a dimension report.
 
@@ -444,8 +450,8 @@ def full_pipeline(ifs: IfsSystem, config: PipelineConfig | None = None) -> Dimen
     """
     cfg = (config or PipelineConfig()).resolved(ifs)
     h = entropy(ifs.weights)
-    if cfg.fiber_entropy is not None and not 0.0 <= cfg.fiber_entropy <= h + INPUT_SLACK:
-        raise ValueError(f"supplied fiber entropy {float(cfg.fiber_entropy)} outside [0, {h}]")
+    if cfg.fiber_entropy is not None:
+        _check_fiber_entropy(cfg.fiber_entropy, h)
     seeds = np.random.SeedSequence(cfg.seed).spawn(5)
     rng_spectrum, rng_flags, rng_cloud, rng_centers, rng_proj = (
         np.random.default_rng(s) for s in seeds

@@ -325,8 +325,18 @@ def test_dim_H_outside_entropy_refused_before_work(tmp_path, capsys):
     code, _, err = run(["dim", "--config", str(CONFIG_DIR / "cantor.json"), "--H", "5",
                         "--out", str(out_path)], capsys)
     assert code == 2
-    assert err.startswith("error: supplied fiber entropy 5.0 outside [0, ")
+    assert err.startswith("error: dim.H: supplied fiber entropy 5.0 outside [0, ")
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["dim", "lyapunov"])
+def test_config_H_above_entropy_is_located(command, tmp_path, capsys):
+    # the parse refuses it, so every command that reads the document does
+    doc = cantor_doc()
+    doc["dim"]["H"] = 0.7  # log 2 = 0.693 for the two equal weights
+    code, out, err = run([command, "--config", write_config(tmp_path, doc)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: dim.H: supplied fiber entropy 0.7 outside [0, 0.69314718")
 
 
 def test_dim_histogram_csv(tmp_path, capsys):
@@ -430,11 +440,11 @@ def test_stdout_is_one_strict_json_report(command, tmp_path, capsys):
 # the test ids, so that a re-pinned digest does not rename a test
 PINNED_DIGESTS = {
     ("dim", "bm.json"): "3761a9409c26",
-    ("dim", "stp3.json"): "6e70d47c1ac5",
+    ("dim", "stp3.json"): "de42ddc81929",
     ("dim", "cantor.json"): "31ca125aa6d7",
     ("dim", "overlap.json"): "4171406a91d6",
     ("validate", "cantor.json"): "35e6b702540b",
-    ("lyapunov", "stp3.json"): "68fe78d436f3",
+    ("lyapunov", "stp3.json"): "94d1084532cc",
     ("lyapunov", "bm.json"): "c48a16d3b9df",
     ("domination", "stp3.json"): "33cc91317978",
     ("domination", "bm.json"): "fb888d963f82",

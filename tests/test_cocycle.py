@@ -1,10 +1,14 @@
 """Tests for word sampling, cocycle products, spectra, and flag sampling."""
 
+import itertools
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import word_product
+from conftest import traced_peak, word_product
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from affinedim import cocycle
@@ -19,8 +23,12 @@ from affinedim.cocycle import (
     oseledets_fast_flag,
     sample_word,
 )
+from affinedim.config import load_config
 from affinedim.errors import SpectralGapError
 from affinedim.linalg import SubspaceFrame, principal_angle_distance
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def rotation(theta):
@@ -221,12 +229,34 @@ def _start_frame(rng, kind, batch, d):
 _STEP_CASES = [(1, 1), (1, 3), (12, 3), (13, 3), (13, 1), (5, 9)]
 
 
-@pytest.mark.parametrize("seed", range(8))
-@pytest.mark.parametrize("kind", [None, "dk", "bdk"])
-def test_propagate_bit_identical_to_per_step_qr(seed, kind, monkeypatch):
-    rng = np.random.default_rng(5100 + seed)
-    d, n_maps = 1 + seed % 4, 1 + (seed // 2 + seed) % 4
-    use = rng.standard_normal((n_maps, d, d))
+def _block_reference(use, words, renorm_every, q0=None):
+    """Reference kernel: per-word block products from Python loops, ``np.linalg.qr`` per interval.
+
+    Each interval is stepped in blocks of ``cocycle._block_length`` symbols,
+    the last one taking what is left, as ``_propagate`` documents.
+    """
+    batch, steps = words.shape
+    b = cocycle._block_length(use, max(1, min(renorm_every, steps)))
+    # product[word] = use[word[-1]] @ ... @ use[word[0]], one map at a time
+    product = {(s,): use[s] for s in range(use.shape[0])}
+    for k in range(2, b + 1):
+        for word in itertools.product(range(use.shape[0]), repeat=k):
+            product[word] = use[word[-1]] @ product[word[:-1]]
+    q0 = np.eye(use.shape[1]) if q0 is None else np.asarray(q0, dtype=float)
+    q = np.broadcast_to(q0, (batch,) + q0.shape[-2:]).copy()
+    sums = np.zeros((batch, q.shape[2]))
+    for t0 in range(0, steps, renorm_every):
+        interval = words[:, t0:t0 + renorm_every]
+        for s in range(0, interval.shape[1], b):
+            q = np.stack([product[tuple(w.tolist())] for w in interval[:, s:s + b]]) @ q
+        q, r = np.linalg.qr(q)
+        sums += np.log(np.abs(np.diagonal(r, axis1=-2, axis2=-1)))
+    return q, sums
+
+
+def _propagate_cases(use, rng, kind, monkeypatch):
+    """Yield (words, renorm_every, q0) over the batch sizes, chunk sizes and ``_STEP_CASES``."""
+    n_maps, d = use.shape[:2]
     for batch in (1, 7):
         q0 = _start_frame(rng, kind, batch, d)
         # the default chunk, one-step chunks, and 2-step chunks whose edges
@@ -235,11 +265,117 @@ def test_propagate_bit_identical_to_per_step_qr(seed, kind, monkeypatch):
             if chunk_steps is not None:
                 monkeypatch.setattr(cocycle, "_PROPAGATE_CHUNK_FLOATS", chunk_steps * batch * d * d)
             for steps, renorm_every in _STEP_CASES:
-                words = rng.integers(0, n_maps, (batch, steps))
-                q, sums = cocycle._propagate(use, words, renorm_every, q0)
-                q_ref, sums_ref = _per_step_propagate(use, words, renorm_every, q0)
-                assert np.array_equal(q, q_ref) and np.array_equal(sums, sums_ref)
+                yield rng.integers(0, n_maps, (batch, steps)), renorm_every, q0
             monkeypatch.undo()
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("kind", [None, "dk", "bdk"])
+def test_propagate_bit_identical_to_block_reference(seed, kind, monkeypatch):
+    rng = np.random.default_rng(5100 + seed)
+    d, n_maps = 1 + seed % 4, 1 + (seed // 2 + seed) % 4
+    use = rng.standard_normal((n_maps, d, d))
+    for words, renorm_every, q0 in _propagate_cases(use, rng, kind, monkeypatch):
+        q, sums = cocycle._propagate(use, words, renorm_every, q0)
+        q_ref, sums_ref = _block_reference(use, words, renorm_every, q0)
+        assert np.array_equal(q, q_ref) and np.array_equal(sums, sums_ref)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("kind", [None, "dk", "bdk"])
+def test_propagate_bit_identical_to_per_step_qr(seed, kind, monkeypatch):
+    # whenever blocks are one symbol long (b = 1), the kernel is the per-step loop
+    rng = np.random.default_rng(5100 + seed)
+    d, n_maps = 1 + seed % 4, 1 + (seed // 2 + seed) % 4
+    use = rng.standard_normal((n_maps, d, d))
+    if d > 1:
+        # condition number e^8: two symbols would spread more than e^15
+        use[0] = np.diag(np.exp(np.linspace(0.0, -8.0, d)))
+    single = 0
+    for words, renorm_every, q0 in _propagate_cases(use, rng, kind, monkeypatch):
+        if cocycle._block_length(use, min(renorm_every, words.shape[1])) > 1:
+            continue
+        single += 1
+        q, sums = cocycle._propagate(use, words, renorm_every, q0)
+        q_ref, sums_ref = _per_step_propagate(use, words, renorm_every, q0)
+        assert np.array_equal(q, q_ref) and np.array_equal(sums, sums_ref)
+    # every case once d > 1, and at least the cases whose interval is one step
+    assert single == 2 * 3 * len(_STEP_CASES) if d > 1 else single >= 2 * 3 * 3
+
+
+@pytest.mark.parametrize("interval, expected", [(1, 1), (2, 2), (3, 3), (7, 3), (10, 3)])
+def test_block_length_spends_half_the_renorm_spread_on_stp3(interval, expected):
+    mats = load_config(CONFIG_DIR / "stp3.json").ifs.matrices
+    # log condition 4.127: renormalise every 7 steps, blocks of 3 symbols
+    assert cocycle.safe_renorm_interval(mats, 10) == 7
+    assert cocycle._block_length(mats, interval) == expected
+
+
+def test_block_length_caps():
+    scalar = np.full((4, 3, 3), 0.5 * np.eye(3))
+    # log condition 0: the table of words up to length 6 has 5,460 * 9 floats,
+    # and length 7 would add 16,384 * 9 more
+    assert cocycle._block_length(scalar, 10) == 6
+    assert cocycle._block_length(scalar[:1], 10) == 10
+    # log condition 5: three symbols spread exactly e^15
+    skewed = np.stack([np.diag([0.5, 0.5 * np.exp(-5.0)])] * 2)
+    assert cocycle._block_length(skewed, 10) == 3
+    bad = np.stack([np.diag([0.5, 0.5 * np.exp(-16.0)])])
+    assert cocycle._block_length(bad, 10) == 1
+
+
+@pytest.mark.parametrize("steps, trials, seed", [
+    (5_000, 12, np.random.SeedSequence(3).spawn(5)[0]),  # the stp3 dim report's spectrum
+    (100_000, 20, 3),  # the stp3 lyapunov report at the benchmark's word length
+])
+def test_propagate_blocks_keep_stp3_spectrum(steps, trials, seed):
+    ifs = load_config(CONFIG_DIR / "stp3.json").ifs
+    words = cocycle._draw_words(np.random.default_rng(seed), ifs.weights.p,
+                                np.empty((trials, steps), dtype=np.uint8))
+    _, sums = cocycle._propagate(ifs.matrices, words, 7)
+    if steps <= 5_000:
+        _, ref = _per_step_propagate(ifs.matrices, words, 1)
+    else:
+        # renorm every step is one-symbol blocks: the per-step loop bit for bit
+        _, ref = cocycle._propagate(ifs.matrices, words, 1)
+        _, head = cocycle._propagate(ifs.matrices, words[:, :500], 1)
+        assert np.array_equal(head, _per_step_propagate(ifs.matrices, words[:, :500], 1)[1])
+    chi = np.sort(-sums / steps, axis=1).mean(axis=0)
+    chi_ref = np.sort(-ref / steps, axis=1).mean(axis=0)
+    assert np.abs(chi - chi_ref).max() <= 2e-8
+
+
+@st.composite
+def _small_cocycles(draw):
+    """Maps with singular values in [0.05, 0.95] (d <= 4, N <= 4), and words over them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, n_maps = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    u = np.linalg.qr(rng.standard_normal((n_maps, d, d)))[0]
+    v = np.linalg.qr(rng.standard_normal((n_maps, d, d)))[0]
+    sv = rng.uniform(0.05, 0.95, (n_maps, d, 1))
+    words = rng.integers(0, n_maps, (draw(st.integers(1, 5)), draw(st.integers(1, 120))))
+    return u @ (sv * v), words, draw(st.integers(1, 12))
+
+
+@given(_small_cocycles())
+@settings(max_examples=150, deadline=None)
+def test_property_propagate_log_growth_is_log_det(case):
+    use, words, renorm_every = case
+    _, sums = cocycle._propagate(use, words, renorm_every)
+    log_det = np.log(np.abs(np.linalg.det(use)))[words]
+    expected = log_det.sum(axis=1)
+    assert np.all(np.abs(sums.sum(axis=1) - expected) <= 1e-10 * np.abs(log_det).sum(axis=1))
+
+
+def test_propagate_memory_stays_bounded():
+    # codes and block products are formed per chunk of intervals (1.11 MB
+    # traced); casting the whole 20 x 100,000-symbol run to int64 alone
+    # would take 16 MB
+    ifs = load_config(CONFIG_DIR / "stp3.json").ifs
+    words = cocycle._draw_words(np.random.default_rng(3), ifs.weights.p,
+                                np.empty((20, 100_000), dtype=np.uint8))
+    _, peak = traced_peak(cocycle._propagate, ifs.matrices, words, 7)
+    assert peak < 2e6, peak
 
 
 def test_propagate_nan_frame_follows_the_reference(monkeypatch):
