@@ -25,7 +25,8 @@ cantor = IfsSystem(
 )
 
 verdict = check_separation(cantor, level=8)
-print("Cantor separation:", verdict.status, f"(gap {verdict.witness_gap:.4f})")
+print("Cantor separation:", verdict.status, f"at level {verdict.level}",
+      f"(gap at least {verdict.witness_gap:.4f}; pairs formed: {verdict.pairs_formed})")
 
 cloud = sample_measure(cantor, 60_000, depth=35, rng=1)
 aff = self_affinity_check(cloud, cantor, [(np.array([0.0]), np.array([1 / 3]))])
@@ -43,8 +44,9 @@ overlapping = IfsSystem(
     np.array([[[0.45]], [[0.45]]]), np.array([[0.0], [0.1]]), BernoulliWeights.uniform(2)
 )
 lifted = lift_ifs(overlapping)
-print("\noverlap below, but the lift separates:",
-      check_separation(lifted.ifs, level=14).status, f"(rho = {lifted.rho})")
+lifted_verdict = check_separation(lifted.ifs, level=14)
+print("\noverlap below, but the lift separates:", lifted_verdict.status,
+      f"at level {lifted_verdict.level} (rho = {lifted.rho})")
 
 # the reference carpet: closed form vs the generic pipeline
 digits = ((0, 0), (1, 0), (2, 1))

@@ -336,8 +336,11 @@ class DimensionReport:
             "spectrum": _spectrum_block(self.spectrum),
             "separation": {
                 "status": self.separation.status,
-                "witness_gap": _tag(self.separation.witness_gap, "closed-form"),
+                "witness_gap": _tag(self.separation.witness_gap, "lower-bound"
+                                    if self.separation.status == "ssc-verified" else "closed-form"),
                 "level": self.separation.level,
+                "pairs_formed": self.separation.pairs_formed,
+                "near_pairs": self.separation.near_pairs,
             },
             "projection_dims": {
                 str(i): _tag(v, "estimated",

@@ -8,7 +8,6 @@ and pointwise (ball-mass slope) dimension estimation.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,7 +44,6 @@ DEFAULT_CENTERS = 64
 MIN_USABLE_RADII = 20
 BOX_SIZES = 26  # default box grid: sizes from diam/5 down in steps of DEFAULT_RADII_RATIO
 SELF_AFFINITY_MIN_COUNT = 20
-_SWEEP_BLOCK = 1 << 18  # candidate pairs per chunk of a distance search: near cache size
 _SAMPLE_BLOCK_ROWS = 4096  # rows of points stepped or gathered together: near cache size
 
 
@@ -96,6 +94,20 @@ class IfsSystem:
         """Radius R with the attractor inside the ball B(0, R)."""
         tmax = float(np.linalg.norm(self.translations, axis=1).max())
         return tmax / (1.0 - float(self.top_singular_values.max()))
+
+    @cached_property
+    def hull(self) -> tuple[np.ndarray, float]:
+        """Centre ``c`` and radius ``R_c`` of a ball that every map sends into itself.
+
+        ``c`` is the centre of the maps' fixed points' bounding box, and
+        ``R_c = max_i |f_i(c) - c| / (1 - alpha_1(A_i))`` is the least such
+        radius, so ``f_w`` maps the ball into ``B(f_w(c), ||A_w|| R_c)``, which
+        lies in the ball of every prefix of ``w`` (Hutchinson 1981).
+        """
+        fixed = np.array([self.map_fixed_point(i) for i in range(self.n_maps)])
+        c = (fixed.min(axis=0) + fixed.max(axis=0)) / 2.0
+        moved = np.linalg.norm(self.matrices @ c + self.translations - c, axis=1)
+        return c, float((moved / (1.0 - self.top_singular_values)).max())
 
     def truncation_bound(self, words) -> np.ndarray:
         """Truncation error ``R * prod(alpha_1(A_{w_k}))`` of each word (over the last axis)."""
@@ -329,39 +341,9 @@ class SeparationVerdict:
     status: str  # ssc-verified | overlap-detected | inconclusive
     witness_words: tuple[tuple[int, ...], tuple[int, ...]] | None
     witness_gap: float | None  # None when no two cylinders have different first symbols
-    level: int
-
-
-def _cylinder_products(n_maps: int, level: int) -> int:
-    """Matrix products that a level-``level`` cylinder table of ``n_maps`` maps costs."""
-    return level * n_maps**level
-
-
-def _enumerate_cylinders(ifs: IfsSystem, level: int):
-    """Centers, hull radii and point samples of all level-``level`` cylinders.
-
-    Each level's products and shifts are formed as one array, with the maps
-    taken in descending symbol order, so row ``k`` is the word whose symbols
-    are the base-N digits of ``N**level - 1 - k`` (reverse lexicographic
-    order; see :func:`_cylinder_word`).  The rows of one first symbol form
-    one block, and the parent of row ``k`` one level up is row ``k // N``.
-    """
-    maps = np.ascontiguousarray(ifs.matrices[::-1])
-    mats = np.eye(ifs.d)[None]
-    shifts = np.zeros((1, ifs.d))
-    for _ in range(level):
-        shifts = np.stack([mats @ t for t in ifs.translations[::-1]], axis=1) + shifts[:, None]
-        shifts = shifts.reshape(-1, ifs.d)
-        mats = (mats[:, None] @ maps[None]).reshape(-1, ifs.d, ifs.d)
-    radii = np.linalg.norm(mats, 2, axis=(1, 2)) * ifs.bounding_radius
-    samples = mats @ ifs.map_fixed_point(0) + shifts
-    return shifts, radii, samples
-
-
-def _cylinder_word(n_maps: int, level: int, row: int) -> tuple[int, ...]:
-    """The word of row ``row`` of :func:`_enumerate_cylinders`."""
-    code = n_maps**level - 1 - row
-    return tuple(code // n_maps**p % n_maps for p in range(level - 1, -1, -1))
+    level: int  # the level at which the verdict closed
+    pairs_formed: int
+    near_pairs: int  # pairs still near at ``level``
 
 
 def _squared_distances(x, c):
@@ -399,168 +381,83 @@ def _squared_distances(x, c):
     return total
 
 
-def _windows(lo: np.ndarray, hi: np.ndarray):
-    """Every ``(k, p)`` with ``lo[k] <= p < hi[k]``, as flat index arrays in chunks.
+def _first_pair(value: np.ndarray, a: np.ndarray, b: np.ndarray, words: np.ndarray):
+    """``(value, word pair)`` of the pair with the smallest ``value``.
 
-    Whole rows ``k`` go into a chunk while it holds at most ``_SWEEP_BLOCK``
-    pairs (a longer row goes alone).
+    ``a`` and ``b`` index the rows of ``words``, which are in lexicographic
+    order, so ties go to the pair whose two words come first in that order.
     """
-    sizes = hi - lo
-    ends = np.cumsum(sizes)
-    k = 0
-    while k < sizes.size:
-        stop = max(k + 1, int(np.searchsorted(ends, ends[k] - sizes[k] + _SWEEP_BLOCK, "right")))
-        size = sizes[k:stop]
-        rows = np.repeat(np.arange(k, stop), size)
-        shift = np.repeat(lo[k:stop] - (np.cumsum(size) - size), size)  # window start - flat start
-        yield rows, np.arange(rows.size) + shift
-        k = stop
-
-
-def _cross_pairs(points: np.ndarray, groups, r: float):
-    """Every pair of ``points`` in different groups within distance ``r``, in chunks.
-
-    ``groups[g]`` holds the global indices of group ``g``.  Yields, per chunk
-    of at most about ``_SWEEP_BLOCK`` candidates, the global indices ``i < j``
-    of each pair found and the distance between them.  Each group is sorted
-    once by its first coordinate, and each point is compared with the run of
-    every later group within ``r (1 + 1e-9)`` in that coordinate.  A pair is
-    kept when its squared distance (see :func:`_squared_distances`) is at
-    most ``r * r``, as the KD-tree keeps it; then the first coordinate's
-    rounded square is at most ``r * r`` too, so its difference is within a
-    few ulp of ``r``, and the padded run bounds, rounded like the coordinates
-    themselves, cannot leave the pair out.
-    """
-    r2 = r * r
-    reach = r * (1.0 + 1e-9)
-    groups = [g[np.argsort(points[g, 0], kind="stable")] for g in groups]
-    cols = [points[g].T.copy() for g in groups]  # one contiguous row per coordinate
-    for a, b in itertools.combinations(range(len(groups)), 2):
-        ga, gb, ca, cb = groups[a], groups[b], cols[a], cols[b]
-        lo = np.searchsorted(cb[0], ca[0] - reach, "left")
-        hi = np.searchsorted(cb[0], ca[0] + reach, "right")
-        for ka, kb in _windows(lo, hi):
-            sq = _squared_distances(ca[:, ka], cb[:, kb])
-            keep = sq <= r2
-            i, j = ga[ka[keep]], gb[kb[keep]]
-            yield np.minimum(i, j), np.maximum(i, j), np.sqrt(sq[keep])
-
-
-def _first_smallest(chunks, value, floor: float = -np.inf):
-    """``(value, i, j)`` of the first pair with the smallest ``value(i, j, dist)``, or ``None``.
-
-    ``chunks`` yields ``(i, j, dist)`` arrays, as :func:`_cross_pairs` does.
-    Ties go to the earliest pair, so the pair is the one that ``np.argmin``
-    picks over all chunks joined end to end.  No value lies below ``floor``,
-    so once the smallest reaches it no later pair can replace it, and the
-    search stops there.
-    """
-    best = None
-    for i, j, dist in chunks:
-        if dist.size:
-            v = value(i, j, dist)
-            k = int(np.argmin(v))
-            if best is None or v[k] < best[0]:
-                best = (float(v[k]), int(i[k]), int(j[k]))
-                if best[0] <= floor:
-                    break
-    return best
-
-
-def _nearest(points: np.ndarray, ga: np.ndarray, gb: np.ndarray):
-    """Nearest point of ``points[gb]`` to each of ``points[ga]``: global index and distance.
-
-    Nearness is the squared distance of :func:`_squared_distances`, with ties
-    going to the lowest index in ``gb``.  In 1-D, ``(x - a)**2`` does not
-    rise as ``x`` nears ``a`` from either side, so over ``gb`` sorted by value
-    the points at the smallest squared distance form one run through the
-    neighbours below and above ``a``; its ends are bisected as in
-    :func:`_ball_counts`, every point in it ties, and the lowest index in the
-    run is the answer.  Otherwise every row of ``a`` is scanned against all
-    of ``gb``, in chunks of a quarter of ``_SWEEP_BLOCK`` squared distances
-    (so that a chunk's sums stay in cache), and ``argmin`` picks the first
-    smallest.
-    """
-    pa, pb = points[ga], points[gb]
-    near = np.empty(ga.size, dtype=np.int64)
-    if points.shape[1] == 1:
-        order = np.argsort(pb[:, 0], kind="stable")
-        xs, a = pb[order, 0], pa[:, 0]
-        pos = np.searchsorted(xs, a)  # xs[pos - 1] < a <= xs[pos]
-        below = np.where(pos > 0, (xs[pos - 1] - a) ** 2, np.inf)
-        above = np.where(pos < xs.size, (xs[np.minimum(pos, xs.size - 1)] - a) ** 2, np.inf)
-        best = np.minimum(below, above)
-        start = np.where(above == best, pos, pos - 1)  # a point at the smallest distance
-        hi = _run_end(xs, a, best, start)
-        lo = xs.size - _run_end(xs[::-1], a, best, xs.size - 1 - start)
-        for k, p in _windows(lo, hi):
-            first = np.flatnonzero(np.diff(k, prepend=-1))  # every row holds a point
-            near[k[first]] = np.minimum.reduceat(order[p], first)
-        return gb[near], np.sqrt(best)
-    sq = np.empty(ga.size)
-    ca, cb = pa.T.copy(), pb.T[:, None, :].copy()  # one contiguous row per coordinate
-    rows = max(1, (_SWEEP_BLOCK // 4) // gb.size)
-    for s in range(0, ga.size, rows):
-        dist2 = _squared_distances(ca[:, s:s + rows, None], cb)
-        k = np.argmin(dist2, axis=1)
-        near[s:s + rows], sq[s:s + rows] = k, dist2[np.arange(k.size), k]
-    return gb[near], np.sqrt(sq)
+    ties = np.flatnonzero(value == value.min())
+    k = ties[np.lexsort((b[ties], a[ties]))[0]]
+    return float(value[k]), (tuple(words[a[k]].tolist()), tuple(words[b[k]].tolist()))
 
 
 def check_separation(ifs: IfsSystem, level: int, budget: int = PRODUCT_BUDGET) -> SeparationVerdict:
-    """Certify strong separation, detect overlap, or report inconclusive.
+    """Certify strong separation, detect an exact overlap, or report inconclusive.
 
-    Every first-level cylinder is covered by the bounding balls of its
-    level-``level`` refinements, so pairwise-positive gaps between balls of
-    different first symbols certify disjoint first-level images; only such
-    cross-symbol pairs are ever searched.  Overlap is declared when point
-    samples from different first-level cylinders coincide within the
-    resolution ``1e-9 (1 + R)``, and hulls count as disjoint when their gap
-    exceeds the guard ``1e-12 (1 + R)``, where ``R`` is the bounding radius.
-    Anything else is honestly inconclusive.
+    Refines near pairs of cylinder hulls ``B(f_w(c), ||A_w|| R_c)``, with
+    ``(c, R_c)`` from :attr:`IfsSystem.hull`, level by level (Bandt & Graf
+    1992).  A child's hull lies in its parent's, so only pairs whose hull gap
+    is at most the guard ``1e-12 (1 + R)`` are refined, ``R`` being the
+    bounding radius.  Level 1 forms the ``N(N-1)/2`` pairs of maps, and each
+    later level the ``N**2`` child pairs of each near pair, from the children
+    of each kept cylinder formed once.  The maps of ``u`` and ``v`` coincide
+    when ``||A_u - A_v|| R + |t_u - t_v| <= 1e-9 (1 + R) ||A_u||``.
 
-    The check runs at the deepest level up to ``level`` whose cylinder table
-    costs at most ``budget`` matrix products, and at level 1 (the maps
-    themselves) when none does; the verdict's ``level`` names the level run.
+    The verdict closes at the first level with no near pair (``ssc-verified``)
+    or with a near pair whose maps coincide (``overlap-detected``); otherwise
+    it is ``inconclusive`` at ``level``, or at the last level before more than
+    ``budget`` pairs would have been formed (level 1 always is).  The witness
+    is the pair with the smallest number, ties to the first in word order: the
+    smallest gap of any pair where it was retired for ``ssc-verified`` (a lower
+    bound on the distance between different first-level pieces), the
+    coinciding maps' distance for ``overlap-detected``, and the closest near
+    pair's gap for ``inconclusive``.
     """
     if level < 1:
         raise ValueError("level must be positive")
-    while level > 1 and _cylinder_products(ifs.n_maps, level) > budget:
-        level -= 1
-    scale = 1.0 + ifs.bounding_radius
-    guard, resolution = 1e-12 * scale, 1e-9 * scale
-    if ifs.n_maps == 1:  # no two cylinders have different first symbols
-        return SeparationVerdict("ssc-verified", None, None, level)
-
-    centers, radii, samples = _enumerate_cylinders(ifs, level)
-    block = ifs.n_maps ** (level - 1)  # the rows of one first symbol
-    groups = [np.arange(block * (ifs.n_maps - 1 - g), block * (ifs.n_maps - g))
-              for g in range(ifs.n_maps)]
-
-    def witness(i, j):
-        return (_cylinder_word(ifs.n_maps, level, i), _cylinder_word(ifs.n_maps, level, j))
-
-    def gap(i, j, dist):
-        return dist - radii[i] - radii[j]
-
-    worst = _first_smallest(_cross_pairs(centers, groups, 2.0 * float(radii.max()) + guard), gap)
-    near = worst is not None
-    if not near:
-        # every hull gap exceeds the guard; the witness pairs each cylinder
-        # with its nearest centre of a later first symbol
-        worst = _first_smallest(
-            ((groups[a], *_nearest(centers, groups[a], groups[b]))
-             for a, b in itertools.combinations(range(len(groups)), 2)), gap)
-    worst_gap, worst_pair = worst[0], witness(*worst[1:])
-    if not near or worst_gap > guard:
-        return SeparationVerdict("ssc-verified", worst_pair, worst_gap, level)
-    # hulls touch or overlap: look for coinciding attractor points; the
-    # first pair at distance 0 settles the search
-    hit = _first_smallest(_cross_pairs(samples, groups, resolution),
-                          lambda i, j, dist: dist, floor=0.0)
-    if hit is not None:
-        return SeparationVerdict("overlap-detected", witness(*hit[1:]), hit[0], level)
-    return SeparationVerdict("inconclusive", worst_pair, worst_gap, level)
+    n = ifs.n_maps
+    radius = ifs.bounding_radius
+    guard, resolution = 1e-12 * (1.0 + radius), 1e-9 * (1.0 + radius)
+    centre, hull_radius = ifs.hull
+    symbols = np.arange(n, dtype=np.min_scalar_type(n - 1))
+    mats, shifts, words = ifs.matrices, ifs.translations, symbols[:, None]
+    a, b = np.triu_indices(n, 1)  # cylinder rows are in word order, and so are the pairs
+    formed, retired = a.size, None
+    for depth in range(1, level + 1):
+        norms = np.linalg.norm(mats, 2, axis=(1, 2))
+        radii = norms * hull_radius
+        centres = (mats @ centre + shifts).T  # one row per coordinate
+        gap = np.sqrt(_squared_distances(centres[:, a], centres[:, b])) - radii[a] - radii[b]
+        near = gap <= guard
+        if not near.all():
+            far = _first_pair(gap[~near], a[~near], b[~near], words)
+            retired = far if retired is None else min(retired, far)
+        a, b, gap = a[near], b[near], gap[near]
+        if a.size == 0:
+            value, pair = (None, None) if retired is None else retired
+            return SeparationVerdict("ssc-verified", pair, value, depth, formed, 0)
+        # the maps' distance on B(0, R); the translations' part alone rules most pairs out
+        apart = np.sqrt(_squared_distances(shifts.T[:, a], shifts.T[:, b]))
+        close = np.flatnonzero(apart <= resolution * norms[a])
+        apart = np.linalg.norm(mats[a[close]] - mats[b[close]], 2, axis=(1, 2)) * radius + apart[close]
+        same = apart <= resolution * norms[a[close]]
+        if same.any():
+            value, pair = _first_pair(apart[same], a[close[same]], b[close[same]], words)
+            return SeparationVerdict("overlap-detected", pair, value, depth, formed, a.size)
+        if depth == level or formed + a.size * n * n > budget:
+            value, pair = _first_pair(gap, a, b, words)
+            return SeparationVerdict("inconclusive", pair, value, depth, formed, a.size)
+        # each kept cylinder's N children, in word order, and each pair's N^2 child pairs
+        used, rows = np.unique(np.concatenate([a, b]), return_inverse=True)
+        mats, shifts = mats[used], shifts[used]
+        shifts = ((mats @ ifs.translations.T).transpose(0, 2, 1) + shifts[:, None]).reshape(-1, ifs.d)
+        mats = (mats[:, None] @ ifs.matrices[None]).reshape(-1, ifs.d, ifs.d)
+        words = np.column_stack([np.repeat(words[used], n, axis=0), np.tile(symbols, used.size)])
+        rows_a, rows_b = rows[:a.size, None, None] * n, rows[a.size:, None, None] * n
+        a = (rows_a + np.arange(n)[:, None]).repeat(n, axis=2).ravel()
+        b = (rows_b + np.arange(n)).repeat(n, axis=1).ravel()
+        formed += a.size
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Shared generators for random maps and reference systems, test oracles, and a memory probe."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -154,6 +155,40 @@ def telescoping_identity_check(hseq, exponents, rtol: float = 1e-12) -> bool:
     rhs = float(np.sum(drops / chi))
     scale = max(1.0, abs(lhs), abs(rhs))
     return bool(abs(lhs - rhs) <= rtol * scale)
+
+
+# ---------------------------------------------------------------------------
+# separation: the whole-level table on the check's own hulls
+
+
+def separation_table(ifs, level):
+    """Every level-``level`` cylinder and every pair of them with different first symbols.
+
+    The cylinders are formed in lexicographic word order by the products and
+    shifts the separation check forms, and get its hulls
+    ``B(f_w(c), ||A_w|| R_c)`` about ``ifs.hull``.  Returns the words, the
+    pairs ``(i, j)`` with ``i < j``, each pair's hull gap and whether its two
+    maps coincide within the check's resolution at the scale of ``A_{w_i}``.
+    """
+    mats, shifts = ifs.matrices, ifs.translations
+    for _ in range(level - 1):
+        shifts = (mats @ ifs.translations.T).transpose(0, 2, 1) + shifts[:, None]
+        shifts = shifts.reshape(-1, ifs.d)
+        mats = (mats[:, None] @ ifs.matrices[None]).reshape(-1, ifs.d, ifs.d)
+    words = np.array(list(itertools.product(range(ifs.n_maps), repeat=level)))
+    i, j = np.triu_indices(len(words), 1)
+    keep = words[i, 0] != words[j, 0]
+    i, j = i[keep], j[keep]
+    centre, hull_radius = ifs.hull
+    norms = np.linalg.norm(mats, 2, axis=(1, 2))
+    radii = norms * hull_radius
+    centres = mats @ centre + shifts
+    dist = np.sqrt(sum((centres[i, k] - centres[j, k]) ** 2 for k in range(ifs.d)))
+    gaps = dist - radii[i] - radii[j]
+    apart = np.sqrt(sum((shifts[i, k] - shifts[j, k]) ** 2 for k in range(ifs.d)))
+    apart = apart + np.linalg.norm(mats[i] - mats[j], 2, axis=(1, 2)) * ifs.bounding_radius
+    coincide = apart <= 1e-9 * (1.0 + ifs.bounding_radius) * norms[i]
+    return words, i, j, gaps, coincide
 
 
 # ---------------------------------------------------------------------------

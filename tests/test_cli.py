@@ -278,8 +278,8 @@ def test_dim_assume_ssc_allowed_when_verified(tmp_path, capsys):
 
 
 def test_dim_assume_ssc_uses_resolved_separation_level(tmp_path, capsys):
-    # level 8 is over the separation budget for six maps; the pipeline
-    # resolves it down to 6, which verifies, and --assume-ssc must agree
+    # six maps: the refinement closes at level 1, where every pair of maps
+    # is apart, far below the pipeline's level 8, and --assume-ssc must agree
     doc = cantor_doc()
     doc["ifs"] = {
         "matrices": [[[0.1]]] * 6,
@@ -291,7 +291,8 @@ def test_dim_assume_ssc_uses_resolved_separation_level(tmp_path, capsys):
     assert code == 0, err
     separation = json.loads(out)["results"]["separation"]
     assert separation["status"] == "ssc-verified"
-    assert separation["level"] == 6
+    assert (separation["level"], separation["pairs_formed"], separation["near_pairs"]) == (1, 15, 0)
+    assert separation["witness_gap"]["provenance"] == "lower-bound"
 
 
 def test_dim_assume_ssc_refusal_writes_nothing(tmp_path, capsys):
@@ -439,10 +440,10 @@ def test_stdout_is_one_strict_json_report(command, tmp_path, capsys):
 # (command, config) -> sha256 prefix of its --deterministic report; kept out of
 # the test ids, so that a re-pinned digest does not rename a test
 PINNED_DIGESTS = {
-    ("dim", "bm.json"): "3761a9409c26",
-    ("dim", "stp3.json"): "de42ddc81929",
-    ("dim", "cantor.json"): "31ca125aa6d7",
-    ("dim", "overlap.json"): "4171406a91d6",
+    ("dim", "bm.json"): "e6c3602777ac",
+    ("dim", "stp3.json"): "2b3a09da8a38",
+    ("dim", "cantor.json"): "eda615078c42",
+    ("dim", "overlap.json"): "921102246f04",
     ("validate", "cantor.json"): "35e6b702540b",
     ("lyapunov", "stp3.json"): "94d1084532cc",
     ("lyapunov", "bm.json"): "c48a16d3b9df",
@@ -483,7 +484,7 @@ def test_dim_report_bytes_without_scipy(tmp_path):
                   "from affinedim.cli import main\nsys.exit(main(sys.argv[1:]))",
                   "dim", "--config", str(CONFIG_DIR / "cantor.json"), "--deterministic",
                   "--out", str(path))
-    assert hashlib.sha256(path.read_bytes()).hexdigest()[:12] == "31ca125aa6d7"
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:12] == "eda615078c42"
 
 
 def test_timestamp_present_without_deterministic(tmp_path, capsys):

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import bm_carpet_ifs, cantor_dust_ifs, cantor_ifs, segment_ifs, traced_peak
+from conftest import (bm_carpet_ifs, cantor_dust_ifs, cantor_ifs, segment_ifs, separation_table,
+                      traced_peak)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -20,12 +21,11 @@ from affinedim.measure import (
     IfsSystem,
     _ball_counts,
     _cell_counts,
-    _cross_pairs,
-    _cylinder_word,
-    _enumerate_cylinders,
-    _nearest,
+    _first_pair,
     _prefix_slopes,
+    _squared_distances,
     PointCloud,
+    SeparationVerdict,
     box_counting_dimension,
     check_separation,
     lift_ifs,
@@ -340,10 +340,9 @@ def test_separation_cantor_verified_with_gap():
 
 
 def test_separation_cantor_deep_level_pinned():
-    # every hull pair is apart, so the 1-D nearest-centre search decides the witness
+    # the level-1 hulls [0, 1/3] and [2/3, 1] are apart, so the check closes there
     verdict = check_separation(cantor_ifs(), level=15)
-    assert (verdict.status, verdict.witness_words, verdict.witness_gap, verdict.level) == (
-        "ssc-verified", ((0,) + (1,) * 14, (1,) + (0,) * 14), 0.3333332636416139, 15)
+    assert verdict == SeparationVerdict("ssc-verified", ((0,), (1,)), 0.33333333333333337, 1, 1, 0)
 
 
 def test_separation_identical_maps_overlap():
@@ -353,6 +352,7 @@ def test_separation_identical_maps_overlap():
     verdict = check_separation(ifs, level=6)
     assert verdict.status == "overlap-detected"
     assert verdict.witness_gap == pytest.approx(0.0, abs=1e-12)
+    assert verdict.level == 1
 
 
 def test_separation_abutting_inconclusive():
@@ -363,29 +363,7 @@ def test_separation_abutting_inconclusive():
 def test_separation_single_map_has_no_witness():
     ifs = IfsSystem(np.array([[[0.5]]]), np.array([[0.25]]), BernoulliWeights.uniform(1))
     verdict = check_separation(ifs, level=4)
-    assert verdict.status == "ssc-verified"
-    assert verdict.witness_words is None and verdict.witness_gap is None
-
-
-@pytest.mark.parametrize("ifs", [cantor_ifs(), bm_carpet_ifs(), cantor_dust_ifs()],
-                         ids=["cantor", "bm", "dust"])
-def test_cylinder_centres_are_natural_projections(ifs):
-    level = 4
-    centers, radii, samples = _enumerate_cylinders(ifs, level)
-    words = _cylinder_words(ifs.n_maps, level)
-    assert centers.shape == (ifs.n_maps**level, ifs.d)
-    # row k's word is read back from k alone, and every row's parent is k // N
-    decoded = [_cylinder_word(ifs.n_maps, level, k) for k in range(len(words))]
-    assert decoded == [tuple(w) for w in words.tolist()]
-    parents = _cylinder_words(ifs.n_maps, level - 1)[np.arange(len(words)) // ifs.n_maps]
-    assert np.array_equal(words[:, :-1], parents)
-    for center, word in zip(centers, words):
-        assert np.allclose(center, natural_projection(ifs, word)[0], rtol=0.0, atol=1e-14)
-
-
-def _cylinder_words(n_maps, level):
-    """Every word of length ``level`` once, in reverse lexicographic order."""
-    return np.array(list(itertools.product(range(n_maps), repeat=level))[::-1])
+    assert verdict == SeparationVerdict("ssc-verified", None, None, 1, 0, 0)
 
 
 def _random_maps(rng, n, d):
@@ -400,6 +378,11 @@ def _random_maps(rng, n, d):
 
 
 def _random_small_ifs(rng, kind):
+    if kind == "digits":  # x/m + k/m on the line: cylinders touch, and some coincide deeper down
+        m = int(rng.integers(2, 4))
+        digits = rng.choice(2 * m, size=int(rng.integers(2, 4)), replace=False)
+        return IfsSystem(np.full((digits.size, 1, 1), 1.0 / m), digits[:, None] / m,
+                         BernoulliWeights.uniform(digits.size))
     d = int(rng.integers(1, 4))
     n = 1 if kind == "one-map" else int(rng.integers(2, 5))
     mats, ts = _random_maps(rng, n, d)
@@ -410,114 +393,191 @@ def _random_small_ifs(rng, kind):
     return IfsSystem(mats, ts, BernoulliWeights.uniform(n))
 
 
-def _brute_force_cross_pairs(ifs, level):
-    """Hull gaps and sample distances of every cross-first-symbol pair, all O(n^2) of them."""
-    centers, radii, samples = _enumerate_cylinders(ifs, level)
-    words = _cylinder_words(ifs.n_maps, level)
-    firsts = words[:, 0]
-    i, j = np.nonzero(firsts[:, None] != firsts[None, :])
-    gaps = np.linalg.norm(centers[i] - centers[j], axis=1) - radii[i] - radii[j]
-    sample_dist = np.linalg.norm(samples[i] - samples[j], axis=1)
-    index = {tuple(w): k for k, w in enumerate(words.tolist())}
-    return gaps, sample_dist, index, centers, radii, samples
+def test_hull_ball_is_the_least_invariant_ball():
+    rng = np.random.default_rng(2023)
+    for trial in range(40):
+        ifs = _random_small_ifs(rng, ["generic", "identical", "digits"][trial % 3])
+        c, r = ifs.hull
+        moved = np.linalg.norm(ifs.matrices @ c + ifs.translations - c, axis=1)
+        reach = moved + ifs.top_singular_values * r  # f_i(B(c, r)) lies in B(c, reach_i)
+        assert np.all(reach <= r * (1.0 + 1e-12)), trial
+        assert reach.max() == pytest.approx(r, rel=1e-12), trial
+        fixed = np.array([ifs.map_fixed_point(i) for i in range(ifs.n_maps)])
+        assert np.all(np.linalg.norm(fixed - c, axis=1) <= r * (1.0 + 1e-12)), trial
+
+
+def _first_symbol_distance(ifs, seed):
+    """Smallest distance between sampled points of different first symbols, less their error."""
+    cloud = sample_measure(ifs, 400, 40, rng=seed)
+    first = cloud.words[:, 0]
+    cross = first[:, None] != first[None, :]
+    dist = np.linalg.norm(cloud.points[:, None] - cloud.points[None, :], axis=-1)
+    return dist[cross].min() - 2.0 * cloud.errors.max()
+
+
+def _retired_gaps(tables, near, n_maps):
+    """Gap of every pair that is apart at its level while its parent pair was near."""
+    found, parents = [], None
+    for (_, i, j, gaps, _), k in zip(tables, near):
+        # a level-n row r has parent row r // N, one level up
+        kept = np.ones(i.size, bool) if parents is None else np.array(
+            [(a // n_maps, b // n_maps) in parents for a, b in zip(i.tolist(), j.tolist())])
+        found.extend(gaps[kept & ~k].tolist())
+        parents = set(zip(i[k].tolist(), j[k].tolist()))
+    return found
 
 
 def test_separation_matches_brute_force_on_random_systems():
+    # each verdict is the one the whole-level table gives at the level where it closed
     rng = np.random.default_rng(2024)
-    kinds = ["generic", "generic", "one-map", "identical", "zero-translations"]
+    kinds = ["generic", "generic", "one-map", "identical", "zero-translations", "digits"]
     seen = set()
-    for trial in range(60):
+    for trial in range(72):
         ifs = _random_small_ifs(rng, kinds[trial % len(kinds)])
         level = int(rng.integers(1, 5 if ifs.n_maps < 4 else 4))
         verdict = check_separation(ifs, level)
-        seen.add(verdict.status)
+        seen.add((verdict.status, verdict.level < level))
+        assert 1 <= verdict.level <= level, trial
         scale = 1.0 + ifs.bounding_radius
         guard, resolution = 1e-12 * scale, 1e-9 * scale
         if ifs.n_maps == 1:
-            assert verdict.status == "ssc-verified", trial
-            assert verdict.witness_words is None and verdict.witness_gap is None, trial
+            assert verdict == SeparationVerdict("ssc-verified", None, None, 1, 0, 0), trial
             continue
-        gaps, sample_dist, index, centers, radii, samples = _brute_force_cross_pairs(ifs, level)
-        assert verdict.witness_words[0][0] != verdict.witness_words[1][0], trial
-        a, b = (index[w] for w in verdict.witness_words)
-        pair_gap = np.linalg.norm(centers[a] - centers[b]) - radii[a] - radii[b]
-        if gaps.min() > guard:
-            assert verdict.status == "ssc-verified", trial
-            assert verdict.witness_gap > guard, trial
-            assert verdict.witness_gap == pytest.approx(pair_gap, rel=1e-12, abs=1e-15), trial
-        elif sample_dist.min() <= resolution:
-            assert verdict.status == "overlap-detected", trial
-            assert verdict.witness_gap == pytest.approx(sample_dist.min(), abs=1e-15), trial
-            assert np.linalg.norm(samples[a] - samples[b]) <= resolution, trial
+        tables = [separation_table(ifs, n) for n in range(1, verdict.level + 1)]
+        near = [gaps <= guard for _, _, _, gaps, _ in tables]
+        # level 1 forms every pair of maps, and each later level N^2 per near pair
+        n = ifs.n_maps
+        formed = n * (n - 1) // 2 + n**2 * sum(int(k.sum()) for k in near[:-1])
+        assert verdict.pairs_formed == formed, trial
+        assert all(k.any() for k in near[:-1]), trial  # no earlier level had every pair apart
+        assert not any((k & c).any() for k, (*_, c) in zip(near[:-1], tables)), trial
+        words, i, j, gaps, coincide = tables[-1]
+        pairs = [(tuple(words[a]), tuple(words[b])) for a, b in zip(i.tolist(), j.tolist())]
+        assert verdict.near_pairs == int(near[-1].sum()), trial
+        if verdict.status == "ssc-verified":
+            assert not near[-1].any(), trial
+            # the witness is a pair as it was retired, and a lower bound for every pair after it
+            w_words, w_i, w_j, w_gaps, _ = tables[len(verdict.witness_words[0]) - 1]
+            k = [(tuple(w_words[a]), tuple(w_words[b])) for a, b in zip(w_i, w_j)].index(
+                verdict.witness_words)
+            assert verdict.witness_gap == w_gaps[k] > guard, trial
+            assert verdict.witness_gap == min(_retired_gaps(tables, near, n)), trial
+            assert gaps.min() >= verdict.witness_gap - guard, trial
+            assert _first_symbol_distance(ifs, trial) >= verdict.witness_gap - guard, trial
+        elif verdict.status == "overlap-detected":
+            hit = near[-1] & coincide
+            k = pairs.index(verdict.witness_words)
+            assert hit[k] and verdict.witness_gap <= resolution, trial
         else:
-            assert verdict.status == "inconclusive", trial
-            assert verdict.witness_gap == pytest.approx(gaps.min(), rel=1e-12, abs=1e-15), trial
-            assert pair_gap == pytest.approx(gaps.min(), rel=1e-12, abs=1e-15), trial
-    assert seen == {"ssc-verified", "overlap-detected", "inconclusive"}
+            assert verdict.level == level and not (near[-1] & coincide).any(), trial
+            closest = np.flatnonzero(gaps == gaps[near[-1]].min())[0]  # pairs are in word order
+            assert verdict.witness_gap == gaps[closest] <= guard, trial
+            assert verdict.witness_words == pairs[closest], trial
+    statuses = {status for status, _ in seen}
+    assert statuses == {"ssc-verified", "overlap-detected", "inconclusive"}
+    assert ("ssc-verified", True) in seen and ("overlap-detected", True) in seen
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["generic", "identical", "digits"]),
+       st.integers(1, 4))
+@settings(max_examples=120, deadline=None)
+def test_property_refinement_decides_what_the_table_decides(seed, kind, level):
+    # nested hulls: refinement can only decide sooner than the whole-level
+    # table on the same hulls, never differently
+    ifs = _random_small_ifs(np.random.default_rng(seed), kind)
+    if ifs.n_maps ** level > 256:
+        level = 2
+    _, _, _, gaps, coincide = separation_table(ifs, level)
+    verdict = check_separation(ifs, level)
+    assert verdict.level <= level
+    if np.all(gaps > 1e-12 * (1.0 + ifs.bounding_radius)):
+        assert verdict.status == "ssc-verified"
+    if coincide.any():
+        assert verdict.status == "overlap-detected"
 
 
 def _overlap_ifs(shift=0.0):
-    """Two maps ``x/3 + 0.1`` and ``x/3 + 0.1 + shift``: every hull and sample coincide at 0."""
+    """Two maps ``x/3 + 0.1`` and ``x/3 + 0.1 + shift``."""
     return IfsSystem(np.array([[[1.0 / 3.0]], [[1.0 / 3.0]]]), np.array([[0.1], [0.1 + shift]]),
                      BernoulliWeights.uniform(2))
 
 
-@pytest.mark.parametrize("ifs, level, status, tied", [
-    (_overlap_ifs(), 5, "overlap-detected", True),
-    (_overlap_ifs(1e-13), 5, "overlap-detected", False),  # the closest samples are apart
-    (_overlap_ifs(1e-6), 5, "inconclusive", False),
-    (segment_ifs(), 6, "inconclusive", False),
-    (bm_carpet_ifs(), 3, "inconclusive", False),
-    (bm_carpet_ifs(((0, 0), (1, 0), (0, 1), (1, 1)), 2, 2), 3, "inconclusive", True),
-    (cantor_dust_ifs(), 3, "ssc-verified", True),
-], ids=["overlap", "near-overlap", "apart", "segment", "bm", "square", "dust"])
-@pytest.mark.parametrize("block", [1, 3, 40])
-def test_streamed_witness_is_argmin_over_all_pairs(ifs, level, status, tied, block, monkeypatch):
-    # tiny chunks, so that tied smallest gaps and distances fall in several chunks
-    monkeypatch.setattr(measure, "_SWEEP_BLOCK", block)
+def _thirds_ifs():
+    """``x/3 + {0, 1, 3}``: the words ``02`` and ``10`` are the same map ``x/9 + 1``."""
+    return IfsSystem(np.full((3, 1, 1), 1.0 / 3.0), np.array([[0.0], [1.0], [3.0]]),
+                     BernoulliWeights.uniform(3))
+
+
+@pytest.mark.parametrize("ifs, level, status, closes, witness", [
+    (bm_carpet_ifs(), 60, "inconclusive", None, None),
+    (segment_ifs(), 60, "inconclusive", None, None),
+    (load_config(CONFIG_DIR / "overlap.json").ifs, 15, "overlap-detected", 1, ((0,), (1,))),
+    (_thirds_ifs(), 15, "overlap-detected", 2, ((0, 2), (1, 0))),
+    (_overlap_ifs(1e-13), 15, "overlap-detected", 1, ((0,), (1,))),
+], ids=["bm", "segment", "overlap", "thirds", "near-overlap"])
+def test_separation_overlap_needs_coinciding_maps(ifs, level, status, closes, witness):
+    # touching cells have near pairs at every depth, whose hull centres come
+    # within any fixed distance; only maps that agree at their own scale overlap
     verdict = check_separation(ifs, level)
     assert verdict.status == status
-    centers, radii, samples = _enumerate_cylinders(ifs, level)
-    words = _cylinder_words(ifs.n_maps, level)
-    groups = [np.flatnonzero(words[:, 0] == g) for g in range(ifs.n_maps)]
-    scale = 1.0 + ifs.bounding_radius
-    if status == "overlap-detected":
-        chunks = list(_cross_pairs(samples, groups, 1e-9 * scale))
-    else:
-        if status == "inconclusive":
-            chunks = _cross_pairs(centers, groups, 2.0 * float(radii.max()) + 1e-12 * scale)
-        else:
-            chunks = ((groups[a], *_nearest(centers, groups[a], groups[b]))
-                      for a, b in itertools.combinations(range(ifs.n_maps), 2))
-        chunks = [(i, j, dist - radii[i] - radii[j]) for i, j, dist in chunks]
-    i, j, value = (np.concatenate(col) for col in zip(*chunks))
-    k = int(np.argmin(value))
-    # the witness is argmin's over all pairs joined end to end
-    assert verdict.witness_gap == float(value[k])
-    assert verdict.witness_words == (tuple(words[i[k]].tolist()), tuple(words[j[k]].tolist()))
-    assert (sum(bool((c[2] == value[k]).any()) for c in chunks) > 1) == tied
+    if closes is not None:
+        assert (verdict.level, verdict.witness_words) == (closes, witness)
 
 
-def test_separation_overlap_memory_stays_bounded():
-    # the first coinciding sample pair settles the search, and the 2^24 hull
-    # pairs are searched in bounded chunks
-    ifs = load_config(CONFIG_DIR / "overlap.json").ifs
-    verdict, peak = traced_peak(check_separation, ifs, 13)
-    assert (verdict.status, verdict.witness_words, verdict.witness_gap, verdict.level) == (
-        "overlap-detected", ((1,) * 13, (0,) + (1,) * 12), 0.0, 13)
-    assert peak < 40e6, peak
+@pytest.mark.parametrize("ifs, status, level", [
+    (cantor_dust_ifs(), "ssc-verified", 1),  # four pairs of maps tie at the smallest gap
+    (bm_carpet_ifs(((0, 0), (1, 0), (0, 1), (1, 1)), 2, 2), "inconclusive", 3),  # 16 near pairs tie
+], ids=["dust", "square"])
+def test_separation_ties_go_to_the_first_pair_in_word_order(ifs, status, level):
+    verdict = check_separation(ifs, 3)
+    assert (verdict.status, verdict.level) == (status, level)
+    words, i, j, gaps, _ = separation_table(ifs, level)
+    ties = np.flatnonzero(gaps == gaps.min())
+    assert ties.size > 1
+    k = ties[0]  # the table's pairs are in word order
+    assert verdict.witness_words == (tuple(words[i[k]]), tuple(words[j[k]]))
+    assert verdict.witness_gap == gaps[k]
 
 
-@pytest.mark.parametrize("level, budget, fitted", [
-    (12, 10_000, 5),  # 5 * 4^5 products fit, 6 * 4^6 do not
-    (6, 6 * 4**6, 6),  # exactly at the budget
-    (3, 1, 1),  # no level fits: level 1, the maps themselves
-])
-def test_separation_clamps_level_to_budget(level, budget, fitted):
-    ifs = cantor_dust_ifs()
-    verdict = check_separation(ifs, level, budget)
-    assert verdict.level == fitted
-    assert verdict == check_separation(ifs, fitted)
+def _six_map_grid_ifs():
+    """``0.3 x`` at the six points of a 3 x 2 grid spaced 0.35 in the plane."""
+    ts = np.array([[0.35 * i, 0.35 * j] for j in range(2) for i in range(3)])
+    return IfsSystem(np.tile(0.3 * np.eye(2), (6, 1, 1)), ts, BernoulliWeights.uniform(6))
+
+
+def _sponge_ifs():
+    """Kenyon-Peres sponge: ``diag(1/5, 1/4, 1/3)`` at five digits, every two 2 apart somewhere."""
+    digits = np.array([(0, 0, 0), (2, 2, 0), (4, 0, 2), (0, 2, 2), (2, 0, 2)])
+    scale = np.array([5.0, 4.0, 3.0])
+    return IfsSystem(np.tile(np.diag(1.0 / scale), (5, 1, 1)), digits / scale,
+                     BernoulliWeights(np.array([0.3, 0.25, 0.2, 0.15, 0.1])))
+
+
+@pytest.mark.parametrize("ifs", [_six_map_grid_ifs(), _sponge_ifs()], ids=["six-map", "sponge"])
+def test_separation_of_many_maps_closes_early(ifs):
+    verdict = check_separation(ifs, 8)
+    assert verdict.status == "ssc-verified" and verdict.level <= 2
+
+
+def test_separation_budget_counts_pairs_formed():
+    ifs = bm_carpet_ifs()
+    free = check_separation(ifs, 12)
+    assert (free.status, free.level) == ("inconclusive", 12)
+    # a level is refined only while the pairs it forms keep the count within the budget
+    assert check_separation(ifs, 12, free.pairs_formed) == free
+    tight = check_separation(ifs, 12, free.pairs_formed - 1)
+    assert tight.level == 11 and tight == check_separation(ifs, 11)
+    # the pairs of maps are always formed
+    assert check_separation(ifs, 12, 0) == check_separation(ifs, 1)
+    assert check_separation(ifs, 1).pairs_formed == 3
+
+
+def test_separation_deep_level_stays_within_the_budget():
+    # touching cells: the near pairs grow with depth until the budget stops them
+    verdict, peak = traced_peak(check_separation, bm_carpet_ifs(), 60)
+    assert verdict.status == "inconclusive" and verdict.level < 60
+    assert verdict.pairs_formed <= cocycle.PRODUCT_BUDGET
+    assert peak < 30e6, peak
 
 
 # ---------------------------------------------------------------------------
@@ -956,11 +1016,6 @@ def test_ball_counts_memory_stays_bounded():
     assert peak < 5.7e6, peak
 
 
-def _all_cross_pairs(pts, groups, r):
-    """Every chunk of :func:`_cross_pairs` joined end to end."""
-    return [np.concatenate(col) for col in zip(*_cross_pairs(pts, groups, r))]
-
-
 def test_searches_keep_a_point_past_the_rounded_bound():
     # (x - c)**2 <= r * r, yet c + r rounds one ulp below x: a window
     # bounded by c + r would drop the point
@@ -969,13 +1024,6 @@ def test_searches_keep_a_point_past_the_rounded_bound():
     pts = np.array([[c, 0.0], [x, 0.0]])
     assert _tree_counts(pts, np.array([0]), np.array([r])).tolist() == [[1]]
     assert _ball_counts(pts, np.array([0]), np.array([r])).tolist() == [[1]]
-    i, j, dist = _all_cross_pairs(pts, [np.array([0]), np.array([1])], r)
-    assert (i.tolist(), j.tolist(), dist.tolist()) == ([0], [1], [np.sqrt((x - c) ** 2)])
-
-
-def _split(rng, n, groups):
-    labels = rng.integers(0, groups, n)
-    return [np.flatnonzero(labels == g) for g in range(groups)]
 
 
 def _in_order_squared(pts, i, j):
@@ -983,9 +1031,33 @@ def _in_order_squared(pts, i, j):
     return sum((pts[i, k] - pts[j, k]) ** 2 for k in range(pts.shape[1]))
 
 
+def _split(rng, n, groups):
+    labels = rng.integers(0, groups, n)
+    return [np.flatnonzero(labels == g) for g in range(groups)]
+
+
 def _sorted_pairs(i, j, dist):
     order = np.lexsort((j, i))
     return i[order], j[order], dist[order].view(np.int64)
+
+
+def _pair_squared(pts, a, b, block):
+    """:func:`_squared_distances` of the pairs ``(a[k], b[k])``, in calls of ``block`` pairs.
+
+    The separation check passes index arrays into one row per coordinate, as
+    here; its near set, and so the batch a pair is in, changes level by level.
+    """
+    cols = pts.T
+    step = block or max(a.size, 1)
+    return np.concatenate([_squared_distances(cols[:, a[s:s + step]], cols[:, b[s:s + step]])
+                           for s in range(0, a.size, step)])
+
+
+def _every_cross_pair(groups):
+    """Every pair of indices in different groups, as ``(i, j)`` with ``i < j``."""
+    found = [(ga.repeat(gb.size), np.tile(gb, ga.size)) for ga, gb in itertools.combinations(groups, 2)]
+    i, j = (np.concatenate(col) for col in zip(*found))
+    return np.minimum(i, j), np.maximum(i, j)
 
 
 def _tree_cross_pairs(pts, groups, r):
@@ -1002,22 +1074,24 @@ def _tree_cross_pairs(pts, groups, r):
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 9])  # from d = 8 the tree sums in four accumulators
 @pytest.mark.parametrize("kind", ["uniform", "dyadic", "clusters", "cumsum"])
 @pytest.mark.parametrize("block", [None, 97])
-def test_cross_pairs_equal_the_tree(d, kind, block, monkeypatch):
-    if block is not None:  # many chunks, and windows longer than a chunk
-        monkeypatch.setattr(measure, "_SWEEP_BLOCK", block)
-    every = 1 if block is None else 9  # a few radii suffice to cross chunk edges
+def test_cross_pairs_equal_the_tree(d, kind, block):
+    # the separation check's pair distances, in one call or in many: every
+    # cross-group pair within r, and its distance, as the KD-tree finds them
     rng = np.random.default_rng(9300 + 10 * d)
     pts = _cloud(kind, rng, d, n=600)
     groups = _split(rng, pts.shape[0], 3)
+    i, j = _every_cross_pair(groups)
+    sq = _pair_squared(pts, i, j, block)
     # exact distances to near cross-group points, their neighbours, and a coarse radius
     a = groups[0][:6]
-    sq = _in_order_squared(pts, a[:, None], groups[1][None, :])
-    dist = np.sqrt(np.sort(sq, axis=1)[:, :2].ravel())
+    near = _in_order_squared(pts, a[:, None], groups[1][None, :])
+    dist = np.sqrt(np.sort(near, axis=1)[:, :2].ravel())
     dist = np.unique(dist[dist > 0])
     radii = np.concatenate([dist, np.nextafter(dist, 0.0), np.nextafter(dist, np.inf),
                             [0.0, 0.02 * np.ptp(pts, axis=0).max()]])
-    for r in radii[::-every]:
-        got = _sorted_pairs(*_all_cross_pairs(pts, groups, r))
+    for r in radii[::-1]:
+        keep = sq <= r * r  # the tree's rule
+        got = _sorted_pairs(i[keep], j[keep], np.sqrt(sq[keep]))
         want = _sorted_pairs(*_tree_cross_pairs(pts, groups, r))
         for g, w in zip(got, want):  # the same pairs, and distances with the same bits
             assert np.array_equal(g, w), r
@@ -1026,61 +1100,33 @@ def test_cross_pairs_equal_the_tree(d, kind, block, monkeypatch):
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 9])  # from d = 8 the tree sums in four accumulators
 @pytest.mark.parametrize("kind", ["uniform", "dyadic", "clusters", "cumsum"])
 @pytest.mark.parametrize("block", [None, 1000])
-def test_nearest_equals_the_tree(d, kind, block, monkeypatch):
-    if block is not None:  # one row of ``a`` per chunk
-        monkeypatch.setattr(measure, "_SWEEP_BLOCK", block)
+def test_nearest_equals_the_tree(d, kind, block):
+    # each point's nearest in the other group by the check's distances and its
+    # witness rule: the smallest value, ties to the first pair in word order
     rng = np.random.default_rng(9400 + 10 * d)
     pts = _cloud(kind, rng, d, n=1200)
     ga, gb = _split(rng, pts.shape[0], 2)
-    got, dist = _nearest(pts, ga, gb)
-    # brute force: the smallest squared distance, ties to the lowest index
-    sq = _in_order_squared(pts, ga[:, None], gb[None, :])
-    assert np.array_equal(got, gb[np.argmin(sq, axis=1)])
+    a, b = ga.repeat(gb.size), np.tile(gb, ga.size)
+    dist = np.sqrt(_pair_squared(pts, a, b, block))
+    words = np.arange(pts.shape[0])[:, None]  # one-symbol words, in word order
+    rows = dist.reshape(ga.size, gb.size)
+    found = [_first_pair(row, np.full(gb.size, k), gb, words) for k, row in zip(ga, rows)]
+    assert [pair[0] for _, pair in found] == [(k,) for k in ga.tolist()]
+    got = np.array([pair[1][0] for _, pair in found])
+    value = np.array([v for v, _ in found])
+    # brute force: the smallest distance, ties to the lowest index
+    assert np.array_equal(got, gb[np.argmin(rows, axis=1)])
+    if d < 8:
+        sq = _in_order_squared(pts, ga[:, None], gb[None, :])
+        assert np.array_equal(rows.view(np.int64), np.sqrt(sq).view(np.int64))
     tree_dist, k = cKDTree(pts[gb]).query(pts[ga], k=1)
-    assert np.array_equal(dist.view(np.int64), tree_dist.view(np.int64))
+    assert np.array_equal(value.view(np.int64), tree_dist.view(np.int64))
     # the tree breaks exact ties its own way; indices may differ only there
-    differ = got != gb[k]
-    assert np.array_equal(_in_order_squared(pts, ga, got)[differ],
-                          _in_order_squared(pts, ga, gb[k])[differ])
-
-
-@given(st.data())
-@settings(max_examples=150, deadline=None)
-def test_property_nearest_equals_brute_force(data):
-    # a dyadic grid with repeated rows, as for the ball counts: points tie
-    # exactly, and with many bits the sums round
-    d = data.draw(st.integers(1, 3))
-    bits = data.draw(st.integers(1, 30))
-    scale = 2.0 ** data.draw(st.integers(-40, 4))
-    coord = st.integers(0, (1 << bits) - 1)
-    rows = data.draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=2, max_size=120))
-    pts = np.array(rows, dtype=float) * scale
-    repeat = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=80))
-    pts = np.concatenate([pts, pts[repeat]])
-    every = np.array(data.draw(st.permutations(range(pts.shape[0]))))
-    cut = data.draw(st.integers(1, pts.shape[0] - 1))
-    ga, gb = every[:cut], every[cut:]
-    # one row of ``a`` per chunk, three, or all of them
-    block = data.draw(st.sampled_from([1, 12 * gb.size, measure._SWEEP_BLOCK]))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measure, "_SWEEP_BLOCK", block)
-        got, dist = _nearest(pts, ga, gb)
-    sq = _in_order_squared(pts, ga[:, None], gb[None, :])
-    k = np.argmin(sq, axis=1)  # ties go to the first of ``gb``
-    assert np.array_equal(got, gb[k])
-    assert np.array_equal(dist.view(np.int64), np.sqrt(sq[np.arange(ga.size), k]).view(np.int64))
-
-
-def test_nearest_1d_ties_across_values():
-    # squares of 1e-170 and 2e-170 underflow to 0, so four distinct values tie
-    # around 0; the lowest index sits above the first neighbour in sorted order
-    pts = np.array([[0.0], [2e-170], [3.0], [-2e-170], [-1e-170], [1e-170], [5.0]])
-    ga, gb = np.array([0, 2]), np.array([1, 3, 4, 5, 6])
-    sq = (pts[ga] - pts[gb].T) ** 2
-    assert (sq[0] == 0.0).sum() == 4
-    got, dist = _nearest(pts, ga, gb)
-    assert got.tolist() == gb[np.argmin(sq, axis=1)].tolist() == [1, 6]
-    assert dist.tolist() == [0.0, 2.0]
+    differ = np.flatnonzero(got != gb[k])
+    assert np.array_equal(rows[differ, k[differ]], value[differ])
+    # over every pair at once: the first row at the smallest value, and its nearest
+    first = int(np.argmin(value))
+    assert _first_pair(dist, a, b, words) == (value[first], ((int(ga[first]),), (int(got[first]),)))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
