@@ -7,10 +7,9 @@ from affinedim import (
     BernoulliWeights,
     IfsSystem,
     PipelineConfig,
-    bedford_mcmullen_closed_form,
-    bedford_mcmullen_ifs,
     box_counting_dimension,
     check_separation,
+    diagonal_closed_form,
     full_pipeline,
     lift_ifs,
     local_dimension_estimate,
@@ -48,21 +47,23 @@ lifted_verdict = check_separation(lifted.ifs, level=14)
 print("\noverlap below, but the lift separates:", lifted_verdict.status,
       f"at level {lifted_verdict.level} (rho = {lifted.rho})")
 
-# the reference carpet: closed form vs the generic pipeline
-digits = ((0, 0), (1, 0), (2, 1))
-oracle = bedford_mcmullen_closed_form(digits, [1 / 3] * 3, 3, 2)
-print("\ncarpet closed form:", round(oracle.value, 4),
-      "| entropy", round(oracle.entropy, 4),
-      "| projection dim", round(oracle.projection_dim, 4))
+# the reference carpet, diag(1/3, 1/2) at the cells (0, 0), (1, 0) and (2, 1):
+# the diagonal closed form vs the generic pipeline
+carpet = IfsSystem(
+    np.tile(np.diag([1 / 3, 1 / 2]), (3, 1, 1)),
+    np.array([[0.0, 0.0], [1 / 3, 0.0], [2 / 3, 1 / 2]]),
+    BernoulliWeights.uniform(3),
+)
+closed, inputs = diagonal_closed_form(carpet)
+print("\ncarpet closed form:", round(closed, 4),
+      "| entropy", round(inputs.entropy, 4),
+      "| projection dim", round(inputs.projection_dims[1], 4))
 
 # carpet cells touch at corners: the open-set condition gives H = 0
-report = full_pipeline(
-    bedford_mcmullen_ifs(digits, [1 / 3] * 3, 3, 2),
-    PipelineConfig(seed=5, sample_count=100_000, fiber_entropy=0.0),
-)
+report = full_pipeline(carpet, PipelineConfig(seed=5, sample_count=100_000, fiber_entropy=0.0))
 print("pipeline:", f"formula {report.ly_dim:.4f},",
       f"box-count {report.empirical_boxcount.dimension:.4f},",
       f"Kaplan-Yorke {report.lyapunov_dim.value:.4f},",
       f"equivalence {report.equivalence.status}")
 print("projected dimension at index 1:", round(report.projection_dims[1], 4),
-      "vs closed form", round(oracle.projection_dim, 4))
+      "vs closed form", round(inputs.projection_dims[1], 4))

@@ -11,7 +11,7 @@ Modules
 ``cocycle``     random words, spectra, fast flags, stationary flag sampling
 ``domination``  gap-ratio scans, STP/cone checks, invariant bundles
 ``measure``     IFS sampling, separation certificates, dimension estimators
-``dimension``   dimension formulas, closed-form oracles, the full pipeline
+``dimension``   dimension formulas, the diagonal closed form, the full pipeline
 ``errors``      the exception types
 ``cli``         the ``affine-dim`` command-line front end
 

@@ -25,8 +25,7 @@ from .dimension import (
     _domination_block,
     _spectrum_block,
     _tag,
-    bedford_mcmullen_closed_form,
-    bedford_mcmullen_ifs,
+    diagonal_closed_form,
     full_pipeline,
     ly_dimension,
 )
@@ -39,8 +38,6 @@ EXIT_VALIDATION_FAILED = 1
 EXIT_USAGE = 2
 
 REPORT_SCHEMA_VERSION = 1
-
-BM_REFERENCE_DIGITS = ((0, 0), (1, 0), (2, 1))
 
 
 def _load(args, flags: dict) -> RunConfig:
@@ -202,18 +199,20 @@ def _two_map_interval(scale: float, shift: float) -> IfsSystem:
 def cmd_validate(args) -> int:
     cfg = _load(args, {})
     opts = cfg.validate
-    oracle = bedford_mcmullen_closed_form(BM_REFERENCE_DIGITS, [1.0 / 3.0] * 3, 3, 2)
-    # pipeline case -> (system, supplied fiber entropy, reference dimension)
+    # the reference carpet: diag(1/3, 1/2) at the cells (0, 0), (1, 0) and (2, 1)
+    bm = IfsSystem(np.tile(np.diag([1.0 / 3.0, 1.0 / 2.0]), (3, 1, 1)),
+                   np.array([[0.0, 0.0], [1.0 / 3.0, 0.0], [2.0 / 3.0, 1.0 / 2.0]]),
+                   BernoulliWeights.uniform(3))
+    # pipeline case -> (system, supplied fiber entropy); every reference is
+    # the closed form of the case's own system
     pipelines = {
         # corners of the carpet touch, so strong separation cannot be
         # certified; the open-set condition justifies a zero correction
-        "bm-carpet-pipeline": (bedford_mcmullen_ifs(BM_REFERENCE_DIGITS, [1.0 / 3.0] * 3, 3, 2),
-                               0.0, oracle.value),
-        "cantor-pipeline": (_two_map_interval(1.0 / 3.0, 2.0 / 3.0), None,
-                            float(np.log(2) / np.log(3))),
+        "bm-carpet-pipeline": (bm, 0.0),
+        "cantor-pipeline": (_two_map_interval(1.0 / 3.0, 2.0 / 3.0), None),
         # the two half-scale maps abut at 1/2: open-set condition only,
         # so the zero fiber correction is supplied
-        "segment-pipeline": (_two_map_interval(0.5, 0.5), 0.0, 1.0),
+        "segment-pipeline": (_two_map_interval(0.5, 0.5), 0.0),
     }
     rows = []
 
@@ -234,10 +233,12 @@ def cmd_validate(args) -> int:
 
     for case in opts["cases"]:
         if case == "bm-carpet-formula":
-            add_row(case, "generic formula vs closed form",
-                    ly_dimension(oracle.as_inputs()), oracle.value, opts["formula_tol"])
+            value, inputs = diagonal_closed_form(bm)
+            add_row(case, "generic formula vs closed form", ly_dimension(inputs), value,
+                    opts["formula_tol"])
             continue
-        ifs, fiber, ref = pipelines[case]
+        ifs, fiber = pipelines[case]
+        ref = diagonal_closed_form(ifs)[0]
         rep = full_pipeline(ifs, PipelineConfig(seed=cfg.seed, sample_count=opts["sample_count"],
                                                 fiber_entropy=fiber, **VALIDATE_BUDGETS))
         add_row(case, "pipeline formula value", rep.ly_dim, ref, opts["value_tol"])

@@ -43,7 +43,8 @@ __all__ = [
 
 WEIGHT_SUM_TOL = 1e-12
 DEFAULT_RENORM_EVERY = 10
-# default cap on the matrix products of an exhaustive word or cylinder enumeration
+# default cap on a search's work: the words a gap-ratio scan forms, and the
+# cylinder pairs a separation check forms
 PRODUCT_BUDGET = 10**6
 # a fast-flag split needs a singular-value ratio below a tenth of this
 FAST_FLAG_ANGLE_TOL = 1e-6

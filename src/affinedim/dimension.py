@@ -1,8 +1,8 @@
 """Dimension formulas for stationary affine measures, and the full pipeline.
 
 Evaluates the entropy/exponent dimension formula (simple-spectrum and
-dominated-splitting variants), the Kaplan-Yorke candidate value, a
-grid-carpet closed form used as an oracle, and an end-to-end pipeline that
+dominated-splitting variants), the Kaplan-Yorke candidate value, the closed
+form of diagonal systems used as an oracle, and an end-to-end pipeline that
 estimates every input empirically and assembles a provenance-tagged report.
 """
 
@@ -48,20 +48,24 @@ from .measure import default_radii as _default_radii
 __all__ = [
     "DimensionInputs",
     "LyapunovDimensionResult",
-    "CarpetOracle",
     "KYEquivalence",
     "PipelineConfig",
     "DimensionReport",
     "ly_dimension",
     "lyapunov_dimension",
-    "bedford_mcmullen_closed_form",
-    "bedford_mcmullen_ifs",
+    "diagonal_closed_form",
     "kaplan_yorke_equivalence_check",
     "full_pipeline",
 ]
 
 SCHEMA_VERSION = 1
 INPUT_SLACK = 1e-9
+
+
+def _check_fiber_entropy(value: float, h: float) -> None:
+    """Refuse a fiber entropy outside ``[0, h]`` (``INPUT_SLACK`` above ``h`` is allowed)."""
+    if not 0.0 <= value <= h + INPUT_SLACK:
+        raise ValueError(f"supplied fiber entropy {float(value)} outside [0, {h}]")
 
 
 @dataclass(frozen=True)
@@ -81,9 +85,7 @@ class DimensionInputs:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        h, big_h = self.entropy, self.fiber_entropy
-        if not 0.0 <= big_h <= h + INPUT_SLACK:
-            raise ValueError(f"need 0 <= fiber entropy <= entropy, got {big_h} vs {h}")
+        _check_fiber_entropy(self.fiber_entropy, self.entropy)
         d = self.spectrum.d
         idx = tuple(sorted(int(i) for i in self.indices))
         if any(not 1 <= i <= d - 1 for i in idx):
@@ -144,60 +146,47 @@ def lyapunov_dimension(h: float, exponents) -> LyapunovDimensionResult:
     return LyapunovDimensionResult(value, raw, k_arg + 1, value != raw)
 
 
-@dataclass(frozen=True)
-class CarpetOracle:
-    """Closed-form dimension of a grid-aligned carpet measure.
+def _law_entropy(keys, p: np.ndarray) -> float:
+    """Shannon entropy in nats of the law that puts mass ``p[i]`` on ``keys[i]``."""
+    mass: dict = {}
+    for key, pi in zip(keys, p):
+        mass[key] = mass.get(key, 0.0) + pi
+    return entropy(BernoulliWeights(np.array(list(mass.values()))))
 
-    Exposes its components so the generic formula can be cross-checked
-    term by term: ``exponents = (log n, log m)`` and the single projection
-    dimension is the row-marginal entropy over ``log n``.
+
+def diagonal_closed_form(ifs: IfsSystem) -> tuple[float, DimensionInputs]:
+    """Closed-form dimension of the measure of a system of distinct diagonal maps.
+
+    With the coordinates ordered from least to most contracted (by
+    ``chi_k = -sum_i p_i log|a_ik|``) and every map respecting that order,
+    ``dim = sum_k (H_k - H_{k-1}) / chi_k``, where ``H_k`` is the entropy of
+    the law of the maps' projections onto the first ``k`` coordinates (maps
+    are grouped when their diagonal entries and translations agree there).
+    Bedford-McMullen and Gatzouras-Lalley carpets and Kenyon-Peres sponges
+    are instances; where pieces overlap the value is the formula's, not the
+    dimension.  Returns the value and the formula's inputs, whose projection
+    dimension at index ``i`` is the partial sum up to ``i``.  Raises
+    ``ValueError`` for a map that is not diagonal, maps that do not share one
+    order of contraction, or coinciding maps.
     """
-
-    value: float
-    entropy: float
-    row_entropy: float
-    exponents: tuple[float, float]
-    projection_dim: float
-
-    def as_inputs(self) -> DimensionInputs:
-        spectrum = LyapunovSpectrum(np.array(self.exponents), None, (1, 1), 0.0)
-        return DimensionInputs(self.entropy, 0.0, spectrum, {1: self.projection_dim}, (1,))
-
-
-def bedford_mcmullen_closed_form(digits, probs, m_base: int, n_base: int) -> CarpetOracle:
-    """Dimension of the carpet measure on an m x n digit grid (m > n >= 2).
-
-    ``dim = H(p)/log m + (1/log n - 1/log m) * H(row marginal of p)``.
-    """
-    if not (isinstance(m_base, (int, np.integer)) and isinstance(n_base, (int, np.integer))):
-        raise ValueError("bases must be integers")
-    if not m_base > n_base >= 2:
-        raise ValueError(f"need m > n >= 2, got m={m_base}, n={n_base}")
-    digits = [(int(c), int(r)) for c, r in digits]
-    if len(set(digits)) != len(digits):
-        raise ValueError("digits must be distinct")
-    if any(not (0 <= c < m_base and 0 <= r < n_base) for c, r in digits):
-        raise ValueError("digit out of range")
-    weights = probs if isinstance(probs, BernoulliWeights) else BernoulliWeights(np.asarray(probs))
-    if weights.n != len(digits):
-        raise ValueError("one probability per digit required")
-    h = entropy(weights)
-    row_marginal = np.zeros(n_base)
-    for (c, r), p in zip(digits, weights.p):
-        row_marginal[r] += p
-    h_row = float(-(row_marginal[row_marginal > 0] * np.log(row_marginal[row_marginal > 0])).sum())
-    log_m, log_n = np.log(m_base), np.log(n_base)
-    value = h / log_m + (1.0 / log_n - 1.0 / log_m) * h_row
-    return CarpetOracle(float(value), h, h_row, (float(log_n), float(log_m)), h_row / log_n)
-
-
-def bedford_mcmullen_ifs(digits, probs, m_base: int, n_base: int) -> IfsSystem:
-    """The carpet system itself: maps ``diag(1/m, 1/n)`` at the digit cells."""
-    bedford_mcmullen_closed_form(digits, probs, m_base, n_base)  # reuse validation
-    weights = probs if isinstance(probs, BernoulliWeights) else BernoulliWeights(np.asarray(probs))
-    mats = np.tile(np.diag([1.0 / m_base, 1.0 / n_base]), (len(digits), 1, 1))
-    ts = np.array([[c / m_base, r / n_base] for c, r in digits], dtype=float)
-    return IfsSystem(mats, ts, weights)
+    mats, p, d = ifs.matrices, ifs.weights.p, ifs.d
+    a = np.diagonal(mats, axis1=1, axis2=2)
+    if np.any(mats != a[:, :, None] * np.eye(d)):
+        raise ValueError("every map must be diagonal")
+    chi = -(p @ np.log(np.abs(a)))
+    order = np.argsort(chi, kind="stable")  # least contracted coordinate first
+    chi, a, t = chi[order], a[:, order], ifs.translations[:, order]
+    if np.any(np.diff(np.abs(a), axis=1) > 0):
+        raise ValueError("the maps do not share one order of contraction")
+    # per map, the (diagonal entry, translation) pair of each coordinate in turn
+    cells = np.stack([a, t], axis=2).reshape(ifs.n_maps, 2 * d).tolist()
+    if len({tuple(c) for c in cells}) < ifs.n_maps:
+        raise ValueError("the maps must be distinct")
+    big_h = [0.0] + [_law_entropy([tuple(c[:2 * k]) for c in cells], p) for k in range(1, d + 1)]
+    partial = np.cumsum(np.diff(big_h) / chi)
+    inputs = DimensionInputs(big_h[d], 0.0, LyapunovSpectrum(chi, None, (1,) * d, 0.0),
+                             {i: float(partial[i - 1]) for i in range(1, d)}, tuple(range(1, d)))
+    return float(partial[-1]), inputs
 
 
 @dataclass(frozen=True)
@@ -432,12 +421,6 @@ def _estimate_projection_dims(
         used[i] = v
         prev = v
     return used, raw, spread, caveats
-
-
-def _check_fiber_entropy(value: float, h: float) -> None:
-    """Refuse a supplied fiber entropy outside ``[0, h]`` (``INPUT_SLACK`` above ``h`` is allowed)."""
-    if not 0.0 <= value <= h + INPUT_SLACK:
-        raise ValueError(f"supplied fiber entropy {float(value)} outside [0, {h}]")
 
 
 def full_pipeline(ifs: IfsSystem, config: PipelineConfig | None = None) -> DimensionReport:

@@ -316,16 +316,19 @@ def bundle_growth_ratios(
         raise ValueError(f"depth must be in 1..{w.size}")
     if frame.d != d:
         raise ValueError("frame ambient dimension does not match the maps")
-    qf, qa = frame.frame, np.eye(d)
-    sums_f, sums_a = np.zeros(frame.k), np.zeros(d)
+    k = frame.k
+    # one batch of two d-frames: the frame completed by its complement, and
+    # the identity; the first k columns of a Householder QR depend only on
+    # the first k columns it factors, so they carry the frame's own growth
+    start = frame.frame if k == d else np.hstack([frame.frame, frame.complement().frame])
+    q, sums = np.stack([start, np.eye(d)]), np.zeros((2, d))
+    words = np.stack([w[:depth], w[:depth]])
     out = np.empty(depth)
     for n in range(depth):
-        qf, grow_f = _propagate(mats, w[None, n : n + 1], 1, qf)
-        qa, grow_a = _propagate(mats, w[None, n : n + 1], 1, qa)
-        sums_f += grow_f[0]
-        sums_a += grow_a[0]
-        alpha = np.sort(sums_a)[::-1][index]
-        out[n] = np.exp(sums_f.max() - alpha)
+        q, grow = _propagate(mats, words[:, n : n + 1], 1, q)
+        sums += grow
+        alpha = np.sort(sums[1])[::-1][index]
+        out[n] = np.exp(sums[0, :k].max() - alpha)
     return out
 
 

@@ -43,6 +43,27 @@ def bm_carpet_ifs(digits=((0, 0), (1, 0), (2, 1)), m_base=3, n_base=2, probs=Non
     return IfsSystem(mats, ts, w)
 
 
+def kp_sponge_ifs():
+    """Kenyon-Peres sponge: ``diag(1/5, 1/4, 1/3)`` at five digits, every two 2 apart somewhere."""
+    digits = np.array([(0, 0, 0), (2, 2, 0), (4, 0, 2), (0, 2, 2), (2, 0, 2)])
+    scale = np.array([5.0, 4.0, 3.0])
+    return IfsSystem(np.tile(np.diag(1.0 / scale), (5, 1, 1)), digits / scale,
+                     BernoulliWeights(np.array([0.3, 0.25, 0.2, 0.15, 0.1])))
+
+
+# Gatzouras-Lalley carpet: rows (height b, y) of cells (width a, x) with a < b
+GL_ROWS = ((0.4, 0.0, ((0.25, 0.0), (0.2, 0.35), (0.3, 0.65))),
+           (0.35, 0.6, ((0.3, 0.1), (0.25, 0.6))))
+
+
+def gl_carpet_ifs(probs=None):
+    """The maps ``diag(a, b)`` at ``(x, y)`` over ``GL_ROWS`` (uniform weights by default); cells stay apart."""
+    cells = [(a, b, x, y) for b, y, row in GL_ROWS for a, x in row]
+    w = BernoulliWeights.uniform(len(cells)) if probs is None else BernoulliWeights(np.asarray(probs))
+    return IfsSystem(np.array([np.diag([a, b]) for a, b, _, _ in cells]),
+                     np.array([[x, y] for _, _, x, y in cells]), w)
+
+
 def scaled_to_norm(m, norm):
     return norm * m / np.linalg.norm(m, 2)
 

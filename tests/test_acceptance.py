@@ -28,7 +28,7 @@ from affinedim.cocycle import (
 )
 from affinedim.dimension import (
     PipelineConfig,
-    bedford_mcmullen_closed_form,
+    diagonal_closed_form,
     full_pipeline,
     kaplan_yorke_equivalence_check,
     ly_dimension,
@@ -170,10 +170,10 @@ def test_criterion_06_furstenberg_degenerate_and_stationary():
 
 def test_criterion_07_ledrappier_young_vs_closed_form():
     t0 = time.perf_counter()
-    oracle = bedford_mcmullen_closed_form(((0, 0), (1, 0), (2, 1)), [1 / 3] * 3, 3, 2)
-    formula = ly_dimension(oracle.as_inputs())
-    assert formula == pytest.approx(oracle.value, abs=1e-3)
-    assert oracle.value == pytest.approx(1.3390, abs=5e-4)
+    closed, inputs = diagonal_closed_form(bm_carpet_ifs())
+    formula = ly_dimension(inputs)
+    assert formula == pytest.approx(closed, abs=1e-3)
+    assert closed == pytest.approx(1.3390, abs=5e-4)
 
     # cells touch at corners: the open-set condition justifies H = 0
     report = full_pipeline(
@@ -181,12 +181,12 @@ def test_criterion_07_ledrappier_young_vs_closed_form():
         PipelineConfig(seed=707, sample_count=200_000, fiber_entropy=0.0),
     )
     elapsed = time.perf_counter() - t0
-    assert report.empirical_boxcount.dimension == pytest.approx(oracle.value, abs=0.05)
-    assert report.ly_dim == pytest.approx(oracle.value, abs=0.02)
+    assert report.empirical_boxcount.dimension == pytest.approx(closed, abs=0.05)
+    assert report.ly_dim == pytest.approx(closed, abs=0.02)
     assert elapsed < 60.0
     _passed(
         7,
-        f"formula {formula:.4f} = oracle {oracle.value:.4f}; box-count "
+        f"formula {formula:.4f} = closed form {closed:.4f}; box-count "
         f"{report.empirical_boxcount.dimension:.4f} within 0.05, {elapsed:.1f}s",
     )
 
@@ -208,8 +208,7 @@ def test_criterion_08_lyapunov_dimension_and_equivalence():
     assert bm_ky.value == pytest.approx(1.0 + (log3 - log2) / log3, abs=1e-12)
     assert bm_ky.value == pytest.approx(1.3691, abs=5e-5)
 
-    oracle = bedford_mcmullen_closed_form(((0, 0), (1, 0), (2, 1)), [1 / 3] * 3, 3, 2)
-    bm_check = kaplan_yorke_equivalence_check(oracle.as_inputs(), tol=1e-6)
+    bm_check = kaplan_yorke_equivalence_check(diagonal_closed_form(bm_carpet_ifs())[1], tol=1e-6)
     assert bm_check.status == "fails"
     from affinedim.cocycle import LyapunovSpectrum
     from affinedim.dimension import DimensionInputs

@@ -1,10 +1,12 @@
-"""Tests for the dimension formulas, oracles, and the pipeline."""
+"""Tests for the dimension formulas, the diagonal closed form, and the pipeline."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
-from conftest import bm_carpet_ifs, cantor_ifs, telescoping_identity_check
+from conftest import (GL_ROWS, bm_carpet_ifs, cantor_ifs, gl_carpet_ifs, kp_sponge_ifs,
+                      telescoping_identity_check)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,8 +15,7 @@ from affinedim.cocycle import BernoulliWeights, LyapunovSpectrum
 from affinedim.dimension import (
     DimensionInputs,
     PipelineConfig,
-    bedford_mcmullen_closed_form,
-    bedford_mcmullen_ifs,
+    diagonal_closed_form,
     full_pipeline,
     kaplan_yorke_equivalence_check,
     ly_dimension,
@@ -23,7 +24,6 @@ from affinedim.dimension import (
 from affinedim.measure import IfsSystem
 
 LOG2, LOG3 = np.log(2.0), np.log(3.0)
-BM_DIGITS = ((0, 0), (1, 0), (2, 1))
 BM_PROJ = 0.9182958340544898
 BM_LY = 1.3389156697687947
 BM_KY = 1.3690702464285427
@@ -132,55 +132,132 @@ def test_lyapunov_dimension_matches_brute_force_exactly():
 
 
 # ---------------------------------------------------------------------------
-# carpet oracle
+# diagonal closed form
+
+
+def bm_textbook(digits, p, m, n):
+    """Bedford-McMullen: ``H(p)/log m + (1/log n - 1/log m) H(row marginal)``, ``m >= n``."""
+    p = np.asarray(p, dtype=float)
+    rows = np.zeros(n)
+    np.add.at(rows, [r for _, r in digits], p)
+    h = -np.sum(p[p > 0] * np.log(p[p > 0]))
+    h_row = -np.sum(rows[rows > 0] * np.log(rows[rows > 0]))
+    return h / np.log(m) + (1.0 / np.log(n) - 1.0 / np.log(m)) * h_row
 
 
 def test_bm_closed_form_reference_value():
-    oracle = bedford_mcmullen_closed_form(BM_DIGITS, [1 / 3] * 3, 3, 2)
-    assert oracle.value == pytest.approx(BM_LY, abs=1e-12)
-    assert oracle.projection_dim == pytest.approx(BM_PROJ, abs=1e-12)
-    assert oracle.exponents == pytest.approx((LOG2, LOG3))
+    value, inputs = diagonal_closed_form(bm_carpet_ifs())
+    assert value == 1.3389156697687943
+    assert value == pytest.approx(BM_LY, abs=1e-12)
+    assert inputs.projection_dims == {1: pytest.approx(BM_PROJ, abs=1e-12)}
+    assert inputs.spectrum.exponents.tolist() == [LOG2, LOG3]
+    assert inputs.entropy == pytest.approx(LOG3, abs=1e-15)
+    assert inputs.fiber_entropy == 0.0 and inputs.indices == (1,)
 
 
 def test_bm_closed_form_full_grid_is_area():
     digits = [(c, r) for c in range(3) for r in range(2)]
-    oracle = bedford_mcmullen_closed_form(digits, [1 / 6] * 6, 3, 2)
-    assert oracle.value == pytest.approx(2.0, abs=1e-12)
+    value, _ = diagonal_closed_form(bm_carpet_ifs(digits))
+    assert value == pytest.approx(2.0, abs=1e-12)
 
 
 def test_bm_closed_form_single_digit_zero():
-    oracle = bedford_mcmullen_closed_form([(1, 1)], [1.0], 3, 2)
-    assert oracle.value == 0.0
-
-
-def test_bm_closed_form_validation():
-    with pytest.raises(ValueError):
-        bedford_mcmullen_closed_form(BM_DIGITS, [1 / 3] * 3, 2, 3)  # m must exceed n
-    with pytest.raises(ValueError):
-        bedford_mcmullen_closed_form([(0, 0), (0, 0)], [0.5, 0.5], 3, 2)
-    with pytest.raises(ValueError):
-        bedford_mcmullen_closed_form([(5, 0)], [1.0], 3, 2)
+    value, _ = diagonal_closed_form(bm_carpet_ifs([(1, 1)], probs=[1.0]))
+    assert value == 0.0
 
 
 def test_bm_oracle_agrees_with_generic_formula_exactly():
     rng = np.random.default_rng(11)
     for _ in range(25):
-        m, n = int(rng.integers(3, 7)), 2
+        m = int(rng.integers(3, 7))
         n = int(rng.integers(2, m))
         cells = [(c, r) for c in range(m) for r in range(n)]
         k = int(rng.integers(1, len(cells) + 1))
         chosen = [cells[j] for j in rng.choice(len(cells), size=k, replace=False)]
         p = rng.uniform(0.1, 1.0, size=k)
         p /= p.sum()
-        oracle = bedford_mcmullen_closed_form(chosen, p, m, n)
-        assert ly_dimension(oracle.as_inputs()) == pytest.approx(oracle.value, abs=1e-12)
+        value, inputs = diagonal_closed_form(bm_carpet_ifs(chosen, m, n, p))
+        assert ly_dimension(inputs) == pytest.approx(value, abs=1e-12)
+        assert value == pytest.approx(bm_textbook(chosen, p, m, n), abs=1e-12)
 
 
-def test_bm_ifs_matches_oracle_geometry():
-    ifs = bedford_mcmullen_ifs(BM_DIGITS, [1 / 3] * 3, 3, 2)
-    assert ifs.n_maps == 3 and ifs.d == 2
-    assert np.allclose(ifs.matrices[0], np.diag([1 / 3, 1 / 2]))
-    assert np.allclose(ifs.translations[2], [2 / 3, 1 / 2])
+def test_kp_sponge_closed_form():
+    value, inputs = diagonal_closed_form(kp_sponge_ifs())
+    assert value == 1.2249923591561063
+    assert inputs.projection_dims == {1: pytest.approx(0.626370941606566, abs=1e-12),
+                                      2: pytest.approx(1.1063458124249892, abs=1e-12)}
+    # Kenyon-Peres: H(p)/log 5 + (1/log 4 - 1/log 5) H(p_yz) + (1/log 3 - 1/log 4) H(p_z)
+    h = lambda q: -sum(x * np.log(x) for x in q)
+    p = [0.3, 0.25, 0.2, 0.15, 0.1]
+    p_yz = [0.3, 0.25, 0.2 + 0.1, 0.15]  # (y, z) = (0,0) (2,0) (0,2) (2,2)
+    p_z = [0.3 + 0.25, 0.2 + 0.15 + 0.1]
+    log5, log4 = np.log(5.0), np.log(4.0)
+    textbook = h(p) / log5 + (1 / log4 - 1 / log5) * h(p_yz) + (1 / LOG3 - 1 / log4) * h(p_z)
+    assert value == pytest.approx(textbook, abs=1e-12)
+    assert ly_dimension(inputs) == pytest.approx(value, abs=1e-12)
+
+
+@pytest.mark.parametrize("probs", [None, (0.3, 0.1, 0.2, 0.15, 0.25)], ids=["uniform", "weighted"])
+def test_gl_carpet_closed_form(probs):
+    value, inputs = diagonal_closed_form(gl_carpet_ifs(probs))
+    # Gatzouras-Lalley: H(q)/chi_b + (H(p) - H(q))/chi_a, with q the row marginal,
+    # chi_b = -sum_i q_i log b_i and chi_a = -sum_ij p_ij log a_ij
+    b = np.array([row_b for row_b, _, row in GL_ROWS for _ in row])
+    a = np.array([a for _, _, row in GL_ROWS for a, _ in row])
+    p = np.full(a.size, 1.0 / a.size) if probs is None else np.array(probs)
+    q = np.array([p[:3].sum(), p[3:].sum()])  # rows of 3 and 2 cells
+    h_p, h_q = -np.sum(p * np.log(p)), -np.sum(q * np.log(q))
+    chi_b, chi_a = -np.sum(p * np.log(b)), -np.sum(p * np.log(a))
+    textbook = h_q / chi_b + (h_p - h_q) / chi_a
+    assert value == pytest.approx(textbook, abs=1e-12)
+    if probs is None:
+        assert value == pytest.approx(1.38360435038953, abs=1e-13)
+    assert inputs.projection_dims[1] == pytest.approx(h_q / chi_b, abs=1e-12)
+    assert inputs.spectrum.exponents == pytest.approx([chi_b, chi_a], abs=1e-15)
+    assert ly_dimension(inputs) == pytest.approx(value, abs=1e-12)
+
+
+@st.composite
+def _diagonal_grid_systems(draw):
+    """Distinct digits on a grid of bases ``m_1..m_d`` (d <= 3), maps ``diag(1/m)``, random weights."""
+    d = draw(st.integers(1, 3))
+    bases = draw(st.lists(st.integers(2, 5), min_size=d, max_size=d))
+    cells = list(itertools.product(*(range(m) for m in bases)))
+    digits = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=8, unique=True))
+    p = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(digits), max_size=len(digits))))
+    scale = np.array(bases, dtype=float)
+    ifs = IfsSystem(np.tile(np.diag(1.0 / scale), (len(digits), 1, 1)),
+                    np.array(digits) / scale, BernoulliWeights(p / p.sum()))
+    return ifs, digits, bases
+
+
+@given(_diagonal_grid_systems())
+@settings(max_examples=150, deadline=None)
+def test_property_diagonal_closed_form_is_the_formula(case):
+    ifs, digits, bases = case
+    value, inputs = diagonal_closed_form(ifs)
+    assert ly_dimension(inputs) == pytest.approx(value, abs=1e-12)
+    assert inputs.indices == tuple(range(1, ifs.d))
+    if ifs.d == 2:
+        # the textbook form wants the less contracted (row) coordinate second
+        m, n = bases
+        rows = digits if m >= n else [(r, c) for c, r in digits]
+        textbook = bm_textbook(rows, ifs.weights.p, max(m, n), min(m, n))
+        assert value == pytest.approx(textbook, abs=1e-12)
+
+
+def test_diagonal_closed_form_refusals():
+    w2 = BernoulliWeights.uniform(2)
+    sheared = IfsSystem(np.array([[[0.5, 0.1], [0.0, 0.3]], np.diag([0.5, 0.3])]),
+                        np.array([[0.0, 0.0], [0.5, 0.5]]), w2)
+    with pytest.raises(ValueError, match="diagonal"):
+        diagonal_closed_form(sheared)
+    crossed = IfsSystem(np.array([np.diag([0.5, 0.3]), np.diag([0.3, 0.5])]),
+                        np.array([[0.0, 0.0], [0.5, 0.5]]), w2)
+    with pytest.raises(ValueError, match="one order of contraction"):
+        diagonal_closed_form(crossed)
+    with pytest.raises(ValueError, match="distinct"):
+        diagonal_closed_form(bm_carpet_ifs([(0, 0), (0, 0)]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import (bm_carpet_ifs, cantor_dust_ifs, cantor_ifs, segment_ifs, separation_table,
-                      traced_peak)
+from conftest import (bm_carpet_ifs, cantor_dust_ifs, cantor_ifs, kp_sponge_ifs, segment_ifs,
+                      separation_table, traced_peak)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -545,15 +545,7 @@ def _six_map_grid_ifs():
     return IfsSystem(np.tile(0.3 * np.eye(2), (6, 1, 1)), ts, BernoulliWeights.uniform(6))
 
 
-def _sponge_ifs():
-    """Kenyon-Peres sponge: ``diag(1/5, 1/4, 1/3)`` at five digits, every two 2 apart somewhere."""
-    digits = np.array([(0, 0, 0), (2, 2, 0), (4, 0, 2), (0, 2, 2), (2, 0, 2)])
-    scale = np.array([5.0, 4.0, 3.0])
-    return IfsSystem(np.tile(np.diag(1.0 / scale), (5, 1, 1)), digits / scale,
-                     BernoulliWeights(np.array([0.3, 0.25, 0.2, 0.15, 0.1])))
-
-
-@pytest.mark.parametrize("ifs", [_six_map_grid_ifs(), _sponge_ifs()], ids=["six-map", "sponge"])
+@pytest.mark.parametrize("ifs", [_six_map_grid_ifs(), kp_sponge_ifs()], ids=["six-map", "sponge"])
 def test_separation_of_many_maps_closes_early(ifs):
     verdict = check_separation(ifs, 8)
     assert verdict.status == "ssc-verified" and verdict.level <= 2
