@@ -87,7 +87,6 @@ def cmd_lyapunov(args) -> int:
         opts["steps"],
         opts["trials"],
         rng=cfg.seed,
-        renorm_every=opts["renorm_every"],
         gap_threshold=opts["gap_threshold"],
     )
     expected_sum = -float(

@@ -1,7 +1,7 @@
 """Random matrix cocycles driven by i.i.d. symbols.
 
-Provides word sampling and checking, Lyapunov spectrum estimation with
-re-orthonormalised frame propagation, fast-subspace flag estimation,
+Provides word sampling and checking, Lyapunov spectrum estimation from
+renormalised compound-cocycle growth, fast-subspace flag estimation,
 backward-iteration sampling of the stationary flag distribution, and
 Bernoulli entropy.
 
@@ -57,6 +57,13 @@ _MAX_LOG_SPREAD_PER_RENORM = 30.0
 # a tabulated block product spends at most half of that spread, so the
 # frame it multiplies keeps the other half
 _MAX_LOG_SPREAD_PER_BLOCK = 15.0
+# a one-column frame has no spread to keep: its log norm may move this far
+# between renormalisations, so its entries and their squares stay normal floats
+_MAX_LOG_GROWTH_PER_RENORM = 300.0
+# the largest d whose spectrum is read from one-column growth of the compound
+# cocycles; from d = 5 the C(d, p)^2 floats of a compound step cost more than
+# a QR-renormalised d-frame
+_MAX_COMPOUND_D = 4
 # floats of step matrices gathered at once by the frame propagation kernel
 _PROPAGATE_CHUNK_FLOATS = 1 << 16
 # symbols drawn by one generator call, bounding its float and int64 temporaries
@@ -248,19 +255,37 @@ def _draw_words(rng: np.random.Generator, p: np.ndarray, out: np.ndarray) -> np.
     return out
 
 
-def _block_length(use: np.ndarray, interval: int) -> int:
+def _column_interval(use: np.ndarray, steps: int) -> int:
+    """Steps between renormalisations of a one-column frame over a ``steps``-step run.
+
+    One step moves a column's log norm by at most the largest ``|log sigma|``
+    of the maps.  Returns the largest interval (at most ``steps``, at least
+    1) over which that bound stays within ``_MAX_LOG_GROWTH_PER_RENORM``.
+    """
+    sv = np.linalg.svd(use, compute_uv=False)
+    log_range = float(np.max(np.abs(np.log(sv[:, [0, -1]]))))
+    if log_range * steps <= _MAX_LOG_GROWTH_PER_RENORM:
+        return max(1, steps)
+    return max(1, int(_MAX_LOG_GROWTH_PER_RENORM / log_range))
+
+
+def _block_length(use: np.ndarray, interval: int, columns: int) -> int:
     """Symbols per tabulated block product in an ``interval``-step renormalisation.
 
-    The largest ``b <= interval`` whose worst log singular-value spread,
-    ``b * _log_condition(use)``, stays within ``_MAX_LOG_SPREAD_PER_BLOCK``
-    and whose table of every word of length at most ``b`` holds at most
-    ``_PROPAGATE_CHUNK_FLOATS`` floats; at least 1.
+    The largest ``b <= interval`` whose table of every word of length at
+    most ``b`` holds at most ``_PROPAGATE_CHUNK_FLOATS`` floats; at least 1.
+    A frame of two or more ``columns`` also keeps the block's worst log
+    singular-value spread, ``b * _log_condition(use)``, within
+    ``_MAX_LOG_SPREAD_PER_BLOCK``; a one-column frame's interval already
+    bounds its blocks' log growth (:func:`_column_interval`).
     """
     if interval == 1:
         return 1
-    log_cond = _log_condition(use)
-    cap = interval if log_cond * interval <= _MAX_LOG_SPREAD_PER_BLOCK else int(
-        _MAX_LOG_SPREAD_PER_BLOCK / log_cond)
+    cap = interval
+    if columns > 1:
+        log_cond = _log_condition(use)
+        if log_cond * interval > _MAX_LOG_SPREAD_PER_BLOCK:
+            cap = int(_MAX_LOG_SPREAD_PER_BLOCK / log_cond)
     n_maps, b, rows = use.shape[0], 1, use.shape[0]
     while b < cap and (rows + n_maps ** (b + 1)) * use[0].size <= _PROPAGATE_CHUNK_FLOATS:
         b += 1
@@ -307,14 +332,16 @@ def _block_codes(w: np.ndarray, length: int, b: int, n_maps: int, first: list[in
 
 
 def _propagate(
-    use: np.ndarray, words: np.ndarray, renorm_every: int, q0: np.ndarray | None = None
+    use: np.ndarray, words: np.ndarray, renorm_every: int | None, q0: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Push one frame per word through ``use[s]`` for each symbol, in order.
 
     ``words`` is a (batch, steps) symbol array and ``q0`` a (d, k) or
     (batch, d, k) starting frame (the identity by default).  Frames are
     re-orthonormalised by QR every ``renorm_every`` steps and after the last
-    one, summing ``log|diag R|``.  Returns the final orthonormal frames and
+    one, summing ``log|diag R|``.  A one-column frame (``k = 1``) ignores
+    ``renorm_every``, which may then be ``None``: it renormalises every
+    :func:`_column_interval` steps.  Returns the final orthonormal frames and
     the per-column log growth, which estimates the log singular values of
     each word's product (in column order, not sorted).
 
@@ -337,8 +364,12 @@ def _propagate(
     batch, steps = words.shape
     q = np.broadcast_to(q0, (batch,) + q0.shape[-2:]).copy()
     sums = np.zeros((batch, q.shape[2]))
-    interval = max(1, min(renorm_every, steps))
-    b = _block_length(use, interval)
+    columns = q.shape[2]
+    if columns == 1:
+        interval = _column_interval(use, steps)
+    else:
+        interval = max(1, min(renorm_every, steps))
+    b = _block_length(use, interval, columns)
     table, first = _block_table(use, b)
     chunk = max(1, _PROPAGATE_CHUNK_FLOATS // max(1, batch * use[0].size))
     full, rest = divmod(steps, interval)
@@ -384,24 +415,46 @@ def _multiplicities_from_gaps(chi: np.ndarray, threshold: float) -> tuple[int, .
     return tuple(blocks)
 
 
+def _symbol_counts(words: np.ndarray, n_maps: int) -> np.ndarray:
+    """(batch, n_maps) int64 counts of each symbol in each row of ``words``.
+
+    Counted over column slices of at most ``_WORD_BLOCK_SYMBOLS`` symbols, so
+    no temporary as large as ``words`` is formed.
+    """
+    batch, steps = words.shape
+    offsets = np.arange(0, batch * n_maps, n_maps)[:, None]
+    counts = np.zeros(batch * n_maps, dtype=np.int64)
+    width = max(1, _WORD_BLOCK_SYMBOLS // batch)
+    for s in range(0, steps, width):
+        counts += np.bincount((words[:, s:s + width] + offsets).ravel(), minlength=counts.size)
+    return counts.reshape(batch, n_maps)
+
+
+def _compounds(mats: np.ndarray, p: int) -> np.ndarray:
+    """The p-th compound matrix of each map, stacked."""
+    return np.stack([exterior_power(m, p) for m in mats])
+
+
 def lyapunov_spectrum(
     maps,
     weights: BernoulliWeights,
     steps: int,
     trials: int,
     rng=None,
-    renorm_every: int = DEFAULT_RENORM_EVERY,
     gap_threshold: float | None = None,
 ) -> LyapunovSpectrum:
     """Estimate the Lyapunov spectrum of the i.i.d. matrix cocycle.
 
-    Propagates one orthonormal d-frame per trial through ``steps`` random
-    maps, re-orthonormalising every ``renorm_every`` steps and accumulating
-    the log diagonal of R.  The column sums estimate the log singular values
-    of the (never formed) product, so partial sums over the leading ``p``
-    columns estimate ``chi_1 + ... + chi_p`` via the p-fold exterior norm.
-    Exponents are the differenced column rates, sorted ascending per trial
-    and averaged; ``stderr`` comes from the independent trials.
+    Draws one word of ``steps`` random maps per trial.  For ``d <= 4`` the
+    partial sum ``S_p``, the log growth of ``e_1 ^ ... ^ e_p`` under the
+    p-th compound matrices (Furstenberg & Kesten 1960), is read from one
+    renormalised column per trial for each ``p < d``, and ``S_d`` is the
+    symbol counts times ``log|det A_i|``; the column rates are ``S_j -
+    S_{j-1}``.  For ``d >= 5`` one orthonormal d-frame per trial is
+    QR-renormalised every :func:`safe_renorm_interval` steps and its
+    ``log|diag R|`` sums are the column rates, the same quantities.
+    Exponents are the column rates divided by ``-steps``, sorted ascending
+    per trial and averaged; ``stderr`` comes from the independent trials.
 
     Parameters
     ----------
@@ -412,10 +465,6 @@ def lyapunov_spectrum(
     steps, trials : int
         Word length (>= 100) and number of independent trials.
     rng : numpy Generator or int seed, optional
-    renorm_every : int
-        Requested steps between re-orthonormalisations; shortened
-        automatically for badly conditioned maps (see
-        :func:`safe_renorm_interval`).
     gap_threshold : float, optional
         Merge exponents closer than this into one block; defaults to
         ``0.05 * mean(chi)``.
@@ -426,10 +475,19 @@ def lyapunov_spectrum(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(rng)
-    renorm_every = safe_renorm_interval(mats, renorm_every)
     narrow = np.min_scalar_type(weights.n - 1)
     words = _draw_words(rng, weights.p, np.empty((trials, steps), narrow))
-    _, sums = _propagate(mats, words, renorm_every)
+    d = mats.shape[1]
+    if d > _MAX_COMPOUND_D:
+        _, sums = _propagate(mats, words, safe_renorm_interval(mats, DEFAULT_RENORM_EVERY))
+    else:
+        partial = np.zeros((trials, d + 1))
+        for p in range(1, d):
+            compounds = _compounds(mats, p)
+            _, grow = _propagate(compounds, words, None, np.eye(compounds.shape[1])[:, :1])
+            partial[:, p] = grow[:, 0]
+        partial[:, d] = _symbol_counts(words, mats.shape[0]) @ np.linalg.slogdet(mats)[1]
+        sums = np.diff(partial, axis=1)
 
     per_trial = np.sort(-sums / steps, axis=1)
     chi = per_trial.mean(axis=0)
@@ -449,9 +507,10 @@ def exterior_partial_sum_estimate(
 ) -> tuple[float, float | None]:
     """Estimate ``chi_1 + ... + chi_p`` through the p-fold compound cocycle.
 
-    Independent of :func:`lyapunov_spectrum`: pushes one vector per trial
-    through the compound matrices and reads the top growth rate, which equals
-    minus the partial sum for contractive cocycles.  Returns (mean, stderr).
+    Independent of :func:`lyapunov_spectrum`'s draws: pushes one random unit
+    vector per trial through the compound matrices and reads the top growth
+    rate, which equals minus the partial sum for contractive cocycles.
+    Returns (mean, stderr).
     """
     mats = as_map_stack(maps)
     d = mats.shape[1]
@@ -461,14 +520,13 @@ def exterior_partial_sum_estimate(
         raise ValueError("steps must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    compounds = np.stack([exterior_power(m, p) for m in mats])
+    compounds = _compounds(mats, p)
     rng = np.random.default_rng(rng)
-    renorm_every = safe_renorm_interval(compounds, DEFAULT_RENORM_EVERY)
     narrow = np.min_scalar_type(weights.n - 1)
     words = _draw_words(rng, weights.p, np.empty((trials, steps), narrow))
     v = rng.standard_normal((trials, compounds.shape[1], 1))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    _, sums = _propagate(compounds, words, renorm_every, v)
+    _, sums = _propagate(compounds, words, None, v)
     estimates = -sums[:, 0] / steps
     err = float(estimates.std(ddof=1) / np.sqrt(trials)) if trials > 1 else None
     return float(estimates.mean()), err

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cocycle import DEFAULT_RENORM_EVERY, PRODUCT_BUDGET, BernoulliWeights, entropy
+from .cocycle import PRODUCT_BUDGET, BernoulliWeights, entropy
 from .dimension import PipelineConfig, _check_fiber_entropy
 from .domination import EPS_SLOPE, MIN_FIT_LENGTH
 from .errors import ConfigError
@@ -57,7 +57,6 @@ SECTIONS: dict[str, dict[str, tuple]] = {
         "steps": (10_000, _SIZE),
         "trials": (20, _COUNT),
         "gap_threshold": (None, _OPTIONAL_TOL),
-        "renorm_every": (DEFAULT_RENORM_EVERY, _COUNT),
     },
     "domination": {
         "n_max": (8, _FIT_LENGTH),

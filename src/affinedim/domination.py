@@ -21,6 +21,7 @@ from .cocycle import (
     DEFAULT_RENORM_EVERY,
     PRODUCT_BUDGET,
     _check_word,
+    _compounds,
     _propagate,
     _sorted_growth_frame,
     as_map_stack,
@@ -96,12 +97,6 @@ class GapRatioTable:
         return self.log_ratios[:, i - 1]
 
 
-def _compound_stack(mats: np.ndarray) -> list[np.ndarray]:
-    """Compound matrices of each map for every order p = 1..d."""
-    d = mats.shape[1]
-    return [np.stack([exterior_power(m, p) for m in mats]) for p in range(1, d + 1)]
-
-
 def _log_ratios_from_compound_norms(log_norms: np.ndarray) -> np.ndarray:
     """Second difference of ``log ||wedge^p||`` gives per-index log gap ratios.
 
@@ -129,7 +124,7 @@ def gap_ratio_scan(maps, n_max: int, budget: int = PRODUCT_BUDGET) -> GapRatioTa
         raise BudgetExceededError(
             f"{n_maps}^{n_max} words exceed the {budget} product budget"
         )
-    compounds = _compound_stack(mats)
+    compounds = [_compounds(mats, p) for p in range(1, d + 1)]
     floats_per_word = sum(c[0].size for c in compounds)
     parents_per_batch = max(1, _SCAN_BATCH_FLOATS // (floats_per_word * n_maps))
     best = np.full((n_max + 1, max(d - 1, 0)), -np.inf)
@@ -150,7 +145,10 @@ def gap_ratio_scan(maps, n_max: int, budget: int = PRODUCT_BUDGET) -> GapRatioTa
             children, logs = [], []
             for prod, comp, off in zip(prods, compounds, offs[part].T):
                 nxt = prod[part, None] @ comp[None]
-                norm = np.linalg.norm(nxt, 2, axis=(-2, -1))
+                if comp.shape[1] == 1:  # the 1x1 order-d compound: its 2-norm is |det|
+                    norm = np.abs(nxt[..., 0, 0])
+                else:
+                    norm = np.linalg.norm(nxt, 2, axis=(-2, -1))
                 children.append((nxt / norm[..., None, None]).reshape((-1,) + comp.shape[1:]))
                 logs.append((off[:, None] + np.log(norm)).ravel())
             products_examined += len(logs[0])

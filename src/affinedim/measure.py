@@ -406,8 +406,11 @@ def check_separation(ifs: IfsSystem, level: int, budget: int = PRODUCT_BUDGET) -
 
     The verdict closes at the first level with no near pair (``ssc-verified``)
     or with a near pair whose maps coincide (``overlap-detected``); otherwise
-    it is ``inconclusive`` at ``level``, or at the last level before more than
-    ``budget`` pairs would have been formed (level 1 always is).  The witness
+    it is ``inconclusive`` at ``level``, at the first level where every near
+    pair's hull radii are below the guard (their centres are then within
+    three guards, where rounding and not geometry would decide), or at the
+    last level before more than ``budget`` pairs would have been formed
+    (level 1 always is).  The witness
     is the pair with the smallest number, ties to the first in word order: the
     smallest gap of any pair where it was retired for ``ssc-verified`` (a lower
     bound on the distance between different first-level pieces), the
@@ -445,7 +448,8 @@ def check_separation(ifs: IfsSystem, level: int, budget: int = PRODUCT_BUDGET) -
         if same.any():
             value, pair = _first_pair(apart[same], a[close[same]], b[close[same]], words)
             return SeparationVerdict("overlap-detected", pair, value, depth, formed, a.size)
-        if depth == level or formed + a.size * n * n > budget:
+        if (depth == level or formed + a.size * n * n > budget
+                or max(radii[a].max(), radii[b].max()) < guard):
             value, pair = _first_pair(gap, a, b, words)
             return SeparationVerdict("inconclusive", pair, value, depth, formed, a.size)
         # each kept cylinder's N children, in word order, and each pair's N^2 child pairs

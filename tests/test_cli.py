@@ -440,15 +440,15 @@ def test_stdout_is_one_strict_json_report(command, tmp_path, capsys):
 # (command, config) -> sha256 prefix of its --deterministic report; kept out of
 # the test ids, so that a re-pinned digest does not rename a test
 PINNED_DIGESTS = {
-    ("dim", "bm.json"): "e6c3602777ac",
-    ("dim", "stp3.json"): "2b3a09da8a38",
-    ("dim", "cantor.json"): "eda615078c42",
-    ("dim", "overlap.json"): "921102246f04",
-    ("validate", "cantor.json"): "35e6b702540b",
-    ("lyapunov", "stp3.json"): "94d1084532cc",
-    ("lyapunov", "bm.json"): "c48a16d3b9df",
-    ("domination", "stp3.json"): "33cc91317978",
-    ("domination", "bm.json"): "fb888d963f82",
+    ("dim", "bm.json"): "86e824daa883",
+    ("dim", "stp3.json"): "efaf78eb6238",
+    ("dim", "cantor.json"): "b330c41f4226",
+    ("dim", "overlap.json"): "c0265371cb69",
+    ("validate", "cantor.json"): "efb8895e134b",
+    ("lyapunov", "stp3.json"): "41060373c98f",
+    ("lyapunov", "bm.json"): "5e39b4a34378",
+    ("domination", "stp3.json"): "e0d6cbc3119f",
+    ("domination", "bm.json"): "37300282755d",
 }
 
 
@@ -484,7 +484,7 @@ def test_dim_report_bytes_without_scipy(tmp_path):
                   "from affinedim.cli import main\nsys.exit(main(sys.argv[1:]))",
                   "dim", "--config", str(CONFIG_DIR / "cantor.json"), "--deterministic",
                   "--out", str(path))
-    assert hashlib.sha256(path.read_bytes()).hexdigest()[:12] == "eda615078c42"
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:12] == "b330c41f4226"
 
 
 def test_timestamp_present_without_deterministic(tmp_path, capsys):

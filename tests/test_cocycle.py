@@ -42,6 +42,7 @@ def line_angle(frame: SubspaceFrame) -> float:
 
 
 DIAG_PAIR = (np.diag([1.0 / 3.0, 0.5]), np.diag([1.0 / 3.0, 0.5]))
+PASCAL_HALF = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0], [1.0, 3.0, 6.0]]) / 8.0
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +190,99 @@ def test_exterior_partial_sum_rejects_empty_run():
         exterior_partial_sum_estimate(maps, w, 1, steps=200, trials=0, rng=0)
 
 
+def test_spectrum_columns_match_the_per_symbol_loop_on_stp3():
+    # one column per compound order has no singular-value spread to lose:
+    # every trial's rates lie within 1e-12 of a loop that renormalises after
+    # every symbol (a QR'd 3-frame at interval 7 is about 9e-9 off on chi_3)
+    ifs = load_config(CONFIG_DIR / "stp3.json").ifs
+    steps, trials, seed = 5_000, 12, np.random.SeedSequence(3).spawn(5)[0]
+    spec = lyapunov_spectrum(ifs.matrices, ifs.weights, steps, trials, rng=seed)
+    words = cocycle._draw_words(np.random.default_rng(seed), ifs.weights.p,
+                                np.empty((trials, steps), dtype=np.uint8))
+    _, ref = _per_step_propagate(ifs.matrices, words, 1)
+    chi_ref = np.sort(-ref / steps, axis=1)
+    assert np.abs(spec.trial_exponents / chi_ref - 1.0).max() <= 1e-12
+
+
+def _edge_spectrum_case(name):
+    """(maps, weights, steps) of a degenerate but legal spectrum input."""
+    if name == "d1":  # no compound order below d: the counts alone
+        return [np.array([[0.5]]), np.array([[0.25]])], [0.3, 0.7], 100
+    if name == "one-map":
+        return [np.array([[0.5, 0.3], [0.0, 0.25]])], [1.0], 150
+    if name == "zero-weight":
+        maps = [np.diag([0.5, 0.4, 0.3]), PASCAL_HALF, np.diag([0.2, 0.6, 0.5])]
+        return maps, [0.5, 0.5, 0.0], 130
+    if name == "300-maps":  # the block table holds one symbol: b = 1
+        rng = np.random.default_rng(300)
+        q = np.linalg.qr(rng.standard_normal((300, 2, 2)))[0]
+        return list(0.5 * q @ np.diag([1.0, 0.6])), None, 120
+    if name == "ragged":  # not a multiple of the 65- or 42-step interval
+        return list(load_config(CONFIG_DIR / "stp3.json").ifs.matrices), None, 107
+    # "hard": as contracting as the |det| floor allows, log range 26.9
+    return [np.array([[0.5, 0.2, 0.0], [0.0, 0.4, 0.1], [0.0, 0.0, 0.3]]),
+            np.diag([0.9, 0.9, 2e-12])], None, 1_001
+
+
+@pytest.mark.parametrize("name", ["d1", "one-map", "zero-weight", "300-maps", "ragged", "hard"])
+def test_spectrum_edge_cases_are_finite(name):
+    maps, p, steps = _edge_spectrum_case(name)
+    if name == "300-maps":
+        assert cocycle._block_length(cocycle._compounds(np.stack(maps), 1), 100, 1) == 1
+    w = BernoulliWeights.uniform(len(maps)) if p is None else BernoulliWeights(np.array(p))
+    spec = lyapunov_spectrum(maps, w, steps, 3, rng=11)
+    assert np.isfinite(spec.trial_exponents).all() and np.isfinite(spec.stderr).all()
+    # the rates of a trial sum to its mean -log|det|, read from symbol counts
+    words = cocycle._draw_words(np.random.default_rng(11), w.p,
+                                np.empty((3, steps), dtype=np.min_scalar_type(len(maps) - 1)))
+    log_det = np.log(np.abs(np.linalg.det(np.stack(maps))))
+    expected = -log_det[words].sum(axis=1) / steps
+    assert spec.trial_exponents.sum(axis=1) == pytest.approx(expected, rel=1e-12)
+
+
+def test_one_column_renormalises_every_symbol_under_hard_contraction():
+    # e^-200 per symbol: a lone column is renormalised after every symbol in
+    # one-symbol blocks, so it never leaves the normal floats, and the kernel
+    # is the per-step loop bit for bit
+    use = np.stack([np.diag([np.exp(-200.0), 0.5]), np.array([[0.3, 0.1], [0.2, 0.4]])])
+    words = np.random.default_rng(12).integers(0, 2, (4, 50))
+    q0 = np.array([[0.6], [0.8]])
+    assert cocycle._column_interval(use, 50) == 1
+    q, sums = cocycle._propagate(use, words, None, q0)
+    q_ref, sums_ref = _per_step_propagate(use, words, 1, q0)
+    assert np.isfinite(sums).all()
+    assert np.array_equal(q, q_ref) and np.array_equal(sums, sums_ref)
+
+
+@pytest.mark.parametrize("d, n_maps, expected", [
+    (5, 3, [0.7157677945910964, 0.7935264819945852, 0.917673733000511, 1.2382876515455707,
+            1.8324051425191161]),
+    (8, 2, [0.7893213168616168, 0.8726508570101797, 1.0278971797032568, 1.1600587256415824,
+            1.2768319560495864, 1.4031544082173033, 1.5090541774992998, 1.5901613234728187]),
+])
+def test_spectrum_from_d5_keeps_the_frame_route(d, n_maps, expected):
+    # from d = 5 compounds cost more per step than a QR'd d-frame: the
+    # spectrum is the frame's, at the default interval, bit for bit
+    rng = np.random.default_rng(2400 + d)
+    maps = np.stack([0.8 * m / np.linalg.norm(m, 2) for m in rng.uniform(-1, 1, (n_maps, d, d))])
+    w = BernoulliWeights.uniform(n_maps)
+    spec = lyapunov_spectrum(maps, w, 500, 3, rng=d)
+    assert spec.exponents.tolist() == expected
+    words = cocycle._draw_words(np.random.default_rng(d), w.p, np.empty((3, 500), dtype=np.uint8))
+    interval = cocycle.safe_renorm_interval(maps, cocycle.DEFAULT_RENORM_EVERY)
+    _, sums = cocycle._propagate(maps, words, interval)
+    assert np.array_equal(spec.trial_exponents, np.sort(-sums / 500, axis=1))
+
+
+def test_spectrum_memory_stays_bounded():
+    # the certify-stp3 spectrum: 2 MB of uint8 words, one propagation chunk
+    # and bounded symbol-count slices (3.4 MB traced); any (trials, steps)
+    # float temporary would add 16 MB
+    ifs = load_config(CONFIG_DIR / "stp3.json").ifs
+    _, peak = traced_peak(lyapunov_spectrum, ifs.matrices, ifs.weights, 100_000, 20, 3)
+    assert peak < 5e6, peak
+
+
 def test_spectrum_type_invariants():
     with pytest.raises(ValueError):
         LyapunovSpectrum(np.array([0.5, 0.2]), None, (1, 1), 0.05)
@@ -229,6 +323,20 @@ def _start_frame(rng, kind, batch, d):
 _STEP_CASES = [(1, 1), (1, 3), (12, 3), (13, 3), (13, 1), (5, 9)]
 
 
+def _schedule(use, steps, renorm_every, q0=None):
+    """(interval, block length) that ``_propagate`` documents for this frame.
+
+    A one-column frame ignores ``renorm_every`` and renormalises by its log
+    growth; wider frames keep the requested interval.
+    """
+    columns = use.shape[1] if q0 is None else np.shape(q0)[-1]
+    if columns == 1:
+        interval = cocycle._column_interval(use, steps)
+    else:
+        interval = max(1, min(renorm_every, steps))
+    return interval, cocycle._block_length(use, interval, columns)
+
+
 def _block_reference(use, words, renorm_every, q0=None):
     """Reference kernel: per-word block products from Python loops, ``np.linalg.qr`` per interval.
 
@@ -236,7 +344,7 @@ def _block_reference(use, words, renorm_every, q0=None):
     the last one taking what is left, as ``_propagate`` documents.
     """
     batch, steps = words.shape
-    b = cocycle._block_length(use, max(1, min(renorm_every, steps)))
+    renorm_every, b = _schedule(use, steps, renorm_every, q0)
     # product[word] = use[word[-1]] @ ... @ use[word[0]], one map at a time
     product = {(s,): use[s] for s in range(use.shape[0])}
     for k in range(2, b + 1):
@@ -293,35 +401,55 @@ def test_propagate_bit_identical_to_per_step_qr(seed, kind, monkeypatch):
         use[0] = np.diag(np.exp(np.linspace(0.0, -8.0, d)))
     single = 0
     for words, renorm_every, q0 in _propagate_cases(use, rng, kind, monkeypatch):
-        if cocycle._block_length(use, min(renorm_every, words.shape[1])) > 1:
+        interval, b = _schedule(use, words.shape[1], renorm_every, q0)
+        if b > 1:
             continue
         single += 1
         q, sums = cocycle._propagate(use, words, renorm_every, q0)
-        q_ref, sums_ref = _per_step_propagate(use, words, renorm_every, q0)
+        q_ref, sums_ref = _per_step_propagate(use, words, interval, q0)
         assert np.array_equal(q, q_ref) and np.array_equal(sums, sums_ref)
-    # every case once d > 1, and at least the cases whose interval is one step
-    assert single == 2 * 3 * len(_STEP_CASES) if d > 1 else single >= 2 * 3 * 3
+    # every case for a frame of two or more columns; for one column at least
+    # the one-step runs, whose blocks are one symbol long
+    one_column = (d if kind is None else max(1, d - 1)) == 1
+    assert single >= 2 * 3 * 2 if one_column else single == 2 * 3 * len(_STEP_CASES)
 
 
 @pytest.mark.parametrize("interval, expected", [(1, 1), (2, 2), (3, 3), (7, 3), (10, 3)])
 def test_block_length_spends_half_the_renorm_spread_on_stp3(interval, expected):
     mats = load_config(CONFIG_DIR / "stp3.json").ifs.matrices
-    # log condition 4.127: renormalise every 7 steps, blocks of 3 symbols
+    # log condition 4.127: a 3-frame renormalises every 7 steps, blocks of 3 symbols
     assert cocycle.safe_renorm_interval(mats, 10) == 7
-    assert cocycle._block_length(mats, interval) == expected
+    assert cocycle._block_length(mats, interval, 3) == expected
+
+
+def test_one_column_steps_stp3_compounds_by_log_range():
+    # a lone column's log norm moves at most 4.589 (order 1) or 7.115 (order 2)
+    # per symbol: renormalise every 65 and 42 symbols, and both tables stop at
+    # blocks of 11, the longest whose 4,094 rows of 9 floats fit in 2^16
+    mats = load_config(CONFIG_DIR / "stp3.json").ifs.matrices
+    for p, interval in ((1, 65), (2, 42)):
+        compounds = cocycle._compounds(mats, p)
+        assert cocycle._column_interval(compounds, 100_000) == interval
+        assert cocycle._block_length(compounds, interval, 1) == 11
+    # a run shorter than the interval is renormalised once, at its end
+    assert cocycle._column_interval(mats, 40) == 40
 
 
 def test_block_length_caps():
     scalar = np.full((4, 3, 3), 0.5 * np.eye(3))
     # log condition 0: the table of words up to length 6 has 5,460 * 9 floats,
     # and length 7 would add 16,384 * 9 more
-    assert cocycle._block_length(scalar, 10) == 6
-    assert cocycle._block_length(scalar[:1], 10) == 10
+    assert cocycle._block_length(scalar, 10, 3) == 6
+    assert cocycle._block_length(scalar[:1], 10, 3) == 10
     # log condition 5: three symbols spread exactly e^15
     skewed = np.stack([np.diag([0.5, 0.5 * np.exp(-5.0)])] * 2)
-    assert cocycle._block_length(skewed, 10) == 3
+    assert cocycle._block_length(skewed, 10, 2) == 3
     bad = np.stack([np.diag([0.5, 0.5 * np.exp(-16.0)])])
-    assert cocycle._block_length(bad, 10) == 1
+    assert cocycle._block_length(bad, 10, 2) == 1
+    # one column has no spread to keep: only the interval and the table cap it
+    assert cocycle._block_length(skewed, 10, 1) == 10
+    assert cocycle._block_length(bad, 10, 1) == 10
+    assert cocycle._block_length(scalar, 10, 1) == 6
 
 
 @pytest.mark.parametrize("steps, trials, seed", [

@@ -270,6 +270,20 @@ def test_bundle_growth_ratio_bounded():
     assert est.growth_ratio_sup <= 1.0 + 1e-9  # diagonal case is tight
 
 
+@pytest.mark.parametrize("index", [1, 2])
+def test_bundle_growth_ratio_singular_values_on_a_diagonal_system(index):
+    # a frame off the axes grows unlike any singular value, so only the
+    # identity frame's sorted growth gives alpha_{index+1} of each product
+    maps = (np.diag([0.5, 0.3, 0.2]), np.diag([0.25, 0.4, 0.1]))
+    word = sample_word(BernoulliWeights.uniform(2), 30, rng=23)
+    f = np.array([[1.0], [2.0], [2.0]]) / 3.0
+    ratios = domination.bundle_growth_ratios(maps, word, SubspaceFrame(f), index, 30)
+    products = np.cumprod([np.diag(maps[s]) for s in word[:30]], axis=0)
+    alpha = -np.sort(-products, axis=1)[:, index]
+    expected = np.linalg.norm(products * f[:, 0], axis=1) / alpha
+    assert ratios == pytest.approx(expected, rel=1e-12)
+
+
 def test_bundle_holder_continuity_probe():
     rng = np.random.default_rng(19)
     maps = random_stp_tuple(rng, 2, 2)

@@ -564,6 +564,28 @@ def test_separation_budget_counts_pairs_formed():
     assert check_separation(ifs, 1).pairs_formed == 3
 
 
+def _uneven_segment_ifs():
+    """``[0, 1]`` cut at 0.4: the maps ``0.4 x`` and ``0.6 x + 0.4``."""
+    return IfsSystem(np.array([[[0.4]], [[0.6]]]), np.array([[0.0], [0.4]]),
+                     BernoulliWeights.uniform(2))
+
+
+@pytest.mark.parametrize("ifs, closes, formed, near", [
+    (segment_ifs(), 38, 149, 1),  # hull radii 2^-38 R_c fall below the guard first
+    (bm_carpet_ifs(), 37, 618_591, 45_056),  # the budget stops it while radii are 2^-37 R_c
+    # near pairs of 0.6^k-scale cylinders keep radii above the guard until the
+    # budget stops it, though the smallest fell below it at level 30
+    (_uneven_segment_ifs(), 47, 625_369, 156_304),
+], ids=["segment", "bm", "uneven-segment"])
+def test_separation_stops_once_near_hulls_are_below_the_guard(ifs, closes, formed, near):
+    # once every near pair's hulls are smaller than the guard, their centres
+    # lie within three guards, where rounding would decide: touching cells close there
+    verdict = check_separation(ifs, 60)
+    assert verdict.status == "inconclusive"
+    assert (verdict.level, verdict.pairs_formed, verdict.near_pairs) == (closes, formed, near)
+    assert check_separation(ifs, closes - 1).level == closes - 1
+
+
 def test_separation_deep_level_stays_within_the_budget():
     # touching cells: the near pairs grow with depth until the budget stops them
     verdict, peak = traced_peak(check_separation, bm_carpet_ifs(), 60)
