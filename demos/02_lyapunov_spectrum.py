@@ -1,8 +1,10 @@
 """Lyapunov spectrum estimation for i.i.d. matrix cocycles.
 
-Shows the re-orthonormalised frame estimator on systems where the exponents
-are known, checks the determinant conservation law, and cross-validates a
-partial sum through the independent exterior-power route.
+Shows the spectrum estimator, which reads each partial sum from the growth
+of one column under the compound (exterior-power) cocycle, on systems where
+the exponents are known, checks the determinant conservation law, and
+cross-validates a partial sum through the same exterior-power route with
+independent words and random start vectors.
 """
 
 import numpy as np

@@ -31,7 +31,6 @@ __all__ = [
     "LyapunovSpectrum",
     "FlagSample",
     "as_map_stack",
-    "safe_renorm_interval",
     "sample_word",
     "entropy",
     "lyapunov_spectrum",
@@ -42,7 +41,6 @@ __all__ = [
 ]
 
 WEIGHT_SUM_TOL = 1e-12
-DEFAULT_RENORM_EVERY = 10
 # default cap on a search's work: the words a gap-ratio scan forms, and the
 # cylinder pairs a separation check forms
 PRODUCT_BUDGET = 10**6
@@ -51,6 +49,8 @@ FAST_FLAG_ANGLE_TOL = 1e-6
 # word length and trials of the probe run that finds flag dimensions
 _PROBE_STEPS = 2000
 _PROBE_TRIALS = 6
+# most steps between renormalisations of a frame of two or more columns
+_MAX_FRAME_INTERVAL = 10
 # keep the singular-value spread accumulated between renormalisations well
 # below 1/eps so the most contracted directions stay resolvable
 _MAX_LOG_SPREAD_PER_RENORM = 30.0
@@ -71,20 +71,6 @@ _WORD_BLOCK_SYMBOLS = 1 << 16
 # most symbols drawn by comparison passes (each symbol then fits in uint8);
 # searchsorted draws larger alphabets faster
 _DRAW_COMPARE_MAX = 256
-
-
-def _log_condition(mats: np.ndarray) -> float:
-    """The largest ``log(sigma_1 / sigma_d)`` over the maps."""
-    sv = np.linalg.svd(mats, compute_uv=False)
-    return float(np.max(np.log(sv[:, 0] / sv[:, -1])))
-
-
-def safe_renorm_interval(mats: np.ndarray, requested: int) -> int:
-    """Shorten the renormalisation interval for badly conditioned maps."""
-    log_cond = _log_condition(mats)
-    if log_cond <= 0:
-        return max(1, requested)
-    return max(1, min(requested, int(_MAX_LOG_SPREAD_PER_RENORM / log_cond)))
 
 
 @dataclass(frozen=True)
@@ -180,6 +166,12 @@ def as_map_stack(maps, require_contractive: bool = True) -> np.ndarray:
     return stack
 
 
+def _check_weights(weights: BernoulliWeights, mats: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``weights`` has one entry per map of ``mats``."""
+    if weights.n != mats.shape[0]:
+        raise ValueError(f"{weights.n} weights for {mats.shape[0]} maps")
+
+
 def sample_word(weights: BernoulliWeights, n: int, rng=None) -> np.ndarray:
     """Draw ``n`` i.i.d. symbols (0-based) with the given law."""
     if n < 1:
@@ -255,42 +247,42 @@ def _draw_words(rng: np.random.Generator, p: np.ndarray, out: np.ndarray) -> np.
     return out
 
 
-def _column_interval(use: np.ndarray, steps: int) -> int:
-    """Steps between renormalisations of a one-column frame over a ``steps``-step run.
+def _schedule(use: np.ndarray, steps: int, columns: int) -> tuple[int, int]:
+    """(steps between renormalisations, symbols per block) of a ``steps``-step run.
 
-    One step moves a column's log norm by at most the largest ``|log sigma|``
-    of the maps.  Returns the largest interval (at most ``steps``, at least
-    1) over which that bound stays within ``_MAX_LOG_GROWTH_PER_RENORM``.
+    A frame of two or more ``columns`` renormalises every
+    ``min(_MAX_FRAME_INTERVAL, steps)`` steps, shortened so that the maps'
+    worst log condition number ``log(sigma_1 / sigma_d)`` spreads the frame
+    by at most ``_MAX_LOG_SPREAD_PER_RENORM`` per interval and by at most
+    ``_MAX_LOG_SPREAD_PER_BLOCK`` per block.  A one-column frame has no
+    spread to keep: one step moves its log norm by at most the maps' largest
+    ``|log sigma|``, and it renormalises as seldom as keeps that movement
+    within ``_MAX_LOG_GROWTH_PER_RENORM`` (at most every ``steps``).  The
+    block is the longest, up to the interval, whose table of every word of
+    length at most ``b`` holds at most ``_PROPAGATE_CHUNK_FLOATS`` floats.
+    Both are at least 1, and a one-step run is ``(1, 1)`` with no SVD.
     """
+    if steps <= 1:
+        return 1, 1
     sv = np.linalg.svd(use, compute_uv=False)
-    log_range = float(np.max(np.abs(np.log(sv[:, [0, -1]]))))
-    if log_range * steps <= _MAX_LOG_GROWTH_PER_RENORM:
-        return max(1, steps)
-    return max(1, int(_MAX_LOG_GROWTH_PER_RENORM / log_range))
-
-
-def _block_length(use: np.ndarray, interval: int, columns: int) -> int:
-    """Symbols per tabulated block product in an ``interval``-step renormalisation.
-
-    The largest ``b <= interval`` whose table of every word of length at
-    most ``b`` holds at most ``_PROPAGATE_CHUNK_FLOATS`` floats; at least 1.
-    A frame of two or more ``columns`` also keeps the block's worst log
-    singular-value spread, ``b * _log_condition(use)``, within
-    ``_MAX_LOG_SPREAD_PER_BLOCK``; a one-column frame's interval already
-    bounds its blocks' log growth (:func:`_column_interval`).
-    """
-    if interval == 1:
-        return 1
-    cap = interval
     if columns > 1:
-        log_cond = _log_condition(use)
+        log_cond = float(np.max(np.log(sv[:, 0] / sv[:, -1])))
+        interval = min(_MAX_FRAME_INTERVAL, steps)
+        if log_cond > 0:
+            interval = max(1, min(interval, int(_MAX_LOG_SPREAD_PER_RENORM / log_cond)))
+        cap = interval
         if log_cond * interval > _MAX_LOG_SPREAD_PER_BLOCK:
             cap = int(_MAX_LOG_SPREAD_PER_BLOCK / log_cond)
+    else:
+        log_range = float(np.max(np.abs(np.log(sv[:, [0, -1]]))))
+        interval = cap = steps
+        if log_range * steps > _MAX_LOG_GROWTH_PER_RENORM:
+            interval = cap = max(1, int(_MAX_LOG_GROWTH_PER_RENORM / log_range))
     n_maps, b, rows = use.shape[0], 1, use.shape[0]
     while b < cap and (rows + n_maps ** (b + 1)) * use[0].size <= _PROPAGATE_CHUNK_FLOATS:
         b += 1
         rows += n_maps**b
-    return b
+    return interval, b
 
 
 def _block_table(use: np.ndarray, b: int) -> tuple[np.ndarray, list[int]]:
@@ -332,22 +324,21 @@ def _block_codes(w: np.ndarray, length: int, b: int, n_maps: int, first: list[in
 
 
 def _propagate(
-    use: np.ndarray, words: np.ndarray, renorm_every: int | None, q0: np.ndarray | None = None
+    use: np.ndarray, words: np.ndarray, q0: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Push one frame per word through ``use[s]`` for each symbol, in order.
 
     ``words`` is a (batch, steps) symbol array and ``q0`` a (d, k) or
     (batch, d, k) starting frame (the identity by default).  Frames are
-    re-orthonormalised by QR every ``renorm_every`` steps and after the last
-    one, summing ``log|diag R|``.  A one-column frame (``k = 1``) ignores
-    ``renorm_every``, which may then be ``None``: it renormalises every
-    :func:`_column_interval` steps.  Returns the final orthonormal frames and
-    the per-column log growth, which estimates the log singular values of
-    each word's product (in column order, not sorted).
+    re-orthonormalised by QR at the interval :func:`_schedule` chooses and
+    after the last step, summing ``log|diag R|``.  Returns the final
+    orthonormal frames and the per-column log growth, which estimates the
+    log singular values of each word's product (in column order, not
+    sorted).
 
     Each renormalisation interval is stepped in blocks of ``b`` symbols
-    (:func:`_block_length`), the last block of an interval taking what is
-    left, and each block multiplies the frame by its product, read from a
+    (also from :func:`_schedule`), the last block of an interval taking what
+    is left, and each block multiplies the frame by its product, read from a
     table built once per call (:func:`_block_table`).  With ``b = 1`` the
     floating-point operations are exactly those of ``q = use[words[:, t]]
     @ q`` per step and ``np.linalg.qr`` per renorm.  Block codes and step
@@ -364,12 +355,7 @@ def _propagate(
     batch, steps = words.shape
     q = np.broadcast_to(q0, (batch,) + q0.shape[-2:]).copy()
     sums = np.zeros((batch, q.shape[2]))
-    columns = q.shape[2]
-    if columns == 1:
-        interval = _column_interval(use, steps)
-    else:
-        interval = max(1, min(renorm_every, steps))
-    b = _block_length(use, interval, columns)
+    interval, b = _schedule(use, steps, q.shape[2])
     table, first = _block_table(use, b)
     chunk = max(1, _PROPAGATE_CHUNK_FLOATS // max(1, batch * use[0].size))
     full, rest = divmod(steps, interval)
@@ -394,13 +380,13 @@ def _propagate(
     return q, sums
 
 
-def _sorted_growth_frame(use: np.ndarray, symbols: np.ndarray, renorm_every: int):
+def _sorted_growth_frame(use: np.ndarray, symbols: np.ndarray):
     """Propagate the identity frame along one word; columns sorted by growth, largest first.
 
     Identity starts on axis-aligned systems keep columns in axis order, so
     the sort is what puts the dominant directions first.
     """
-    q, sums = _propagate(use, symbols[None], renorm_every)
+    q, sums = _propagate(use, symbols[None])
     order = np.argsort(-sums[0], kind="stable")
     return q[0][:, order], sums[0][order]
 
@@ -451,8 +437,8 @@ def lyapunov_spectrum(
     renormalised column per trial for each ``p < d``, and ``S_d`` is the
     symbol counts times ``log|det A_i|``; the column rates are ``S_j -
     S_{j-1}``.  For ``d >= 5`` one orthonormal d-frame per trial is
-    QR-renormalised every :func:`safe_renorm_interval` steps and its
-    ``log|diag R|`` sums are the column rates, the same quantities.
+    QR-renormalised (:func:`_schedule`) and its ``log|diag R|`` sums are the
+    column rates, the same quantities.
     Exponents are the column rates divided by ``-steps``, sorted ascending
     per trial and averaged; ``stderr`` comes from the independent trials.
 
@@ -470,6 +456,7 @@ def lyapunov_spectrum(
         ``0.05 * mean(chi)``.
     """
     mats = as_map_stack(maps)
+    _check_weights(weights, mats)
     if steps < 100:
         raise ValueError("steps must be at least 100")
     if trials < 1:
@@ -479,12 +466,12 @@ def lyapunov_spectrum(
     words = _draw_words(rng, weights.p, np.empty((trials, steps), narrow))
     d = mats.shape[1]
     if d > _MAX_COMPOUND_D:
-        _, sums = _propagate(mats, words, safe_renorm_interval(mats, DEFAULT_RENORM_EVERY))
+        _, sums = _propagate(mats, words)
     else:
         partial = np.zeros((trials, d + 1))
         for p in range(1, d):
             compounds = _compounds(mats, p)
-            _, grow = _propagate(compounds, words, None, np.eye(compounds.shape[1])[:, :1])
+            _, grow = _propagate(compounds, words, np.eye(compounds.shape[1])[:, :1])
             partial[:, p] = grow[:, 0]
         partial[:, d] = _symbol_counts(words, mats.shape[0]) @ np.linalg.slogdet(mats)[1]
         sums = np.diff(partial, axis=1)
@@ -513,6 +500,7 @@ def exterior_partial_sum_estimate(
     Returns (mean, stderr).
     """
     mats = as_map_stack(maps)
+    _check_weights(weights, mats)
     d = mats.shape[1]
     if not 1 <= p <= d:
         raise ValueError(f"need 1 <= p <= {d}")
@@ -526,7 +514,7 @@ def exterior_partial_sum_estimate(
     words = _draw_words(rng, weights.p, np.empty((trials, steps), narrow))
     v = rng.standard_normal((trials, compounds.shape[1], 1))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    _, sums = _propagate(compounds, words, None, v)
+    _, sums = _propagate(compounds, words, v)
     estimates = -sums[:, 0] / steps
     err = float(estimates.std(ddof=1) / np.sqrt(trials)) if trials > 1 else None
     return float(estimates.mean()), err
@@ -550,9 +538,8 @@ def oseledets_fast_flag(maps, word, depth: int) -> FlagChain:
     d = mats.shape[1]
     if d == 1:
         raise SpectralGapError("no flags exist in ambient dimension 1", observed_gap=1.0)
-    renorm_every = safe_renorm_interval(mats, DEFAULT_RENORM_EVERY)
     # product A_{w0} A_{w1} ... applied to a frame: iterate the word backwards
-    q, sums = _sorted_growth_frame(mats, w[:depth][::-1], renorm_every)
+    q, sums = _sorted_growth_frame(mats, w[:depth][::-1])
     ratios = np.exp(sums[1:] - sums[:-1])  # sigma_{k+1}/sigma_k at this depth
     splits = [k for k in range(1, d) if ratios[k - 1] <= FAST_FLAG_ANGLE_TOL / 10.0]
     if not splits:
@@ -587,6 +574,7 @@ def furstenberg_sample(
     given the seed.
     """
     mats = as_map_stack(maps)
+    _check_weights(weights, mats)
     d = mats.shape[1]
     rng = np.random.default_rng(rng)
     if iterations < 1 or count < 1:
@@ -606,11 +594,10 @@ def furstenberg_sample(
         raise ValueError(f"flag dims must be strictly decreasing within 1..{d - 1}, got {dims}")
 
     invs = np.linalg.inv(mats)
-    renorm_every = safe_renorm_interval(mats, DEFAULT_RENORM_EVERY)
     words = _draw_words(rng, weights.p, np.empty((count, iterations), dtype=np.int64))
     q, _ = qr_positive(rng.standard_normal((count, d, d)))
     # the first symbol is applied last, so it ends up outermost
-    q, _ = _propagate(invs, words[:, ::-1], renorm_every, q)
+    q, _ = _propagate(invs, words[:, ::-1], q)
 
     samples = []
     for i in range(count):
@@ -630,6 +617,7 @@ def furstenberg_step(
     which is the stationarity self-test.
     """
     mats = as_map_stack(maps)
+    _check_weights(weights, mats)
     invs = np.linalg.inv(mats)
     rng = np.random.default_rng(rng)
     symbols = _draw_words(rng, weights.p, np.empty(len(samples), dtype=np.int64))

@@ -18,18 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import (
-    DEFAULT_RENORM_EVERY,
     PRODUCT_BUDGET,
     _check_word,
     _compounds,
     _propagate,
     _sorted_growth_frame,
     as_map_stack,
-    safe_renorm_interval,
 )
 from .errors import BudgetExceededError, SpectralGapError, SubspaceInconsistencyError
 from .linalg import (
-    INTERSECTION_TOL,
     SubspaceFrame,
     exterior_power,
     principal_angle_distance,
@@ -323,7 +320,7 @@ def bundle_growth_ratios(
     words = np.stack([w[:depth], w[:depth]])
     out = np.empty(depth)
     for n in range(depth):
-        q, grow = _propagate(mats, words[:, n : n + 1], 1, q)
+        q, grow = _propagate(mats, words[:, n : n + 1], q)
         sums += grow
         alpha = np.sort(sums[1])[::-1][index]
         out[n] = np.exp(sums[0, :k].max() - alpha)
@@ -352,13 +349,12 @@ def strong_stable_bundle(
     w = _check_word(word, mats.shape[0])
     if depth < 2 or depth + 1 > w.size:
         raise ValueError("need 2 <= depth <= len(word) - 1")
-    renorm_every = safe_renorm_interval(mats, DEFAULT_RENORM_EVERY)
     invs = np.linalg.inv(mats)
     # fast bundle: dominant image directions of the inverse-order product
-    q_f, sums_f = _sorted_growth_frame(invs, w[:depth][::-1], renorm_every)
+    q_f, sums_f = _sorted_growth_frame(invs, w[:depth][::-1])
     gap_f = float(np.exp(sums_f[d - i] - sums_f[d - i - 1]))
     # slow bundle: dominant image directions of the past product
-    q_s, sums_s = _sorted_growth_frame(mats, w[:depth][::-1], renorm_every)
+    q_s, sums_s = _sorted_growth_frame(mats, w[:depth][::-1])
     gap_s = float(np.exp(sums_s[i] - sums_s[i - 1]))
     worst = max(gap_f, gap_s)
     if worst > BUNDLE_GAP_TOL:
@@ -370,7 +366,7 @@ def strong_stable_bundle(
     slow = SubspaceFrame(q_s[:, :i])
 
     # one-step equivariance: the map by A_{w0} carries the bundle forward
-    q_shift, _ = _sorted_growth_frame(invs, w[1 : depth + 1][::-1], renorm_every)
+    q_shift, _ = _sorted_growth_frame(invs, w[1 : depth + 1][::-1])
     shifted = SubspaceFrame(q_shift[:, : d - i])
     pushed = SubspaceFrame.from_span(mats[w[0]] @ fast.frame)
     equiv = principal_angle_distance(pushed, shifted)
@@ -397,9 +393,7 @@ class SplittingDecomposition:
     gram_min_singular: float
 
 
-def splitting_subspaces(
-    bundles: list[BundleEstimate], tol: float = INTERSECTION_TOL
-) -> SplittingDecomposition:
+def splitting_subspaces(bundles: list[BundleEstimate]) -> SplittingDecomposition:
     """Intersect consecutive bundle estimates into the splitting subspaces.
 
     With dominated indices ``i_1 < ... < i_k``, the pieces are the slow
@@ -417,7 +411,7 @@ def splitting_subspaces(
 
     pieces = [bundles[0].slow]
     for prev, cur in zip(bundles, bundles[1:]):
-        inter = subspace_intersection(cur.slow, prev.fast, tol)
+        inter = subspace_intersection(cur.slow, prev.fast)
         expected = cur.index - prev.index
         got = 0 if inter is None else inter.k
         if got != expected:

@@ -304,13 +304,12 @@ def smallest_principal_angle(u: SubspaceFrame, w: SubspaceFrame) -> float:
     return float(np.arccos(c))
 
 
-def subspace_intersection(
-    u: SubspaceFrame, w: SubspaceFrame, tol: float = INTERSECTION_TOL
-) -> SubspaceFrame | None:
+def subspace_intersection(u: SubspaceFrame, w: SubspaceFrame) -> SubspaceFrame | None:
     """Numerical intersection of two subspaces, or ``None`` if it is trivial.
 
-    Directions whose principal angle has sine below ``tol`` count as common;
-    they are symmetrised between the two frames and re-orthonormalised.
+    Directions whose principal angle has sine below ``INTERSECTION_TOL``
+    count as common; they are symmetrised between the two frames and
+    re-orthonormalised.
     """
     if u.d != w.d:
         raise ValueError(f"ambient dimension mismatch: {u.d} vs {w.d}")
@@ -320,7 +319,7 @@ def subspace_intersection(
     for j in range(min(u.k, w.k)):
         vec = candidates[:, j]
         in_w = w.frame @ (w.frame.T @ vec)
-        if np.linalg.norm(vec - in_w) < tol:
+        if np.linalg.norm(vec - in_w) < INTERSECTION_TOL:
             sym = vec + in_w
             kept.append(sym / np.linalg.norm(sym))
     if not kept:

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .cocycle import (PRODUCT_BUDGET, BernoulliWeights, _WORD_BLOCK_SYMBOLS, _check_symbols,
-                      _check_word, _draw_words, as_map_stack)
+                      _check_weights, _check_word, _draw_words, as_map_stack)
 from .linalg import SubspaceFrame, singular_values
 
 __all__ = [
@@ -64,8 +64,7 @@ class IfsSystem:
             )
         if not np.all(np.isfinite(ts)):
             raise ValueError("translations have non-finite entries")
-        if self.weights.n != mats.shape[0]:
-            raise ValueError(f"{self.weights.n} weights for {mats.shape[0]} maps")
+        _check_weights(self.weights, mats)
         mats = mats.copy()
         ts = ts.copy()
         mats.flags.writeable = False

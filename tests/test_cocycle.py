@@ -228,7 +228,7 @@ def _edge_spectrum_case(name):
 def test_spectrum_edge_cases_are_finite(name):
     maps, p, steps = _edge_spectrum_case(name)
     if name == "300-maps":
-        assert cocycle._block_length(cocycle._compounds(np.stack(maps), 1), 100, 1) == 1
+        assert cocycle._schedule(cocycle._compounds(np.stack(maps), 1), steps, 1)[1] == 1
     w = BernoulliWeights.uniform(len(maps)) if p is None else BernoulliWeights(np.array(p))
     spec = lyapunov_spectrum(maps, w, steps, 3, rng=11)
     assert np.isfinite(spec.trial_exponents).all() and np.isfinite(spec.stderr).all()
@@ -247,11 +247,16 @@ def test_one_column_renormalises_every_symbol_under_hard_contraction():
     use = np.stack([np.diag([np.exp(-200.0), 0.5]), np.array([[0.3, 0.1], [0.2, 0.4]])])
     words = np.random.default_rng(12).integers(0, 2, (4, 50))
     q0 = np.array([[0.6], [0.8]])
-    assert cocycle._column_interval(use, 50) == 1
-    q, sums = cocycle._propagate(use, words, None, q0)
+    assert cocycle._schedule(use, 50, 1) == (1, 1)
+    q, sums = cocycle._propagate(use, words, q0)
     q_ref, sums_ref = _per_step_propagate(use, words, 1, q0)
     assert np.isfinite(sums).all()
     assert np.array_equal(q, q_ref) and np.array_equal(sums, sums_ref)
+
+
+def _random_system(d, n_maps):
+    rng = np.random.default_rng(2400 + d)
+    return np.stack([0.8 * m / np.linalg.norm(m, 2) for m in rng.uniform(-1, 1, (n_maps, d, d))])
 
 
 @pytest.mark.parametrize("d, n_maps, expected", [
@@ -262,15 +267,13 @@ def test_one_column_renormalises_every_symbol_under_hard_contraction():
 ])
 def test_spectrum_from_d5_keeps_the_frame_route(d, n_maps, expected):
     # from d = 5 compounds cost more per step than a QR'd d-frame: the
-    # spectrum is the frame's, at the default interval, bit for bit
-    rng = np.random.default_rng(2400 + d)
-    maps = np.stack([0.8 * m / np.linalg.norm(m, 2) for m in rng.uniform(-1, 1, (n_maps, d, d))])
+    # spectrum is the frame's, at the kernel's own interval, bit for bit
+    maps = _random_system(d, n_maps)
     w = BernoulliWeights.uniform(n_maps)
     spec = lyapunov_spectrum(maps, w, 500, 3, rng=d)
     assert spec.exponents.tolist() == expected
     words = cocycle._draw_words(np.random.default_rng(d), w.p, np.empty((3, 500), dtype=np.uint8))
-    interval = cocycle.safe_renorm_interval(maps, cocycle.DEFAULT_RENORM_EVERY)
-    _, sums = cocycle._propagate(maps, words, interval)
+    _, sums = cocycle._propagate(maps, words)
     assert np.array_equal(spec.trial_exponents, np.sort(-sums / 500, axis=1))
 
 
@@ -296,7 +299,7 @@ def test_spectrum_type_invariants():
 # frame propagation kernel and word draws
 
 
-def _per_step_propagate(use, words, renorm_every, q0=None):
+def _per_step_propagate(use, words, interval, q0=None):
     """Reference kernel: gather, multiply and ``np.linalg.qr`` one step at a time."""
     q0 = np.eye(use.shape[1]) if q0 is None else np.asarray(q0, dtype=float)
     batch, steps = words.shape
@@ -304,7 +307,7 @@ def _per_step_propagate(use, words, renorm_every, q0=None):
     sums = np.zeros((batch, q.shape[2]))
     for t in range(steps):
         q = use[words[:, t]] @ q
-        if (t + 1) % renorm_every == 0 or t == steps - 1:
+        if (t + 1) % interval == 0 or t == steps - 1:
             q, r = np.linalg.qr(q)
             sums += np.log(np.abs(np.diagonal(r, axis1=-2, axis2=-1)))
     return q, sums
@@ -318,33 +321,23 @@ def _start_frame(rng, kind, batch, d):
     return np.linalg.qr(rng.standard_normal(shape))[0]
 
 
-# (steps, renorm_every): one step, a multiple of the interval, not a multiple,
-# renorm every step, and an interval longer than the run
+# (steps, frame interval cap): one step, a multiple of the interval, not a
+# multiple, renorm every step, and an interval longer than the run
 _STEP_CASES = [(1, 1), (1, 3), (12, 3), (13, 3), (13, 1), (5, 9)]
 
 
-def _schedule(use, steps, renorm_every, q0=None):
-    """(interval, block length) that ``_propagate`` documents for this frame.
-
-    A one-column frame ignores ``renorm_every`` and renormalises by its log
-    growth; wider frames keep the requested interval.
-    """
-    columns = use.shape[1] if q0 is None else np.shape(q0)[-1]
-    if columns == 1:
-        interval = cocycle._column_interval(use, steps)
-    else:
-        interval = max(1, min(renorm_every, steps))
-    return interval, cocycle._block_length(use, interval, columns)
+def _columns(use, q0):
+    return use.shape[1] if q0 is None else np.shape(q0)[-1]
 
 
-def _block_reference(use, words, renorm_every, q0=None):
+def _block_reference(use, words, q0=None):
     """Reference kernel: per-word block products from Python loops, ``np.linalg.qr`` per interval.
 
-    Each interval is stepped in blocks of ``cocycle._block_length`` symbols,
-    the last one taking what is left, as ``_propagate`` documents.
+    Each interval of ``cocycle._schedule`` is stepped in blocks of its
+    length, the last one taking what is left, as ``_propagate`` documents.
     """
     batch, steps = words.shape
-    renorm_every, b = _schedule(use, steps, renorm_every, q0)
+    interval, b = cocycle._schedule(use, steps, _columns(use, q0))
     # product[word] = use[word[-1]] @ ... @ use[word[0]], one map at a time
     product = {(s,): use[s] for s in range(use.shape[0])}
     for k in range(2, b + 1):
@@ -353,28 +346,37 @@ def _block_reference(use, words, renorm_every, q0=None):
     q0 = np.eye(use.shape[1]) if q0 is None else np.asarray(q0, dtype=float)
     q = np.broadcast_to(q0, (batch,) + q0.shape[-2:]).copy()
     sums = np.zeros((batch, q.shape[2]))
-    for t0 in range(0, steps, renorm_every):
-        interval = words[:, t0:t0 + renorm_every]
-        for s in range(0, interval.shape[1], b):
-            q = np.stack([product[tuple(w.tolist())] for w in interval[:, s:s + b]]) @ q
+    for t0 in range(0, steps, interval):
+        run = words[:, t0:t0 + interval]
+        for s in range(0, run.shape[1], b):
+            q = np.stack([product[tuple(w.tolist())] for w in run[:, s:s + b]]) @ q
         q, r = np.linalg.qr(q)
         sums += np.log(np.abs(np.diagonal(r, axis1=-2, axis2=-1)))
     return q, sums
 
 
 def _propagate_cases(use, rng, kind, monkeypatch):
-    """Yield (words, renorm_every, q0) over the batch sizes, chunk sizes and ``_STEP_CASES``."""
+    """Yield (words, q0) over the batch sizes, chunk sizes and ``_STEP_CASES``.
+
+    Each case sets the interval cap through ``_MAX_FRAME_INTERVAL`` and, for
+    one column, a log-growth budget of the maps' log range times the cap and
+    a half; every frame must then run at exactly that shape.
+    """
     n_maps, d = use.shape[:2]
+    default_chunk = cocycle._PROPAGATE_CHUNK_FLOATS
+    log_range = np.abs(np.log(np.linalg.svd(use, compute_uv=False)[:, [0, -1]])).max()
     for batch in (1, 7):
         q0 = _start_frame(rng, kind, batch, d)
         # the default chunk, one-step chunks, and 2-step chunks whose edges
         # fall inside the 3-step renorm blocks
         for chunk_steps in (None, 1, 2):
-            if chunk_steps is not None:
-                monkeypatch.setattr(cocycle, "_PROPAGATE_CHUNK_FLOATS", chunk_steps * batch * d * d)
-            for steps, renorm_every in _STEP_CASES:
-                yield rng.integers(0, n_maps, (batch, steps)), renorm_every, q0
-            monkeypatch.undo()
+            chunk = default_chunk if chunk_steps is None else chunk_steps * batch * d * d
+            monkeypatch.setattr(cocycle, "_PROPAGATE_CHUNK_FLOATS", chunk)
+            for steps, cap in _STEP_CASES:
+                monkeypatch.setattr(cocycle, "_MAX_FRAME_INTERVAL", cap)
+                monkeypatch.setattr(cocycle, "_MAX_LOG_GROWTH_PER_RENORM", log_range * (cap + 0.5))
+                assert cocycle._schedule(use, steps, _columns(use, q0))[0] == min(cap, steps)
+                yield rng.integers(0, n_maps, (batch, steps)), q0
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -383,9 +385,9 @@ def test_propagate_bit_identical_to_block_reference(seed, kind, monkeypatch):
     rng = np.random.default_rng(5100 + seed)
     d, n_maps = 1 + seed % 4, 1 + (seed // 2 + seed) % 4
     use = rng.standard_normal((n_maps, d, d))
-    for words, renorm_every, q0 in _propagate_cases(use, rng, kind, monkeypatch):
-        q, sums = cocycle._propagate(use, words, renorm_every, q0)
-        q_ref, sums_ref = _block_reference(use, words, renorm_every, q0)
+    for words, q0 in _propagate_cases(use, rng, kind, monkeypatch):
+        q, sums = cocycle._propagate(use, words, q0)
+        q_ref, sums_ref = _block_reference(use, words, q0)
         assert np.array_equal(q, q_ref) and np.array_equal(sums, sums_ref)
 
 
@@ -396,30 +398,30 @@ def test_propagate_bit_identical_to_per_step_qr(seed, kind, monkeypatch):
     rng = np.random.default_rng(5100 + seed)
     d, n_maps = 1 + seed % 4, 1 + (seed // 2 + seed) % 4
     use = rng.standard_normal((n_maps, d, d))
-    if d > 1:
-        # condition number e^8: two symbols would spread more than e^15
-        use[0] = np.diag(np.exp(np.linspace(0.0, -8.0, d)))
+    # no block may spread a frame of two or more columns: its blocks are one
+    # symbol at every interval the cap sets
+    monkeypatch.setattr(cocycle, "_MAX_LOG_SPREAD_PER_BLOCK", 0.0)
     single = 0
-    for words, renorm_every, q0 in _propagate_cases(use, rng, kind, monkeypatch):
-        interval, b = _schedule(use, words.shape[1], renorm_every, q0)
+    for words, q0 in _propagate_cases(use, rng, kind, monkeypatch):
+        interval, b = cocycle._schedule(use, words.shape[1], _columns(use, q0))
         if b > 1:
             continue
         single += 1
-        q, sums = cocycle._propagate(use, words, renorm_every, q0)
+        q, sums = cocycle._propagate(use, words, q0)
         q_ref, sums_ref = _per_step_propagate(use, words, interval, q0)
         assert np.array_equal(q, q_ref) and np.array_equal(sums, sums_ref)
     # every case for a frame of two or more columns; for one column at least
-    # the one-step runs, whose blocks are one symbol long
+    # the three cases that renormalise after every step, whose blocks are one
+    # symbol long
     one_column = (d if kind is None else max(1, d - 1)) == 1
-    assert single >= 2 * 3 * 2 if one_column else single == 2 * 3 * len(_STEP_CASES)
+    assert single >= 2 * 3 * 3 if one_column else single == 2 * 3 * len(_STEP_CASES)
 
 
-@pytest.mark.parametrize("interval, expected", [(1, 1), (2, 2), (3, 3), (7, 3), (10, 3)])
-def test_block_length_spends_half_the_renorm_spread_on_stp3(interval, expected):
+@pytest.mark.parametrize("steps, expected", [(1, 1), (2, 2), (3, 3), (7, 3), (10, 3)])
+def test_block_length_spends_half_the_renorm_spread_on_stp3(steps, expected):
     mats = load_config(CONFIG_DIR / "stp3.json").ifs.matrices
     # log condition 4.127: a 3-frame renormalises every 7 steps, blocks of 3 symbols
-    assert cocycle.safe_renorm_interval(mats, 10) == 7
-    assert cocycle._block_length(mats, interval, 3) == expected
+    assert cocycle._schedule(mats, steps, 3) == (min(steps, 7), expected)
 
 
 def test_one_column_steps_stp3_compounds_by_log_range():
@@ -428,45 +430,67 @@ def test_one_column_steps_stp3_compounds_by_log_range():
     # blocks of 11, the longest whose 4,094 rows of 9 floats fit in 2^16
     mats = load_config(CONFIG_DIR / "stp3.json").ifs.matrices
     for p, interval in ((1, 65), (2, 42)):
-        compounds = cocycle._compounds(mats, p)
-        assert cocycle._column_interval(compounds, 100_000) == interval
-        assert cocycle._block_length(compounds, interval, 1) == 11
+        assert cocycle._schedule(cocycle._compounds(mats, p), 100_000, 1) == (interval, 11)
     # a run shorter than the interval is renormalised once, at its end
-    assert cocycle._column_interval(mats, 40) == 40
+    assert cocycle._schedule(mats, 40, 1) == (40, 11)
 
 
 def test_block_length_caps():
     scalar = np.full((4, 3, 3), 0.5 * np.eye(3))
     # log condition 0: the table of words up to length 6 has 5,460 * 9 floats,
     # and length 7 would add 16,384 * 9 more
-    assert cocycle._block_length(scalar, 10, 3) == 6
-    assert cocycle._block_length(scalar[:1], 10, 3) == 10
-    # log condition 5: three symbols spread exactly e^15
+    assert cocycle._schedule(scalar, 10, 3) == (10, 6)
+    assert cocycle._schedule(scalar[:1], 10, 3) == (10, 10)
+    # log condition 5: six steps spread e^30 and three symbols e^15
     skewed = np.stack([np.diag([0.5, 0.5 * np.exp(-5.0)])] * 2)
-    assert cocycle._block_length(skewed, 10, 2) == 3
+    assert cocycle._schedule(skewed, 10, 2) == (6, 3)
     bad = np.stack([np.diag([0.5, 0.5 * np.exp(-16.0)])])
-    assert cocycle._block_length(bad, 10, 2) == 1
-    # one column has no spread to keep: only the interval and the table cap it
-    assert cocycle._block_length(skewed, 10, 1) == 10
-    assert cocycle._block_length(bad, 10, 1) == 10
-    assert cocycle._block_length(scalar, 10, 1) == 6
+    assert cocycle._schedule(bad, 10, 2) == (1, 1)
+    # one column has no spread to keep: only the run and the table cap it
+    assert cocycle._schedule(skewed, 10, 1) == (10, 10)
+    assert cocycle._schedule(bad, 10, 1) == (10, 10)
+    assert cocycle._schedule(scalar, 10, 1) == (10, 6)
+
+
+def test_schedule_of_one_step_needs_no_svd(monkeypatch):
+    # bundle_growth_ratios calls the kernel once per symbol
+    def refuse(*args, **kwargs):
+        raise AssertionError("svd called")
+
+    mats = load_config(CONFIG_DIR / "stp3.json").ifs.matrices
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    assert cocycle._schedule(mats, 1, 3) == (1, 1)
+    assert cocycle._schedule(mats, 1, 1) == (1, 1)
+
+
+def test_schedule_of_the_inverse_maps_is_the_maps_schedule():
+    # furstenberg_sample and strong_stable_bundle read the interval from the
+    # inverse maps, whose condition numbers and log ranges are the maps'
+    systems = [load_config(CONFIG_DIR / f"{name}.json").ifs.matrices for name in ("stp3", "bm")]
+    for mats in systems + [_random_system(5, 3), _random_system(8, 2)]:
+        invs = np.linalg.inv(mats)
+        for steps in (2, 7, 40, 500, 100_000):
+            for columns in (1, mats.shape[1]):
+                assert (cocycle._schedule(invs, steps, columns)
+                        == cocycle._schedule(mats, steps, columns))
 
 
 @pytest.mark.parametrize("steps, trials, seed", [
     (5_000, 12, np.random.SeedSequence(3).spawn(5)[0]),  # the stp3 dim report's spectrum
     (100_000, 20, 3),  # the stp3 lyapunov report at the benchmark's word length
 ])
-def test_propagate_blocks_keep_stp3_spectrum(steps, trials, seed):
+def test_propagate_blocks_keep_stp3_spectrum(steps, trials, seed, monkeypatch):
     ifs = load_config(CONFIG_DIR / "stp3.json").ifs
     words = cocycle._draw_words(np.random.default_rng(seed), ifs.weights.p,
                                 np.empty((trials, steps), dtype=np.uint8))
-    _, sums = cocycle._propagate(ifs.matrices, words, 7)
+    _, sums = cocycle._propagate(ifs.matrices, words)
     if steps <= 5_000:
         _, ref = _per_step_propagate(ifs.matrices, words, 1)
     else:
         # renorm every step is one-symbol blocks: the per-step loop bit for bit
-        _, ref = cocycle._propagate(ifs.matrices, words, 1)
-        _, head = cocycle._propagate(ifs.matrices, words[:, :500], 1)
+        monkeypatch.setattr(cocycle, "_MAX_FRAME_INTERVAL", 1)
+        _, ref = cocycle._propagate(ifs.matrices, words)
+        _, head = cocycle._propagate(ifs.matrices, words[:, :500])
         assert np.array_equal(head, _per_step_propagate(ifs.matrices, words[:, :500], 1)[1])
     chi = np.sort(-sums / steps, axis=1).mean(axis=0)
     chi_ref = np.sort(-ref / steps, axis=1).mean(axis=0)
@@ -482,17 +506,26 @@ def _small_cocycles(draw):
     v = np.linalg.qr(rng.standard_normal((n_maps, d, d)))[0]
     sv = rng.uniform(0.05, 0.95, (n_maps, d, 1))
     words = rng.integers(0, n_maps, (draw(st.integers(1, 5)), draw(st.integers(1, 120))))
-    return u @ (sv * v), words, draw(st.integers(1, 12))
+    return u @ (sv * v), words
 
 
 @given(_small_cocycles())
 @settings(max_examples=150, deadline=None)
 def test_property_propagate_log_growth_is_log_det(case):
-    use, words, renorm_every = case
-    _, sums = cocycle._propagate(use, words, renorm_every)
+    # the frame's columns lose up to d * eps of their spread e^(log cond *
+    # interval) at each renormalisation, and the logs add 1e-12 relative
+    use, words = case
+    _, sums = cocycle._propagate(use, words)
     log_det = np.log(np.abs(np.linalg.det(use)))[words]
     expected = log_det.sum(axis=1)
-    assert np.all(np.abs(sums.sum(axis=1) - expected) <= 1e-10 * np.abs(log_det).sum(axis=1))
+    d, steps = use.shape[1], words.shape[1]
+    interval, _ = cocycle._schedule(use, steps, d)
+    sv = np.linalg.svd(use, compute_uv=False)
+    log_cond = np.log(sv[:, 0] / sv[:, -1]).max()
+    renorms = -(-steps // interval)
+    bound = renorms * d * np.finfo(float).eps * np.exp(log_cond * interval)
+    assert np.all(np.abs(sums.sum(axis=1) - expected)
+                  <= bound + 1e-12 * np.abs(log_det).sum(axis=1))
 
 
 def test_propagate_memory_stays_bounded():
@@ -502,7 +535,7 @@ def test_propagate_memory_stays_bounded():
     ifs = load_config(CONFIG_DIR / "stp3.json").ifs
     words = cocycle._draw_words(np.random.default_rng(3), ifs.weights.p,
                                 np.empty((20, 100_000), dtype=np.uint8))
-    _, peak = traced_peak(cocycle._propagate, ifs.matrices, words, 7)
+    _, peak = traced_peak(cocycle._propagate, ifs.matrices, words)
     assert peak < 2e6, peak
 
 
@@ -513,9 +546,11 @@ def test_propagate_nan_frame_follows_the_reference(monkeypatch):
     q0[0, 0] = np.nan
     words = rng.integers(0, 2, (7, 13))
     monkeypatch.setattr(cocycle, "_PROPAGATE_CHUNK_FLOATS", 2 * 7 * 9)
+    monkeypatch.setattr(cocycle, "_MAX_FRAME_INTERVAL", 3)
+    assert cocycle._schedule(use, 13, 2)[0] == 3
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        q, sums = cocycle._propagate(use, words, 3, q0)
+        q, sums = cocycle._propagate(use, words, q0)
         q_ref, sums_ref = _per_step_propagate(use, words, 3, q0)
     assert np.isnan(q).all() and np.isnan(sums).all()
     assert np.array_equal(q, q_ref, equal_nan=True)
@@ -684,6 +719,21 @@ def test_furstenberg_step_extends_word():
     for old, new in zip(samples, pushed):
         assert new.word_prefix.size == old.word_prefix.size + 1
         assert np.array_equal(new.word_prefix[1:], old.word_prefix)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_weights_must_be_one_per_map(n):
+    w = BernoulliWeights.uniform(n)
+    samples = furstenberg_sample(DIAG_PAIR, BernoulliWeights.uniform(2), 10, 2, rng=0, dims=(1,))
+    calls = [
+        lambda: lyapunov_spectrum(DIAG_PAIR, w, steps=200, trials=2, rng=0),
+        lambda: exterior_partial_sum_estimate(DIAG_PAIR, w, 1, steps=200, trials=2, rng=0),
+        lambda: furstenberg_sample(DIAG_PAIR, w, 10, 2, rng=0, dims=(1,)),
+        lambda: furstenberg_step(DIAG_PAIR, w, samples, rng=0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{n} weights for 2 maps$"):
+            call()
 
 
 def test_furstenberg_deterministic():

@@ -7,6 +7,7 @@ from conftest import haar_frame
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from affinedim import linalg
 from affinedim.linalg import (
     FlagChain,
     SubspaceFrame,
@@ -262,9 +263,10 @@ def test_intersection_trivial_returns_none():
     assert subspace_intersection(u, w) is None
 
 
-def test_intersection_random_planes_vs_nullspace_oracle():
+def test_intersection_random_planes_vs_nullspace_oracle(monkeypatch):
     # two generic 2-planes in R^3 meet in a line; the oracle solves the
     # linear system  {v orthogonal to both complements}
+    monkeypatch.setattr(linalg, "INTERSECTION_TOL", 1e-8)
     rng = np.random.default_rng(29)
     for _ in range(10):
         u = SubspaceFrame(haar_frame(3, rng, 2))
@@ -272,7 +274,7 @@ def test_intersection_random_planes_vs_nullspace_oracle():
         constraints = np.vstack([u.complement().frame.T, w.complement().frame.T])
         line = scipy.linalg.null_space(constraints)
         assert line.shape == (3, 1)
-        inter = subspace_intersection(u, w, tol=1e-8)
+        inter = subspace_intersection(u, w)
         assert inter is not None and inter.k == 1
         assert principal_angle_distance(inter, SubspaceFrame(line)) < 1e-8
 
