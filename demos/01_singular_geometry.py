@@ -1,18 +1,13 @@
-"""Tour of the small-matrix primitives: singular values, restricted norms,
-exterior powers, and subspace geometry on orthonormal frames."""
+"""Tour of the small-matrix primitives: singular values, exterior powers,
+and principal angles between subspaces held as orthonormal frames."""
 
 import numpy as np
 
 from affinedim import (
     SubspaceFrame,
     exterior_power,
-    minor,
-    orthogonal_projection,
     principal_angle_distance,
-    restricted_conorm,
-    restricted_norm,
     singular_values,
-    subspace_intersection,
 )
 
 a = np.array([[0.3, 0.1], [0.0, 0.2]])
@@ -21,15 +16,6 @@ sv = singular_values(a)
 print("singular values (ascending):", sv)
 print("product vs |det|:", np.prod(sv), abs(np.linalg.det(a)))
 
-full = SubspaceFrame.full(2)
-diag_line = SubspaceFrame.from_span(np.array([1.0, 1.0]))
-print("\nrestricted norm on the full space = top singular value:",
-      restricted_norm(a, full), "=", sv[-1])
-print("restricted co-norm on the full space = bottom singular value:",
-      restricted_conorm(a, full), "=", sv[0])
-print("restricted norm on the diagonal line:", restricted_norm(a, diag_line))
-print("projection of (1, 0) onto that line:", orthogonal_projection(diag_line, np.array([1.0, 0.0])))
-
 # exterior powers multiply like the matrices themselves
 b = np.array([[0.4, -0.1], [0.2, 0.3]])
 p2 = exterior_power(a @ b, 2)
@@ -37,13 +23,10 @@ print("\n2nd compound of AB:", p2.ravel(), " vs det(A)det(B):",
       np.linalg.det(a) * np.linalg.det(b))
 
 c = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0], [1.0, 3.0, 6.0]])
-print("\nPascal matrix minor rows {0,1} x cols {1,2}:", minor(c, (0, 1), (1, 2)))
-print("2nd compound (entries are all 2x2 minors):\n", exterior_power(c, 2))
+print("\nPascal matrix 2nd compound (entries are all 2x2 minors):\n", exterior_power(c, 2))
 
-# Grassmannian distances and intersections
+# Grassmannian distance
 u = SubspaceFrame.coordinate(3, [0, 1])
 w = SubspaceFrame.coordinate(3, [1, 2])
 print("\nsin of largest principal angle between xy- and yz-planes:",
       principal_angle_distance(u, w))
-inter = subspace_intersection(u, w)
-print("their intersection is spanned by:", inter.frame.ravel())

@@ -2,14 +2,12 @@
 
 Shows the spectrum estimator, which reads each partial sum from the growth
 of one column under the compound (exterior-power) cocycle, on systems where
-the exponents are known, checks the determinant conservation law, and
-cross-validates a partial sum through the same exterior-power route with
-independent words and random start vectors.
+the exponents are known, and checks the determinant conservation law.
 """
 
 import numpy as np
 
-from affinedim import BernoulliWeights, exterior_partial_sum_estimate, lyapunov_spectrum
+from affinedim import BernoulliWeights, lyapunov_spectrum
 
 uniform2 = BernoulliWeights.uniform(2)
 
@@ -36,7 +34,3 @@ expected_sum = -sum(p * np.log(abs(np.linalg.det(m))) for p, m in zip(weights.p,
 print("\nrandom positive 3x3 pair:")
 print("  exponents:", spec.exponents, "+-", spec.stderr)
 print("  sum of exponents:", spec.exponents.sum(), " vs mean log-det rate:", expected_sum)
-
-est, err = exterior_partial_sum_estimate(maps, weights, p=2, steps=5000, trials=12, rng=5)
-print("  chi_1 + chi_2 via the 2-fold compound cocycle:", est, "+-", err)
-print("  chi_1 + chi_2 from the spectrum:", spec.exponents[:2].sum())

@@ -10,7 +10,6 @@ from affinedim import (
     detect_domination,
     gap_ratio_scan,
     sample_word,
-    splitting_subspaces,
     stp_check,
     strong_stable_bundle,
 )
@@ -66,8 +65,3 @@ for est in bundles:
           f"transversality angle {est.angle_lower_bound:.3f} rad")
     ratios = bundle_growth_ratios(mild, word, est.fast, est.index, depth=40)
     print(f"  growth bound sup_n ||A^(n)|fast||/alpha_{est.index + 1}: {ratios.max():.3f}")
-
-split = splitting_subspaces(bundles)
-print("\nsplitting pieces (dims):", [s.k for s in split.subspaces])
-print("pairwise min angle:", round(split.pairwise_min_angle, 4),
-      "| combined-frame smallest singular value:", round(split.gram_min_singular, 4))

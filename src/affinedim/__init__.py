@@ -7,8 +7,8 @@ values.
 
 Modules
 -------
-``linalg``      small-matrix primitives and subspace/flag geometry
-``cocycle``     random words, spectra, fast flags, stationary flag sampling
+``linalg``      singular values, compound matrices, subspace/flag geometry
+``cocycle``     random words, spectra, stationary flag sampling
 ``domination``  gap-ratio scans, STP/cone checks, invariant bundles
 ``measure``     IFS sampling, separation certificates, dimension estimators
 ``dimension``   dimension formulas, the diagonal closed form, the full pipeline

@@ -1,9 +1,8 @@
 """Random matrix cocycles driven by i.i.d. symbols.
 
 Provides word sampling and checking, Lyapunov spectrum estimation from
-renormalised compound-cocycle growth, fast-subspace flag estimation,
-backward-iteration sampling of the stationary flag distribution, and
-Bernoulli entropy.
+renormalised compound-cocycle growth, backward-iteration sampling of the
+stationary flag distribution, and Bernoulli entropy.
 
 All estimators consume a ``numpy.random.Generator`` (or an integer seed) and
 are bitwise deterministic given the seed.  Trials and samples are independent
@@ -34,8 +33,6 @@ __all__ = [
     "sample_word",
     "entropy",
     "lyapunov_spectrum",
-    "exterior_partial_sum_estimate",
-    "oseledets_fast_flag",
     "furstenberg_sample",
     "furstenberg_step",
 ]
@@ -44,8 +41,6 @@ WEIGHT_SUM_TOL = 1e-12
 # default cap on a search's work: the words a gap-ratio scan forms, and the
 # cylinder pairs a separation check forms
 PRODUCT_BUDGET = 10**6
-# a fast-flag split needs a singular-value ratio below a tenth of this
-FAST_FLAG_ANGLE_TOL = 1e-6
 # word length and trials of the probe run that finds flag dimensions
 _PROBE_STEPS = 2000
 _PROBE_TRIALS = 6
@@ -380,17 +375,6 @@ def _propagate(
     return q, sums
 
 
-def _sorted_growth_frame(use: np.ndarray, symbols: np.ndarray):
-    """Propagate the identity frame along one word; columns sorted by growth, largest first.
-
-    Identity starts on axis-aligned systems keep columns in axis order, so
-    the sort is what puts the dominant directions first.
-    """
-    q, sums = _propagate(use, symbols[None])
-    order = np.argsort(-sums[0], kind="stable")
-    return q[0][:, order], sums[0][order]
-
-
 def _multiplicities_from_gaps(chi: np.ndarray, threshold: float) -> tuple[int, ...]:
     blocks = [1]
     for j in range(1, chi.size):
@@ -482,74 +466,6 @@ def lyapunov_spectrum(
     threshold = 0.05 * float(chi.mean()) if gap_threshold is None else float(gap_threshold)
     mult = _multiplicities_from_gaps(chi, threshold)
     return LyapunovSpectrum(chi, stderr, mult, threshold, per_trial)
-
-
-def exterior_partial_sum_estimate(
-    maps,
-    weights: BernoulliWeights,
-    p: int,
-    steps: int,
-    trials: int,
-    rng=None,
-) -> tuple[float, float | None]:
-    """Estimate ``chi_1 + ... + chi_p`` through the p-fold compound cocycle.
-
-    Independent of :func:`lyapunov_spectrum`'s draws: pushes one random unit
-    vector per trial through the compound matrices and reads the top growth
-    rate, which equals minus the partial sum for contractive cocycles.
-    Returns (mean, stderr).
-    """
-    mats = as_map_stack(maps)
-    _check_weights(weights, mats)
-    d = mats.shape[1]
-    if not 1 <= p <= d:
-        raise ValueError(f"need 1 <= p <= {d}")
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    compounds = _compounds(mats, p)
-    rng = np.random.default_rng(rng)
-    narrow = np.min_scalar_type(weights.n - 1)
-    words = _draw_words(rng, weights.p, np.empty((trials, steps), narrow))
-    v = rng.standard_normal((trials, compounds.shape[1], 1))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    _, sums = _propagate(compounds, words, v)
-    estimates = -sums[:, 0] / steps
-    err = float(estimates.std(ddof=1) / np.sqrt(trials)) if trials > 1 else None
-    return float(estimates.mean()), err
-
-
-def oseledets_fast_flag(maps, word, depth: int) -> FlagChain:
-    """Estimate the nested slow subspaces of the inverse cocycle along ``word``.
-
-    The k-dimensional member is the span of the k leading image directions of
-    the forward product over the first ``depth`` symbols, equivalently the
-    right-singular directions of the inverse-order product with the smallest
-    singular values.  A split at k is accepted only where the observed
-    singular-value ratio across it is below ``FAST_FLAG_ANGLE_TOL / 10``; if
-    no split qualifies a :class:`SpectralGapError` reports the best observed
-    ratio.
-    """
-    mats = as_map_stack(maps)
-    w = _check_word(word, mats.shape[0])
-    if depth < 1 or depth > w.size:
-        raise ValueError(f"depth must be in 1..{w.size}")
-    d = mats.shape[1]
-    if d == 1:
-        raise SpectralGapError("no flags exist in ambient dimension 1", observed_gap=1.0)
-    # product A_{w0} A_{w1} ... applied to a frame: iterate the word backwards
-    q, sums = _sorted_growth_frame(mats, w[:depth][::-1])
-    ratios = np.exp(sums[1:] - sums[:-1])  # sigma_{k+1}/sigma_k at this depth
-    splits = [k for k in range(1, d) if ratios[k - 1] <= FAST_FLAG_ANGLE_TOL / 10.0]
-    if not splits:
-        raise SpectralGapError(
-            f"no singular-value split below {FAST_FLAG_ANGLE_TOL / 10.0:g} at depth {depth}"
-            f" (best ratio {ratios.min():.3g})",
-            observed_gap=float(ratios.min()),
-        )
-    frames = [SubspaceFrame(q[:, :k]) for k in sorted(splits, reverse=True)]
-    return FlagChain(tuple(frames))
 
 
 def furstenberg_sample(

@@ -165,7 +165,12 @@ def diagonal_closed_form(ifs: IfsSystem) -> tuple[float, DimensionInputs]:
     Bedford-McMullen and Gatzouras-Lalley carpets and Kenyon-Peres sponges
     are instances; where pieces overlap the value is the formula's, not the
     dimension.  Returns the value and the formula's inputs, whose projection
-    dimension at index ``i`` is the partial sum up to ``i``.  Raises
+    dimension at index ``i`` is the partial sum up to ``i``.  Where two
+    coordinates tie (``chi_i == chi_{i+1}``), the projection dimension at
+    index ``i`` depends on which tied coordinate comes first (they keep the
+    order in which the maps give them); the formula's coefficient
+    ``chi_{i+1} - chi_i`` there is 0, so the value and every index outside
+    the tie do not.  Raises
     ``ValueError`` for a map that is not diagonal, maps that do not share one
     order of contraction, or coinciding maps.
     """

@@ -3,8 +3,7 @@
 Scans singular-value gap ratios over all words up to a budgeted length,
 fits decay rates to decide domination per index, checks the strict
 total-positivity sufficient condition and its exterior-cone form, and
-estimates the strongly/weakly contracted bundles together with the
-subspaces that split the space between consecutive dominated indices.
+estimates the strongly/weakly contracted bundles at a dominated index.
 
 Index convention: index ``i`` (1-based, in ``1..d-1``) names the gap between
 the i-th and (i+1)-th largest singular values; it equals the dimension of the
@@ -22,7 +21,6 @@ from .cocycle import (
     _check_word,
     _compounds,
     _propagate,
-    _sorted_growth_frame,
     as_map_stack,
 )
 from .errors import BudgetExceededError, SpectralGapError, SubspaceInconsistencyError
@@ -31,7 +29,6 @@ from .linalg import (
     exterior_power,
     principal_angle_distance,
     smallest_principal_angle,
-    subspace_intersection,
 )
 
 __all__ = [
@@ -43,13 +40,11 @@ __all__ = [
     "DominationReport",
     "StpCheck",
     "BundleEstimate",
-    "SplittingDecomposition",
     "gap_ratio_scan",
     "detect_domination",
     "stp_check",
     "cone_invariance_check",
     "strong_stable_bundle",
-    "splitting_subspaces",
 ]
 
 EPS_SLOPE = 0.01
@@ -188,12 +183,6 @@ class DominationReport:
         """True when every index got a definite answer (no inconclusive)."""
         return all(it.status != "inconclusive" for it in self.indices)
 
-    def for_index(self, i: int) -> IndexDomination:
-        for it in self.indices:
-            if it.index == i:
-                return it
-        raise KeyError(f"no diagnosis for index {i}")
-
 
 def detect_domination(table: GapRatioTable, eps_slope: float = EPS_SLOPE) -> DominationReport:
     """Decide domination per index from a gap-ratio table.
@@ -327,6 +316,17 @@ def bundle_growth_ratios(
     return out
 
 
+def _sorted_growth_frame(use: np.ndarray, symbols: np.ndarray):
+    """Propagate the identity frame along one word; columns sorted by growth, largest first.
+
+    Identity starts on axis-aligned systems keep columns in axis order, so
+    the sort is what puts the dominant directions first.
+    """
+    q, sums = _propagate(use, symbols[None])
+    order = np.argsort(-sums[0], kind="stable")
+    return q[0][:, order], sums[0][order]
+
+
 def strong_stable_bundle(
     maps, word, i: int, depth: int, domination: DominationReport
 ) -> BundleEstimate:
@@ -381,55 +381,3 @@ def strong_stable_bundle(
 
     angle = smallest_principal_angle(fast, slow)
     return BundleEstimate(i, fast, slow, angle, w[:depth].copy(), float(equiv), float(sup_ratio))
-
-
-@dataclass(frozen=True)
-class SplittingDecomposition:
-    """Direct-sum pieces between consecutive dominated indices."""
-
-    subspaces: tuple[SubspaceFrame, ...]
-    indices: tuple[int, ...]
-    pairwise_min_angle: float
-    gram_min_singular: float
-
-
-def splitting_subspaces(bundles: list[BundleEstimate]) -> SplittingDecomposition:
-    """Intersect consecutive bundle estimates into the splitting subspaces.
-
-    With dominated indices ``i_1 < ... < i_k``, the pieces are the slow
-    bundle at ``i_1``, the intersections ``slow(i_j) ^ fast(i_{j-1})``, and
-    the fast bundle at ``i_k``; their dimensions are the index increments and
-    they must span the whole space.
-    """
-    if not bundles:
-        raise ValueError("need at least one bundle estimate")
-    bundles = sorted(bundles, key=lambda b: b.index)
-    idx = [b.index for b in bundles]
-    if len(set(idx)) != len(idx):
-        raise ValueError(f"duplicate indices in bundle estimates: {idx}")
-    d = bundles[0].fast.d
-
-    pieces = [bundles[0].slow]
-    for prev, cur in zip(bundles, bundles[1:]):
-        inter = subspace_intersection(cur.slow, prev.fast)
-        expected = cur.index - prev.index
-        got = 0 if inter is None else inter.k
-        if got != expected:
-            raise SubspaceInconsistencyError(
-                f"intersection at indices {prev.index},{cur.index} has dimension "
-                f"{got}, expected {expected}"
-            )
-        pieces.append(inter)
-    pieces.append(bundles[-1].fast)
-
-    if sum(p.k for p in pieces) != d:
-        raise SubspaceInconsistencyError(
-            f"splitting dims {[p.k for p in pieces]} do not sum to {d}"
-        )
-    combined = np.hstack([p.frame for p in pieces])
-    gram_min = float(np.linalg.svd(combined, compute_uv=False).min())
-    min_angle = np.pi / 2
-    for a in range(len(pieces)):
-        for b in range(a + 1, len(pieces)):
-            min_angle = min(min_angle, smallest_principal_angle(pieces[a], pieces[b]))
-    return SplittingDecomposition(tuple(pieces), tuple(idx), float(min_angle), gram_min)

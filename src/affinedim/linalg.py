@@ -1,9 +1,9 @@
 """Small dense-matrix primitives.
 
-Singular values, restricted operator norms, orthogonal projections, minors,
-exterior powers (compound matrices), and subspace/flag geometry on
-orthonormal frames.  Everything here is a pure function of its inputs and
-works on plain ``numpy`` arrays; dimensions up to ``MAX_DIM`` are supported.
+Singular values, exterior powers (compound matrices), and subspace/flag
+geometry on orthonormal frames.  Everything here is a pure function of its
+inputs and works on plain ``numpy`` arrays; dimensions up to ``MAX_DIM`` are
+supported.
 """
 
 from __future__ import annotations
@@ -18,21 +18,15 @@ __all__ = [
     "DET_EPS",
     "FRAME_ORTHO_TOL",
     "FLAG_NESTING_TOL",
-    "INTERSECTION_TOL",
     "SubspaceFrame",
     "FlagChain",
     "as_matrix",
     "check_contractive_invertible",
     "singular_values",
-    "restricted_norm",
-    "restricted_conorm",
-    "orthogonal_projection",
-    "minor",
     "index_tuples",
     "exterior_power",
     "principal_angle_distance",
     "smallest_principal_angle",
-    "subspace_intersection",
     "qr_positive",
 ]
 
@@ -40,7 +34,6 @@ MAX_DIM = 8          # compound sizes stay small; larger d is rejected outright
 DET_EPS = 1e-12      # invertibility floor for |det A|
 FRAME_ORTHO_TOL = 1e-10
 FLAG_NESTING_TOL = 1e-8
-INTERSECTION_TOL = 1e-6
 
 
 def as_matrix(a) -> np.ndarray:
@@ -186,69 +179,12 @@ class FlagChain:
     def dims(self) -> tuple[int, ...]:
         return tuple(f.k for f in self.frames)
 
-    @property
-    def is_full(self) -> bool:
-        return self.dims == tuple(range(self.d - 1, 0, -1))
-
-    def __len__(self) -> int:
-        return len(self.frames)
-
-    def __iter__(self):
-        return iter(self.frames)
-
     def subspace(self, dim: int) -> SubspaceFrame:
         """The member with the requested dimension."""
         for f in self.frames:
             if f.k == dim:
                 return f
         raise KeyError(f"no subspace of dimension {dim} in chain {self.dims}")
-
-
-def restricted_norm(a, v: SubspaceFrame) -> float:
-    """Operator norm of ``a`` restricted to the subspace ``v``.
-
-    Equals the largest singular value of ``a @ v.frame``.
-    """
-    arr = as_matrix(a)
-    if arr.shape[0] != v.d:
-        raise ValueError(f"dimension mismatch: matrix is {arr.shape[0]}-dim, subspace {v.d}-dim")
-    return float(np.linalg.norm(arr @ v.frame, 2))
-
-
-def restricted_conorm(a, v: SubspaceFrame) -> float:
-    """Restricted co-norm: reciprocal of the restricted norm of the inverse."""
-    arr = as_matrix(a)
-    return 1.0 / restricted_norm(np.linalg.inv(arr), v)
-
-
-def orthogonal_projection(v: SubspaceFrame, x) -> np.ndarray:
-    """Coordinates of ``x`` projected orthogonally onto ``v``.
-
-    ``x`` may be a single d-vector or an array of shape ``(..., d)``; the
-    result has the last axis replaced by the ``k`` frame coordinates.
-    """
-    pts = np.asarray(x, dtype=float)
-    if pts.shape[-1] != v.d:
-        raise ValueError(f"dimension mismatch: points are {pts.shape[-1]}-dim, subspace ambient {v.d}-dim")
-    return pts @ v.frame
-
-
-def minor(a, rows, cols) -> float:
-    """Determinant of the submatrix selected by ``rows`` x ``cols`` (0-based)."""
-    arr = as_matrix(a)
-    rows = tuple(int(r) for r in rows)
-    cols = tuple(int(c) for c in cols)
-    if len(rows) != len(cols) or not rows:
-        raise ValueError("rows and cols must be nonempty index tuples of equal length")
-    d = arr.shape[0]
-    for idx in (rows, cols):
-        if any(not 0 <= i < d for i in idx):
-            raise ValueError(f"index out of range in {idx}")
-        if any(b <= a_ for a_, b in zip(idx, idx[1:])):
-            raise ValueError(f"indices must be strictly increasing, got {idx}")
-    if len(rows) == 1:
-        return float(arr[rows[0], cols[0]])
-    return float(np.linalg.det(arr[np.ix_(rows, cols)]))
 
 
 def index_tuples(d: int, p: int) -> list[tuple[int, ...]]:
@@ -276,13 +212,6 @@ def exterior_power(a, p: int) -> np.ndarray:
         return np.linalg.det(sub)
 
 
-def _principal_cosines(u: SubspaceFrame, w: SubspaceFrame) -> np.ndarray:
-    if u.d != w.d:
-        raise ValueError(f"ambient dimension mismatch: {u.d} vs {w.d}")
-    s = np.linalg.svd(u.frame.T @ w.frame, compute_uv=False)
-    return np.clip(s, 0.0, 1.0)
-
-
 def principal_angle_distance(u: SubspaceFrame, w: SubspaceFrame) -> float:
     """Sine of the largest principal angle between equal-dimension subspaces.
 
@@ -300,29 +229,7 @@ def principal_angle_distance(u: SubspaceFrame, w: SubspaceFrame) -> float:
 
 def smallest_principal_angle(u: SubspaceFrame, w: SubspaceFrame) -> float:
     """Smallest principal angle (radians) between two subspaces of any dims."""
-    c = _principal_cosines(u, w).max()
-    return float(np.arccos(c))
-
-
-def subspace_intersection(u: SubspaceFrame, w: SubspaceFrame) -> SubspaceFrame | None:
-    """Numerical intersection of two subspaces, or ``None`` if it is trivial.
-
-    Directions whose principal angle has sine below ``INTERSECTION_TOL``
-    count as common; they are symmetrised between the two frames and
-    re-orthonormalised.
-    """
     if u.d != w.d:
         raise ValueError(f"ambient dimension mismatch: {u.d} vs {w.d}")
-    x, _, _ = np.linalg.svd(u.frame.T @ w.frame)
-    candidates = u.frame @ x
-    kept = []
-    for j in range(min(u.k, w.k)):
-        vec = candidates[:, j]
-        in_w = w.frame @ (w.frame.T @ vec)
-        if np.linalg.norm(vec - in_w) < INTERSECTION_TOL:
-            sym = vec + in_w
-            kept.append(sym / np.linalg.norm(sym))
-    if not kept:
-        return None
-    q, _ = qr_positive(np.stack(kept, axis=1))
-    return SubspaceFrame(q)
+    c = np.linalg.svd(u.frame.T @ w.frame, compute_uv=False).max()
+    return float(np.arccos(np.clip(c, 0.0, 1.0)))

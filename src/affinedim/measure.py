@@ -1,7 +1,7 @@
 """Affine iterated function systems and their stationary measures.
 
-Natural projection of symbol words to points, seeded sampling of the
-stationary measure, certified separation checks on cylinder hulls, the
+Seeded sampling of the stationary measure through the natural projection
+of symbol words, certified separation checks on cylinder hulls, the
 one-dimension-up lift that always separates, projections of sampled clouds,
 and pointwise (ball-mass slope) dimension estimation.
 """
@@ -16,7 +16,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .cocycle import (PRODUCT_BUDGET, BernoulliWeights, _WORD_BLOCK_SYMBOLS, _check_symbols,
-                      _check_weights, _check_word, _draw_words, as_map_stack)
+                      _check_weights, _draw_words, as_map_stack)
 from .linalg import SubspaceFrame, singular_values
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "LiftedIfs",
     "LocalDimensionReport",
     "BoxCountReport",
-    "natural_projection",
     "sample_measure",
     "self_affinity_check",
     "check_separation",
@@ -112,11 +111,6 @@ class IfsSystem:
         """Truncation error ``R * prod(alpha_1(A_{w_k}))`` of each word (over the last axis)."""
         return self.bounding_radius * np.prod(self.top_singular_values[words], axis=-1)
 
-    def apply(self, i: int, x) -> np.ndarray:
-        """Apply map ``i`` to a point or an (..., d) array of points."""
-        pts = np.asarray(x, dtype=float)
-        return pts @ self.matrices[i].T + self.translations[i]
-
     def map_fixed_point(self, i: int) -> np.ndarray:
         return np.linalg.solve(np.eye(self.d) - self.matrices[i], self.translations[i])
 
@@ -199,38 +193,23 @@ class PointCloud:
         return cls(np.asarray(points, dtype=float), None, None, None, None)
 
 
-def natural_projection(ifs: IfsSystem, word) -> tuple[np.ndarray, float]:
-    """Point coded by a finite word, plus its truncation error bound.
-
-    Evaluates ``f_{w0} o ... o f_{w_{n-1}}`` at the origin by a backward
-    (Horner) pass; the true limit point of any extension of the word is
-    within ``R * prod(alpha_1(A_{w_k}))`` of the result.
-    """
-    w = _check_word(word, ifs.n_maps)
-    if w.size == 0:
-        raise ValueError("word must be nonempty")
-    x = np.zeros(ifs.d)
-    for s in w[::-1]:
-        x = ifs.matrices[s] @ x + ifs.translations[s]
-    return x, float(ifs.truncation_bound(w))
-
-
 def sample_measure(ifs: IfsSystem, count: int, depth: int, rng=None) -> PointCloud:
     """Draw ``count`` approximate samples of the stationary measure.
 
     Words of length ``depth`` are drawn i.i.d. from the weights, in bounded
     flat blocks (the same words and generator state as one draw), into the
-    narrowest unsigned type that holds a symbol, and pushed through
-    :func:`natural_projection` (vectorised); per-point truncation bounds are
-    recorded.  Points are built from the last symbol inwards, so after ``j``
-    steps there are at most ``N**j`` distinct partial points: while that table
-    is no longer than the sample, every suffix is stepped once, the next level
-    written in blocks of ``_SAMPLE_BLOCK_ROWS`` rows, and each sample keeps its
-    table row; then each sample goes on alone, in blocks of that many rows
-    that take all their remaining steps while they are in cache.  Every row
-    takes the same einsum step either way, and no row's step reads another
-    row, so the points do not depend on the split.
-    Deterministic given the seed.
+    narrowest unsigned type that holds a symbol, and each word is sent to
+    the point ``f_{w_0} o ... o f_{w_{depth-1}}(0)``, whose truncation bound
+    (:meth:`IfsSystem.truncation_bound`) is recorded: the limit point of any
+    extension of the word lies within it.  Points are built from the last
+    symbol inwards, so after ``j`` steps there are at most ``N**j`` distinct
+    partial points: while that table is no longer than the sample, every
+    suffix is stepped once, the next level written in blocks of
+    ``_SAMPLE_BLOCK_ROWS`` rows, and each sample keeps its table row; then
+    each sample goes on alone, in blocks of that many rows that take all
+    their remaining steps while they are in cache.  Every row takes the same
+    einsum step either way, and no row's step reads another row, so the
+    points do not depend on the split.  Deterministic given the seed.
     """
     if count < 1 or depth < 1:
         raise ValueError("count and depth must be positive")
@@ -302,7 +281,7 @@ def self_affinity_check(cloud: PointCloud, ifs: IfsSystem, boxes) -> SelfAffinit
     """
     pts = cloud.points
     m = cloud.m
-    pushed_pts = [ifs.apply(i, pts) for i in range(ifs.n_maps)]
+    pushed_pts = [pts @ a.T + t for a, t in zip(ifs.matrices, ifs.translations)]
     checks = []
     max_disc = 0.0
     radius = ifs.bounding_radius

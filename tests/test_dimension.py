@@ -246,6 +246,25 @@ def test_property_diagonal_closed_form_is_the_formula(case):
         assert value == pytest.approx(textbook, abs=1e-12)
 
 
+def test_diagonal_closed_form_tied_coordinates():
+    # a sponge whose first two coordinates tie: chi_1 == chi_2 == log 3.  Swapping
+    # them moves only the projection dimension inside the tie (index 1)
+    digits = np.array([(0, 0, 0), (2, 0, 2), (0, 2, 4), (2, 2, 0), (0, 0, 2)])
+    scale = np.array([3.0, 3.0, 5.0])
+    w = BernoulliWeights(np.array([0.3, 0.25, 0.2, 0.15, 0.1]))
+    inside = []
+    for order in ([0, 1, 2], [1, 0, 2]):
+        ifs = IfsSystem(np.tile(np.diag(1.0 / scale[order]), (5, 1, 1)), (digits / scale)[:, order], w)
+        value, inputs = diagonal_closed_form(ifs)
+        chi = inputs.spectrum.exponents
+        assert chi[1] - chi[0] == 0.0  # index 1's coefficient in the formula
+        assert value == pytest.approx(1.340861430079947, abs=1e-12)
+        assert inputs.projection_dims[2] == pytest.approx(1.2011020419670282, abs=1e-12)
+        assert ly_dimension(inputs) == pytest.approx(value, abs=1e-12)
+        inside.append(inputs.projection_dims[1])
+    assert inside == pytest.approx([0.6126016192893442, 0.589331327997029], abs=1e-12)
+
+
 def test_diagonal_closed_form_refusals():
     w2 = BernoulliWeights.uniform(2)
     sheared = IfsSystem(np.array([[[0.5, 0.1], [0.0, 0.3]], np.diag([0.5, 0.3])]),

@@ -12,11 +12,10 @@ from affinedim.domination import (
     cone_invariance_check,
     detect_domination,
     gap_ratio_scan,
-    splitting_subspaces,
     stp_check,
     strong_stable_bundle,
 )
-from affinedim.errors import BudgetExceededError, SubspaceInconsistencyError
+from affinedim.errors import BudgetExceededError
 from affinedim.linalg import SubspaceFrame, exterior_power, principal_angle_distance
 
 DIAG_PAIR = (np.diag([1.0 / 3.0, 0.5]), np.diag([1.0 / 3.0, 0.5]))
@@ -118,7 +117,7 @@ def test_detect_diagonal_dominated():
     table = gap_ratio_scan(DIAG_PAIR, n_max=8)
     report = detect_domination(table)
     assert report.dominated_indices == (1,)
-    assert report.for_index(1).decay_rate == pytest.approx(np.log(2.0 / 3.0), abs=1e-6)
+    assert report.indices[0].decay_rate == pytest.approx(np.log(2.0 / 3.0), abs=1e-6)
     assert report.tds_verified
 
 
@@ -126,7 +125,7 @@ def test_detect_conformal_empty():
     maps = (0.5 * rotation(0.3), 0.5 * rotation(1.2))
     report = detect_domination(gap_ratio_scan(maps, n_max=7))
     assert report.dominated_indices == ()
-    assert report.for_index(1).status == "non-dominated"
+    assert report.indices[0].status == "non-dominated"
 
 
 def test_detect_stp_tuple_full_domination():
@@ -248,6 +247,11 @@ def test_bundle_refuses_undominated_index():
         strong_stable_bundle(maps, word, i=1, depth=40, domination=report)
 
 
+def test_bundle_rejects_bool_word():
+    with pytest.raises(ValueError, match=r"^words\[0\] is True; .* not bool$"):
+        strong_stable_bundle(DIAG_PAIR, [True, False] * 5, i=1, depth=4, domination=diag_report())
+
+
 def test_bundle_stp_cone_geometry():
     rng = np.random.default_rng(11)
     maps = random_stp_tuple(rng, 2, 2)
@@ -307,15 +311,6 @@ def test_bundle_holder_continuity_probe():
     assert slope < -0.1  # geometric decay in the shared prefix length
 
 
-def test_splitting_two_dim_boundary_case():
-    word = sample_word(BernoulliWeights.uniform(2), 41, rng=23)
-    est = strong_stable_bundle(DIAG_PAIR, word, i=1, depth=40, domination=diag_report())
-    split = splitting_subspaces([est])
-    assert [p.k for p in split.subspaces] == [1, 1]
-    assert principal_angle_distance(split.subspaces[0], est.slow) <= 1e-12
-    assert principal_angle_distance(split.subspaces[1], est.fast) <= 1e-12
-
-
 def test_splitting_diagonal_three_dim_axes():
     maps = (np.diag([0.25, 1.0 / 3.0, 0.5]), np.diag([0.25, 1.0 / 3.0, 0.5]))
     report = detect_domination(gap_ratio_scan(maps, n_max=8))
@@ -324,11 +319,11 @@ def test_splitting_diagonal_three_dim_axes():
     bundles = [
         strong_stable_bundle(maps, word, i, depth=80, domination=report) for i in (1, 2)
     ]
-    split = splitting_subspaces(bundles)
-    assert [p.k for p in split.subspaces] == [1, 1, 1]
-    # pieces run from the most weakly to the most strongly contracted axis
-    for piece, axis in zip(split.subspaces, (2, 1, 0)):
-        assert principal_angle_distance(piece, SubspaceFrame.coordinate(3, [axis])) <= 1e-8
+    # each index splits the weakly contracted axes (slow) from the strongly contracted ones (fast)
+    for est, slow_axes in zip(bundles, ([2], [1, 2])):
+        fast_axes = [k for k in range(3) if k not in slow_axes]
+        assert principal_angle_distance(est.slow, SubspaceFrame.coordinate(3, slow_axes)) <= 1e-8
+        assert principal_angle_distance(est.fast, SubspaceFrame.coordinate(3, fast_axes)) <= 1e-8
 
 
 def test_splitting_random_stp_direct_sum():
@@ -340,20 +335,10 @@ def test_splitting_random_stp_direct_sum():
     bundles = [
         strong_stable_bundle(maps, word, i, depth=80, domination=report) for i in (1, 2)
     ]
-    split = splitting_subspaces(bundles)
-    assert sum(p.k for p in split.subspaces) == 3
-    assert split.gram_min_singular > 1e-6
-    assert split.pairwise_min_angle > 1e-3
-
-
-def test_splitting_dimension_mismatch_raises():
-    word = sample_word(BernoulliWeights.uniform(2), 41, rng=41)
-    est = strong_stable_bundle(DIAG_PAIR, word, i=1, depth=40, domination=diag_report())
-    clashing = strong_stable_bundle(
-        DIAG_PAIR, word, i=1, depth=40, domination=diag_report()
-    )
-    with pytest.raises((SubspaceInconsistencyError, ValueError)):
-        splitting_subspaces([est, clashing])
+    for est in bundles:  # slow and fast together span R^3, well apart
+        combined = np.hstack([est.slow.frame, est.fast.frame])
+        assert np.linalg.svd(combined, compute_uv=False).min() > 1e-6
+        assert est.angle_lower_bound > 1e-3
 
 
 def test_transversality_margin_over_random_words():

@@ -2,25 +2,18 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 from conftest import haar_frame
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from affinedim import linalg
 from affinedim.linalg import (
     FlagChain,
     SubspaceFrame,
     exterior_power,
     index_tuples,
-    minor,
-    orthogonal_projection,
     principal_angle_distance,
-    restricted_conorm,
-    restricted_norm,
     singular_values,
     smallest_principal_angle,
-    subspace_intersection,
 )
 
 
@@ -66,108 +59,7 @@ def test_dimension_cap_rejected():
 
 
 # ---------------------------------------------------------------------------
-# restricted norm / conorm
-
-
-def test_restricted_norm_axis():
-    a = np.diag([0.5, 0.25])
-    v = SubspaceFrame.coordinate(2, [0])
-    assert restricted_norm(a, v) == pytest.approx(0.5)
-
-
-def test_restricted_norm_full_space_is_top_singular_value():
-    rng = np.random.default_rng(7)
-    for d in (2, 3, 4):
-        a = random_matrix(rng, d)
-        full = SubspaceFrame.full(d)
-        sv = singular_values(a)
-        assert restricted_norm(a, full) == pytest.approx(sv[-1], rel=1e-12)
-        assert restricted_conorm(a, full) == pytest.approx(sv[0], rel=1e-10)
-
-
-def test_restricted_norm_diagonal_line():
-    # direct vector arithmetic: ||A (1,1)|| / sqrt(2)
-    a = np.array([[0.3, 0.1], [0.0, 0.2]])
-    v = SubspaceFrame.from_span(np.array([1.0, 1.0]))
-    expected = np.linalg.norm(a @ np.array([1.0, 1.0])) / np.sqrt(2.0)
-    assert restricted_norm(a, v) == pytest.approx(expected, rel=1e-12)
-    assert expected == pytest.approx(np.sqrt(0.1))
-
-
-def test_restricted_norm_dimension_mismatch():
-    with pytest.raises(ValueError):
-        restricted_norm(np.eye(3), SubspaceFrame.coordinate(2, [0]))
-
-
-# ---------------------------------------------------------------------------
-# orthogonal projection
-
-
-def test_projection_onto_axis():
-    v = SubspaceFrame.coordinate(2, [1])
-    assert np.allclose(orthogonal_projection(v, np.array([3.0, 4.0])), [4.0])
-
-
-def test_projection_full_space_preserves_norm():
-    rng = np.random.default_rng(3)
-    q = haar_frame(4, rng)
-    v = SubspaceFrame(q)
-    x = rng.standard_normal(4)
-    assert np.linalg.norm(orthogonal_projection(v, x)) == pytest.approx(np.linalg.norm(x))
-
-
-def test_projection_diagonal_line():
-    v = SubspaceFrame.from_span(np.array([1.0, 1.0]))
-    out = orthogonal_projection(v, np.array([1.0, 0.0]))
-    assert out == pytest.approx([1.0 / np.sqrt(2.0)])
-
-
-def test_projection_idempotent_when_reembedded():
-    rng = np.random.default_rng(11)
-    v = SubspaceFrame(haar_frame(5, rng, 2))
-    x = rng.standard_normal(5)
-    coords = orthogonal_projection(v, x)
-    reembedded = v.frame @ coords
-    assert np.allclose(orthogonal_projection(v, reembedded), coords)
-
-
-def test_projection_batched_points():
-    v = SubspaceFrame.coordinate(3, [0, 2])
-    pts = np.arange(12.0).reshape(4, 3)
-    out = orthogonal_projection(v, pts)
-    assert out.shape == (4, 2)
-    assert np.allclose(out, pts[:, [0, 2]])
-
-
-# ---------------------------------------------------------------------------
-# minors and exterior powers
-
-
-def test_minor_full_matrix_is_det():
-    rng = np.random.default_rng(5)
-    a = random_matrix(rng, 2)
-    assert minor(a, (0, 1), (0, 1)) == pytest.approx(np.linalg.det(a))
-
-
-def test_minor_single_entry():
-    a = np.arange(9.0).reshape(3, 3)
-    assert minor(a, (1,), (1,)) == 4.0
-
-
-def test_minor_hand_computed():
-    a = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0], [1.0, 3.0, 6.0]])
-    # rows {0,1} x cols {1,2}: det [[1,1],[2,3]] = 1*3 - 1*2
-    assert minor(a, (0, 1), (1, 2)) == pytest.approx(1.0)
-
-
-def test_minor_bad_indices():
-    a = np.eye(3)
-    with pytest.raises(ValueError):
-        minor(a, (1, 0), (0, 1))
-    with pytest.raises(ValueError):
-        minor(a, (0, 3), (0, 1))
-    with pytest.raises(ValueError):
-        minor(a, (0,), (0, 1))
+# exterior powers
 
 
 def test_exterior_power_p1_and_pd():
@@ -187,6 +79,12 @@ def test_exterior_power_diagonal_lex_order():
     assert index_tuples(3, 2) == [(0, 1), (0, 2), (1, 2)]
 
 
+def test_minor_hand_computed():
+    a = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0], [1.0, 3.0, 6.0]])
+    # entry (I, J) = ((0,1), (1,2)): det [[1,1],[2,3]] = 1*3 - 1*2
+    assert exterior_power(a, 2)[0, 2] == pytest.approx(1.0)
+
+
 def test_exterior_power_entries_are_minors():
     rng = np.random.default_rng(13)
     a = random_matrix(rng, 4)
@@ -194,7 +92,8 @@ def test_exterior_power_entries_are_minors():
     idx = index_tuples(4, 2)
     for i, rows in enumerate(idx):
         for j, cols in enumerate(idx):
-            assert c[i, j] == pytest.approx(minor(a, rows, cols), rel=1e-12, abs=1e-12)
+            minor = np.linalg.det(a[np.ix_(rows, cols)])
+            assert c[i, j] == pytest.approx(minor, rel=1e-12, abs=1e-12)
 
 
 def test_exterior_power_rejects_bad_p():
@@ -205,7 +104,7 @@ def test_exterior_power_rejects_bad_p():
 
 
 # ---------------------------------------------------------------------------
-# principal angles and intersections
+# principal angles
 
 
 def test_principal_angle_same_frame():
@@ -240,45 +139,6 @@ def test_principal_angle_symmetric_and_span_invariant():
     )
 
 
-def test_intersection_coordinate_planes():
-    u = SubspaceFrame.coordinate(3, [0, 1])
-    w = SubspaceFrame.coordinate(3, [1, 2])
-    inter = subspace_intersection(u, w)
-    assert inter is not None and inter.k == 1
-    e2 = SubspaceFrame.coordinate(3, [1])
-    assert principal_angle_distance(inter, e2) == pytest.approx(0.0, abs=1e-10)
-
-
-def test_intersection_of_equal_subspaces():
-    rng = np.random.default_rng(23)
-    u = SubspaceFrame(haar_frame(4, rng, 2))
-    inter = subspace_intersection(u, u)
-    assert inter is not None and inter.k == 2
-    assert principal_angle_distance(inter, u) == pytest.approx(0.0, abs=1e-10)
-
-
-def test_intersection_trivial_returns_none():
-    u = SubspaceFrame.coordinate(3, [0])
-    w = SubspaceFrame.coordinate(3, [1, 2])
-    assert subspace_intersection(u, w) is None
-
-
-def test_intersection_random_planes_vs_nullspace_oracle(monkeypatch):
-    # two generic 2-planes in R^3 meet in a line; the oracle solves the
-    # linear system  {v orthogonal to both complements}
-    monkeypatch.setattr(linalg, "INTERSECTION_TOL", 1e-8)
-    rng = np.random.default_rng(29)
-    for _ in range(10):
-        u = SubspaceFrame(haar_frame(3, rng, 2))
-        w = SubspaceFrame(haar_frame(3, rng, 2))
-        constraints = np.vstack([u.complement().frame.T, w.complement().frame.T])
-        line = scipy.linalg.null_space(constraints)
-        assert line.shape == (3, 1)
-        inter = subspace_intersection(u, w)
-        assert inter is not None and inter.k == 1
-        assert principal_angle_distance(inter, SubspaceFrame(line)) < 1e-8
-
-
 # ---------------------------------------------------------------------------
 # frames and flags
 
@@ -308,7 +168,6 @@ def test_flag_chain_nesting_enforced():
     bad_small = SubspaceFrame.coordinate(3, [2])
     chain = FlagChain((big, good_small))
     assert chain.dims == (2, 1)
-    assert chain.is_full
     with pytest.raises(ValueError):
         FlagChain((big, bad_small))
     with pytest.raises(ValueError):

@@ -30,7 +30,6 @@ from affinedim.measure import (
     check_separation,
     lift_ifs,
     local_dimension_estimate,
-    natural_projection,
     project_cloud,
     sample_measure,
     self_affinity_check,
@@ -44,24 +43,32 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # natural projection
 
 
+def _coded_point(ifs, word):
+    """``f_{w_0} o ... o f_{w_{n-1}}(0)`` by a backward (Horner) pass."""
+    x = np.zeros(ifs.d)
+    for s in word[::-1]:
+        x = ifs.matrices[s] @ x + ifs.translations[s]
+    return x
+
+
 def test_natural_projection_fixed_point():
-    point, err = natural_projection(cantor_ifs(), [0] * 12)
-    assert point == pytest.approx([0.0], abs=1e-15)
-    assert err == pytest.approx(3.0**-12)
+    cloud = sample_measure(cantor_ifs(weights=[1.0, 0.0]), count=1, depth=12, rng=0)
+    assert cloud.points[0] == pytest.approx([0.0], abs=1e-15)
+    assert cloud.errors[0] == pytest.approx(3.0**-12)
 
 
 def test_natural_projection_geometric_series():
     for n in (1, 2, 8):
-        point, err = natural_projection(cantor_ifs(), [1] * n)
-        assert point[0] == pytest.approx(1.0 - 3.0**-n, rel=1e-14)
-        assert err == pytest.approx(3.0**-n)
+        cloud = sample_measure(cantor_ifs(weights=[0.0, 1.0]), count=1, depth=n, rng=0)
+        assert cloud.points[0, 0] == pytest.approx(1.0 - 3.0**-n, rel=1e-14)
+        assert cloud.errors[0] == pytest.approx(3.0**-n)
 
 
 def test_natural_projection_single_symbol():
-    ifs = cantor_ifs()
-    point, err = natural_projection(ifs, [1])
-    assert np.allclose(point, ifs.translations[1])
-    assert err == pytest.approx(ifs.bounding_radius / 3.0)
+    ifs = cantor_ifs(weights=[0.0, 1.0])
+    cloud = sample_measure(ifs, count=1, depth=1, rng=0)
+    assert np.allclose(cloud.points[0], ifs.translations[1])
+    assert cloud.errors[0] == pytest.approx(ifs.bounding_radius / 3.0)
 
 
 def test_natural_projection_refinement_within_bound():
@@ -70,25 +77,14 @@ def test_natural_projection_refinement_within_bound():
     for _ in range(20):
         word = rng.integers(0, 3, size=25)
         for n in (5, 10, 20):
-            coarse, bound = natural_projection(ifs, word[:n])
-            fine, _ = natural_projection(ifs, word[: n + 5])
+            coarse, bound = _coded_point(ifs, word[:n]), ifs.truncation_bound(word[:n])
+            fine = _coded_point(ifs, word[: n + 5])
             assert np.linalg.norm(fine - coarse) <= bound + 1e-15
 
 
 def test_natural_projection_rejects_empty_word():
-    with pytest.raises(ValueError):
-        natural_projection(cantor_ifs(), [])
-
-
-@pytest.mark.parametrize("word, message", [
-    ([0.7, 1.9], r"^words\[0\] is 0.7; words must have an integer dtype, not float64$"),
-    ([True, False], r"^words\[0\] is True; words must have an integer dtype, not bool$"),
-    ([0, 5], r"^words\[1\] is 5; symbols must be in 0..1$"),
-    ([0, -1], r"^words\[1\] is -1; symbols must be in 0..1$"),
-], ids=["float", "bool", "too-large", "negative"])
-def test_natural_projection_rejects_words_that_are_not_symbols(word, message):
-    with pytest.raises(ValueError, match=message):
-        natural_projection(cantor_ifs(), word)
+    with pytest.raises(ValueError, match="depth must be positive"):
+        sample_measure(cantor_ifs(), count=1, depth=0, rng=0)
 
 
 # ---------------------------------------------------------------------------
