@@ -1,6 +1,6 @@
 """Random matrix cocycles driven by i.i.d. symbols.
 
-Provides word sampling and checking, Lyapunov spectrum estimation from
+Provides word drawing and checking, Lyapunov spectrum estimation from
 renormalised compound-cocycle growth, backward-iteration sampling of the
 stationary flag distribution, and Bernoulli entropy.
 
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import SpectralGapError
 from .linalg import (
     FlagChain,
     SubspaceFrame,
@@ -30,20 +29,15 @@ __all__ = [
     "LyapunovSpectrum",
     "FlagSample",
     "as_map_stack",
-    "sample_word",
     "entropy",
     "lyapunov_spectrum",
     "furstenberg_sample",
-    "furstenberg_step",
 ]
 
 WEIGHT_SUM_TOL = 1e-12
 # default cap on a search's work: the words a gap-ratio scan forms, and the
 # cylinder pairs a separation check forms
 PRODUCT_BUDGET = 10**6
-# word length and trials of the probe run that finds flag dimensions
-_PROBE_STEPS = 2000
-_PROBE_TRIALS = 6
 # most steps between renormalisations of a frame of two or more columns
 _MAX_FRAME_INTERVAL = 10
 # keep the singular-value spread accumulated between renormalisations well
@@ -134,10 +128,6 @@ class LyapunovSpectrum:
     def simple(self) -> bool:
         return all(m == 1 for m in self.multiplicities)
 
-    def block_boundaries(self) -> tuple[int, ...]:
-        """Cumulative block sizes d_1, d_1+d_2, ..., excluding the final d."""
-        return tuple(np.cumsum(self.multiplicities)[:-1].tolist())
-
 
 @dataclass(frozen=True)
 class FlagSample:
@@ -167,38 +157,21 @@ def _check_weights(weights: BernoulliWeights, mats: np.ndarray) -> None:
         raise ValueError(f"{weights.n} weights for {mats.shape[0]} maps")
 
 
-def sample_word(weights: BernoulliWeights, n: int, rng=None) -> np.ndarray:
-    """Draw ``n`` i.i.d. symbols (0-based) with the given law."""
-    if n < 1:
-        raise ValueError("word length must be at least 1")
-    rng = np.random.default_rng(rng)
-    return _draw_words(rng, weights.p, np.empty(n, dtype=np.int64))
-
-
-def _check_symbols(words: np.ndarray, n_maps: int | None = None) -> None:
-    """Raise ``ValueError`` naming the first entry of ``words`` that is not a symbol.
-
-    A symbol is an entry of an integer (not bool) dtype that is at least 0
-    and, when ``n_maps`` is given, below it.
-    """
-    if words.dtype.kind not in "iu":
-        first = f"words{[0] * words.ndim} is {words.flat[0].item()!r}; " if words.size else ""
-        raise ValueError(f"{first}words must have an integer dtype, not {words.dtype}")
-    if n_maps is None and words.dtype.kind == "u":
-        return
-    bad = words < 0 if n_maps is None else (words < 0) | (words >= n_maps)
-    if bad.any():
-        at = np.argwhere(bad)[0].tolist()
-        alphabet = "non-negative" if n_maps is None else f"in 0..{n_maps - 1}"
-        raise ValueError(f"words{at} is {int(words[tuple(at)])}; symbols must be {alphabet}")
-
-
 def _check_word(word, n_maps: int) -> np.ndarray:
-    """``word`` as a flat int64 array of symbols in ``0..n_maps - 1``; may be empty."""
+    """``word`` as a flat int64 array of symbols in ``0..n_maps - 1``; may be empty.
+
+    A symbol is an entry of an integer (not bool) dtype; the ``ValueError``
+    for a word that is not one names its first offending entry.
+    """
     w = np.asarray(word).ravel()
     if w.size == 0:
         return np.empty(0, dtype=np.int64)
-    _check_symbols(w, n_maps)
+    if w.dtype.kind not in "iu":
+        raise ValueError(f"words[0] is {w[0].item()!r}; words must have an integer dtype, "
+                         f"not {w.dtype}")
+    bad = np.flatnonzero((w < 0) | (w >= n_maps))
+    if bad.size:
+        raise ValueError(f"words[{bad[0]}] is {int(w[bad[0]])}; symbols must be in 0..{n_maps - 1}")
     return w.astype(np.int64, copy=False)
 
 
@@ -474,17 +447,17 @@ def furstenberg_sample(
     iterations: int,
     count: int,
     rng=None,
-    dims: tuple[int, ...] | None = None,
+    *,
+    dims: tuple[int, ...],
 ) -> list[FlagSample]:
     """Sample the stationary flag distribution of the inverse matrix action.
 
     Each sample applies the inverses of ``iterations`` i.i.d. maps to an
     independent random orthonormal frame, first symbol outermost, so the
-    returned flag is the one carried to time zero along the word; for large
-    ``iterations`` its law approximates the stationary distribution.  Flag
-    dimensions default to the spectrum blocks found by a short probe run;
-    with a single block there is no invariant flag and a
-    :class:`SpectralGapError` is raised.
+    returned flag, of subspace dimensions ``dims`` (strictly decreasing, in
+    ``1..d-1``), is the one carried to time zero along the word; for large
+    ``iterations`` its law approximates the stationary distribution, which
+    one more iteration leaves unchanged.
 
     Samples are drawn and reduced in index order, so output is deterministic
     given the seed.
@@ -495,14 +468,6 @@ def furstenberg_sample(
     rng = np.random.default_rng(rng)
     if iterations < 1 or count < 1:
         raise ValueError("iterations and count must be positive")
-    if dims is None:
-        spectrum = lyapunov_spectrum(maps, weights, _PROBE_STEPS, _PROBE_TRIALS, rng)
-        if len(spectrum.multiplicities) == 1:
-            raise SpectralGapError(
-                "no spectral gap detected: all exponents fall in one block",
-                observed_gap=0.0,
-            )
-        dims = tuple(d - b for b in spectrum.block_boundaries())
     dims = tuple(int(k) for k in dims)
     if not dims or any(not 0 < k < d for k in dims) or any(
         b >= a for a, b in zip(dims, dims[1:])
@@ -521,25 +486,3 @@ def furstenberg_sample(
         samples.append(FlagSample(FlagChain(frames), words[i].copy()))
     return samples
 
-
-def furstenberg_step(
-    maps, weights: BernoulliWeights, samples: list[FlagSample], rng=None
-) -> list[FlagSample]:
-    """Push each sampled flag through one more inverse-map step.
-
-    Draws one symbol per sample and maps its flag through the corresponding
-    inverse matrix; the symbol is prepended to the stored word.  For a
-    converged sample set the empirical flag distribution is unchanged in law,
-    which is the stationarity self-test.
-    """
-    mats = as_map_stack(maps)
-    _check_weights(weights, mats)
-    invs = np.linalg.inv(mats)
-    rng = np.random.default_rng(rng)
-    symbols = _draw_words(rng, weights.p, np.empty(len(samples), dtype=np.int64))
-    out = []
-    for s, sample in zip(symbols, samples):
-        frames = tuple(SubspaceFrame.from_span(invs[s] @ f.frame) for f in sample.flag.frames)
-        word = np.concatenate(([s], sample.word_prefix))
-        out.append(FlagSample(FlagChain(frames), word))
-    return out

@@ -27,7 +27,7 @@ from .domination import (
     detect_domination,
     gap_ratio_scan,
 )
-from .errors import BudgetExceededError, SpectralGapError
+from .errors import BudgetExceededError
 from .measure import (
     DEFAULT_CENTERS,
     DEFAULT_RADII_COUNT,
@@ -503,15 +503,10 @@ def full_pipeline(ifs: IfsSystem, config: PipelineConfig | None = None) -> Dimen
     proj_raw: dict[int, float] = {}
     proj_spread: dict[int, float] = {}
     if indices:  # empty whenever the route is not-applicable
-        try:
-            proj_used, proj_raw, proj_spread, extra = _estimate_projection_dims(
-                ifs, indices, cloud, cfg, rng_flags, rng_proj
-            )
-            caveats.extend(extra)
-        except SpectralGapError as err:
-            route = "not-applicable"
-            indices = ()
-            caveats.append(f"invariant-direction sampling failed: {err}")
+        proj_used, proj_raw, proj_spread, extra = _estimate_projection_dims(
+            ifs, indices, cloud, cfg, rng_flags, rng_proj
+        )
+        caveats.extend(extra)
 
     ly_val = None
     conditional = None

@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 MAX_DIM = 8          # compound sizes stay small; larger d is rejected outright
-DET_EPS = 1e-12      # invertibility floor for |det A|
+DET_EPS = 1e-12      # invertibility floor for the smallest singular value of A
 FRAME_ORTHO_TOL = 1e-10
 FLAG_NESTING_TOL = 1e-8
 
@@ -50,13 +50,19 @@ def as_matrix(a) -> np.ndarray:
 
 
 def check_contractive_invertible(a) -> np.ndarray:
-    """Validate that ``a`` is a contraction (operator norm < 1) and invertible."""
+    """Validate that ``a`` is a contraction (operator norm < 1) and invertible.
+
+    Invertibility is judged by the smallest singular value, the 2-norm
+    distance from ``a`` to the singular matrices, so a well-conditioned
+    contraction with a tiny determinant passes.
+    """
     arr = as_matrix(a)
     sv = singular_values(arr)
     if sv[-1] >= 1.0:
         raise ValueError(f"matrix is not contractive: operator norm {sv[-1]:.6g} >= 1")
-    if abs(np.linalg.det(arr)) <= DET_EPS:
-        raise ValueError(f"matrix is numerically singular: |det| <= {DET_EPS:g}")
+    if sv[0] <= DET_EPS:
+        raise ValueError(f"matrix is numerically singular: smallest singular value "
+                         f"{sv[0]:.6g} <= {DET_EPS:g}")
     return arr
 
 
@@ -125,10 +131,6 @@ class SubspaceFrame:
         return cls(q)
 
     @classmethod
-    def full(cls, d: int) -> "SubspaceFrame":
-        return cls(np.eye(d))
-
-    @classmethod
     def coordinate(cls, d: int, axes) -> "SubspaceFrame":
         """Span of the given coordinate axes (0-based)."""
         axes = list(axes)
@@ -170,10 +172,6 @@ class FlagChain:
             if np.linalg.norm(resid, 2) > FLAG_NESTING_TOL:
                 raise ValueError("flag chain is not nested")
         object.__setattr__(self, "frames", frames)
-
-    @property
-    def d(self) -> int:
-        return self.frames[0].d
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -228,8 +226,16 @@ def principal_angle_distance(u: SubspaceFrame, w: SubspaceFrame) -> float:
 
 
 def smallest_principal_angle(u: SubspaceFrame, w: SubspaceFrame) -> float:
-    """Smallest principal angle (radians) between two subspaces of any dims."""
+    """Smallest principal angle (radians) between two subspaces of any dims.
+
+    The angle's cosine is the largest singular value of ``u^T w``, and its
+    sine the smallest singular value of the residual of ``w`` after
+    projection onto ``u`` (the residual's other singular values are the
+    sines of larger angles, or 1).  The angle is read from both, so a tiny
+    angle keeps full accuracy, where ``arccos`` of a cosine near 1 reads 0.
+    """
     if u.d != w.d:
         raise ValueError(f"ambient dimension mismatch: {u.d} vs {w.d}")
     c = np.linalg.svd(u.frame.T @ w.frame, compute_uv=False).max()
-    return float(np.arccos(np.clip(c, 0.0, 1.0)))
+    s = np.linalg.svd(w.frame - u.frame @ (u.frame.T @ w.frame), compute_uv=False).min()
+    return float(np.arctan2(s, c))

@@ -15,8 +15,8 @@ from functools import cached_property
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .cocycle import (PRODUCT_BUDGET, BernoulliWeights, _WORD_BLOCK_SYMBOLS, _check_symbols,
-                      _check_weights, _draw_words, as_map_stack)
+from .cocycle import (PRODUCT_BUDGET, BernoulliWeights, _WORD_BLOCK_SYMBOLS, _check_weights,
+                      _draw_words, as_map_stack)
 from .linalg import SubspaceFrame, singular_values
 
 __all__ = [
@@ -40,8 +40,9 @@ __all__ = [
 DEFAULT_RADII_COUNT = 24
 DEFAULT_RADII_RATIO = 0.8
 DEFAULT_CENTERS = 64
-MIN_USABLE_RADII = 20
-BOX_SIZES = 26  # default box grid: sizes from diam/5 down in steps of DEFAULT_RADII_RATIO
+MIN_USABLE_RADII = 20  # a centre with fewer non-empty balls is skipped
+BOX_SIZES = 26  # box grid: sizes from diam/5 down in steps of DEFAULT_RADII_RATIO
+MIN_BOX_OCCUPANCY = 5.0  # a box size whose mean occupancy is lower is dropped
 SELF_AFFINITY_MIN_COUNT = 20
 _SAMPLE_BLOCK_ROWS = 4096  # rows of points stepped or gathered together: near cache size
 
@@ -84,10 +85,6 @@ class IfsSystem:
         return np.array([singular_values(m)[-1] for m in self.matrices])
 
     @cached_property
-    def bottom_singular_values(self) -> np.ndarray:
-        return np.array([singular_values(m)[0] for m in self.matrices])
-
-    @cached_property
     def bounding_radius(self) -> float:
         """Radius R with the attractor inside the ball B(0, R)."""
         tmax = float(np.linalg.norm(self.translations, axis=1).max())
@@ -125,18 +122,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Sampled points with their generating words and truncation bounds.
+    """Sampled points with their truncation bounds and sampling depth.
 
-    ``words`` and ``errors`` are ``None`` for synthetic clouds that came
-    from somewhere other than an IFS.  Words keep the integer dtype they are
-    given, and every entry must be a non-negative symbol.
+    ``errors`` and ``depth`` are ``None`` for synthetic clouds that came
+    from somewhere other than an IFS.
     """
 
     points: np.ndarray
-    words: np.ndarray | None
     errors: np.ndarray | None
     depth: int | None
-    seed: int | None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -146,12 +140,6 @@ class PointCloud:
             bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))[0]
             raise ValueError(f"point {bad} has non-finite coordinates {pts[bad].tolist()}")
         object.__setattr__(self, "points", _frozen(pts))
-        if self.words is not None:
-            w = np.asarray(self.words)
-            if w.shape[0] != pts.shape[0]:
-                raise ValueError("one word per point required")
-            _check_symbols(w)
-            object.__setattr__(self, "words", _frozen(w))
         if self.errors is not None:
             e = np.asarray(self.errors, dtype=float)
             if e.shape != (pts.shape[0],):
@@ -187,11 +175,6 @@ class PointCloud:
         """Smallest scale the estimators resolve: ten times the largest truncation bound."""
         return None if self.errors is None else 10.0 * float(self.errors.max())
 
-    @classmethod
-    def from_points(cls, points) -> "PointCloud":
-        """Wrap raw points (no words) for diagnostics on synthetic data."""
-        return cls(np.asarray(points, dtype=float), None, None, None, None)
-
 
 def sample_measure(ifs: IfsSystem, count: int, depth: int, rng=None) -> PointCloud:
     """Draw ``count`` approximate samples of the stationary measure.
@@ -213,7 +196,6 @@ def sample_measure(ifs: IfsSystem, count: int, depth: int, rng=None) -> PointClo
     """
     if count < 1 or depth < 1:
         raise ValueError("count and depth must be positive")
-    seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     rng = np.random.default_rng(rng)
     n = ifs.n_maps
     words = _draw_words(rng, ifs.weights.p, np.empty((count, depth), np.min_scalar_type(n - 1)))
@@ -245,9 +227,9 @@ def sample_measure(ifs: IfsSystem, count: int, depth: int, rng=None) -> PointClo
         for j in range(k, -1, -1):
             x = step(words[block, j], x)
         pts[block] = x
-    for a in (pts, words, errors):  # fresh arrays: the cloud keeps them without a copy
+    for a in (pts, errors):  # fresh arrays: the cloud keeps them without a copy
         a.flags.writeable = False
-    return PointCloud(pts, words, errors, depth, seed)
+    return PointCloud(pts, errors, depth)
 
 
 @dataclass(frozen=True)
@@ -264,10 +246,6 @@ class BoxCheck:
 class SelfAffinityReport:
     boxes: tuple[BoxCheck, ...]
     max_discrepancy: float
-
-    @property
-    def all_pass(self) -> bool:
-        return all(b.status == "pass" for b in self.boxes if b.status != "skipped")
 
 
 def self_affinity_check(cloud: PointCloud, ifs: IfsSystem, boxes) -> SelfAffinityReport:
@@ -451,20 +429,17 @@ class LiftedIfs:
     taus: np.ndarray
 
 
-def lift_ifs(ifs: IfsSystem, rho: float | None = None) -> LiftedIfs:
+def lift_ifs(ifs: IfsSystem) -> LiftedIfs:
     """Lift to d+1 dimensions with a spare contracting coordinate.
 
-    The extra coordinate contracts by ``rho`` (below both 1/N and every
-    map's smallest singular value) and translates by ``tau_i = i/N``, which
-    makes the last-coordinate images ``[tau_i, tau_i + rho]`` pairwise
-    disjoint, hence the lifted system strongly separates.
+    The extra coordinate contracts by ``rho``, 0.9 times the smaller of 1/N
+    and every map's smallest singular value, and translates by
+    ``tau_i = i/N``, which makes the last-coordinate images
+    ``[tau_i, tau_i + rho]`` pairwise disjoint, hence the lifted system
+    strongly separates.
     """
     n = ifs.n_maps
-    cap = min(1.0 / n, float(ifs.bottom_singular_values.min()))
-    if rho is None:
-        rho = 0.9 * cap
-    if not 0.0 < rho < cap:
-        raise ValueError(f"rho must lie in (0, {cap:g}), got {rho}")
+    rho = 0.9 * min(1.0 / n, min(float(singular_values(m)[0]) for m in ifs.matrices))
     d = ifs.d
     mats = np.zeros((n, d + 1, d + 1))
     mats[:, :d, :d] = ifs.matrices
@@ -478,14 +453,14 @@ def lift_ifs(ifs: IfsSystem, rho: float | None = None) -> LiftedIfs:
 def project_cloud(cloud: PointCloud, v: SubspaceFrame) -> PointCloud:
     """Orthogonal projection of every point onto ``v`` (in frame coordinates).
 
-    Words and truncation bounds carry over; projections are 1-Lipschitz so
-    the bounds stay valid.
+    Truncation bounds carry over; projections are 1-Lipschitz so the bounds
+    stay valid.
     """
     if cloud.dim != v.d:
         raise ValueError(f"cloud dimension {cloud.dim} does not match ambient {v.d}")
     points = cloud.points @ v.frame
     points.flags.writeable = False  # a fresh array: the cloud keeps it without a copy
-    return PointCloud(points, cloud.words, cloud.errors, cloud.depth, cloud.seed)
+    return PointCloud(points, cloud.errors, cloud.depth)
 
 
 @dataclass(frozen=True)
@@ -619,11 +594,7 @@ def _prefix_slopes(x: np.ndarray, y: np.ndarray, lengths: np.ndarray) -> np.ndar
 
 
 def local_dimension_estimate(
-    cloud: PointCloud,
-    radii=None,
-    n_centers: int = DEFAULT_CENTERS,
-    rng=None,
-    min_usable_radii: int = MIN_USABLE_RADII,
+    cloud: PointCloud, radii, n_centers: int = DEFAULT_CENTERS, rng=None
 ) -> LocalDimensionReport:
     """Pointwise dimension estimates from ball-mass slopes.
 
@@ -631,19 +602,18 @@ def local_dimension_estimate(
     least-squares slope of ``log(empirical mass of B(x, r))`` against
     ``log r`` over the radii grid (center excluded from its own counts).
     Radii with empty balls are dropped; centers with fewer than
-    ``min_usable_radii`` usable radii (or none) are skipped.  Counts fall
-    with the radius, so a center's usable radii are a prefix of the
-    descending grid, and the centers are fitted in groups of one prefix
-    length (see :func:`_prefix_slopes`).  Every given radius must be finite
-    and positive.  Reports per-center slopes with the median and
-    interquartile range.
+    ``MIN_USABLE_RADII`` usable radii are skipped.  Counts fall with the
+    radius, so a center's usable radii are a prefix of the descending grid,
+    and the centers are fitted in groups of one prefix length (see
+    :func:`_prefix_slopes`).  Every radius must be finite and positive
+    (:func:`default_radii` gives the pipeline's grid).  Reports per-center
+    slopes with the median and interquartile range.
     """
     pts = cloud.points
     m = cloud.m
     if m < 2:
         raise ValueError("need at least two points")
-    if radii is not None:
-        radii = _finite_positive(radii, "radii")
+    radii = _finite_positive(radii, "radii")
     rng = np.random.default_rng(rng)
 
     if cloud.diameter == 0.0:
@@ -651,12 +621,10 @@ def local_dimension_estimate(
         idx = np.arange(min(n_centers, m))
         return LocalDimensionReport(np.zeros(idx.size), idx, np.array([]), 0.0, 0.0, 0)
 
-    if radii is None:
-        radii = default_radii(cloud)
     radii = np.sort(radii)[::-1]
-    if radii.size < min_usable_radii:
+    if radii.size < MIN_USABLE_RADII:
         raise ValueError(
-            f"radii grid has {radii.size} entries, need at least {min_usable_radii}"
+            f"radii grid has {radii.size} entries, need at least {MIN_USABLE_RADII}"
         )
     if np.any(np.diff(np.log(radii)) == 0.0):
         raise ValueError("radii must be distinct")
@@ -665,7 +633,7 @@ def local_dimension_estimate(
     center_idx = rng.choice(m, size=n_centers, replace=False)
     counts = _ball_counts(pts, center_idx, radii)
     usable = (counts >= 1).sum(axis=1)
-    fit = usable >= max(min_usable_radii, 1)
+    fit = usable >= MIN_USABLE_RADII
     slopes = np.full(n_centers, np.nan)
     # log(1 / m) stands in for the empty balls past each prefix; no fit reads it
     y = np.log(np.maximum(counts[fit], 1) / m)
@@ -718,46 +686,41 @@ def _cell_counts(columns) -> np.ndarray:
     return np.diff(np.append(starts, key.size))
 
 
-def box_counting_dimension(
-    cloud: PointCloud, eps_list=None, min_occupancy: float = 5.0
-) -> BoxCountReport:
+def box_counting_dimension(cloud: PointCloud) -> BoxCountReport:
     """Information (box-counting) dimension of the sampled measure.
 
     Bins the points into grid boxes of side ``eps`` (anchored at the cloud's
-    min corner) over a geometric grid of sizes and fits the slope of the
-    occupancy sum ``sum p log p`` against ``log eps``.  The Miller-Madow
-    correction ``(K - 1) / 2m`` compensates the small-count entropy bias, and
-    box sizes with mean occupancy below ``min_occupancy`` are dropped.
+    min corner) over the ``BOX_SIZES`` sizes ``(diam / 5) *
+    DEFAULT_RADII_RATIO**k`` at or above the cloud's truncation floor, and
+    fits the slope of the occupancy sum ``sum p log p`` against ``log eps``.
+    The Miller-Madow correction ``(K - 1) / 2m`` compensates the small-count
+    entropy bias, and box sizes with mean occupancy below
+    ``MIN_BOX_OCCUPANCY`` are dropped.
 
     Unlike the pointwise ball estimator this averages over the whole support,
     which suppresses the log-periodic oscillations of grid-aligned systems.
-    Every given box size must be finite and positive.  Offsets from the min
-    corner are then at least 0, so truncating ``offset / eps`` to an integer
-    gives the same cell as its floor.  Cells are formed one coordinate at a
-    time, so no ``(m, d)`` temporary is made for any box size.
+    Offsets from the min corner are at least 0, so truncating ``offset / eps``
+    to an integer gives the same cell as its floor.  Cells are formed one
+    coordinate at a time, so no ``(m, d)`` temporary is made for any box size.
     """
     pts = cloud.points
     m = cloud.m
-    if eps_list is not None:
-        eps_list = _finite_positive(eps_list, "eps_list")
     if cloud.diameter <= 0.0:
         return BoxCountReport(0.0, np.array([]), np.array([]))
-    if eps_list is None:
-        eps_list = (cloud.diameter / 5.0) * DEFAULT_RADII_RATIO ** np.arange(BOX_SIZES)
-        if cloud.truncation_floor is not None:
-            eps_list = eps_list[eps_list >= cloud.truncation_floor]
-    eps_list = np.sort(np.asarray(eps_list, dtype=float))[::-1]
+    sizes = (cloud.diameter / 5.0) * DEFAULT_RADII_RATIO ** np.arange(BOX_SIZES)
+    if cloud.truncation_floor is not None:
+        sizes = sizes[sizes >= cloud.truncation_floor]
     corner = cloud.bounding_box[0]
     eps_used, info = [], []
-    for eps in eps_list:
+    for eps in sizes:
         counts = _cell_counts(((x - lo) / eps).astype(np.int64) for x, lo in zip(pts.T, corner))
-        if m / counts.size < min_occupancy:
+        if m / counts.size < MIN_BOX_OCCUPANCY:
             continue
         p = counts / m
         info.append(float(np.sum(p * np.log(p))) - (counts.size - 1) / (2.0 * m))
         eps_used.append(eps)
     if len(eps_used) < 4:
-        raise ValueError("fewer than 4 usable box sizes; enlarge the sample or the grid")
+        raise ValueError("fewer than 4 usable box sizes; enlarge the sample")
     eps_used = np.asarray(eps_used)
     info = np.asarray(info)
     slope = float(np.polyfit(np.log(eps_used), info, 1)[0])

@@ -1,4 +1,4 @@
-"""Tests for word sampling, cocycle products, spectra, and flag sampling."""
+"""Tests for word drawing, cocycle products, spectra, and flag sampling."""
 
 import itertools
 import warnings
@@ -17,12 +17,9 @@ from affinedim.cocycle import (
     LyapunovSpectrum,
     entropy,
     furstenberg_sample,
-    furstenberg_step,
     lyapunov_spectrum,
-    sample_word,
 )
 from affinedim.config import load_config
-from affinedim.errors import SpectralGapError
 from affinedim.linalg import SubspaceFrame, principal_angle_distance
 
 
@@ -47,27 +44,24 @@ PASCAL_HALF = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0], [1.0, 3.0, 6.0]]) / 8.
 # words and entropy
 
 
+def _draw(weights, n, seed):
+    """``n`` symbols drawn as every sampler draws its words."""
+    return cocycle._draw_words(np.random.default_rng(seed), weights.p, np.empty(n, np.int64))
+
+
 def test_sample_word_degenerate_weights():
     w = BernoulliWeights(np.array([1.0, 0.0]))
-    word = sample_word(w, 5, rng=0)
-    assert np.array_equal(word, np.zeros(5, dtype=word.dtype))
+    assert np.array_equal(_draw(w, 5, 0), np.zeros(5, dtype=np.int64))
 
 
 def test_sample_word_uniform_frequency():
-    w = BernoulliWeights.uniform(2)
-    word = sample_word(w, 100_000, rng=42)
-    freq = np.mean(word == 0)
+    freq = np.mean(_draw(BernoulliWeights.uniform(2), 100_000, 42) == 0)
     assert abs(freq - 0.5) < 0.01  # ~3 binomial sigma is 0.0047
 
 
 def test_sample_word_deterministic():
     w = BernoulliWeights(np.array([0.3, 0.7]))
-    assert np.array_equal(sample_word(w, 100, rng=7), sample_word(w, 100, rng=7))
-
-
-def test_sample_word_rejects_zero_length():
-    with pytest.raises(ValueError):
-        sample_word(BernoulliWeights.uniform(2), 0, rng=0)
+    assert np.array_equal(_draw(w, 100, 7), _draw(w, 100, 7))
 
 
 def test_weights_validation():
@@ -102,7 +96,8 @@ def test_check_word_returns_flat_int64_and_keeps_empty_words():
     ([True, False], r"^words\[0\] is True; words must have an integer dtype, not bool$"),
     ([0, 5], r"^words\[1\] is 5; symbols must be in 0..1$"),
     ([0, -1], r"^words\[1\] is -1; symbols must be in 0..1$"),
-], ids=["float", "bool", "too-large", "negative"])
+    (["1", "0"], r"^words\[0\] is '1'; words must have an integer dtype, not <U1$"),
+], ids=["float", "bool", "too-large", "negative", "str"])
 def test_check_word_rejects_words_that_are_not_symbols(word, message):
     with pytest.raises(ValueError, match=message):
         cocycle._check_word(word, 2)
@@ -207,7 +202,7 @@ def _edge_spectrum_case(name):
         return list(0.5 * q @ np.diag([1.0, 0.6])), None, 120
     if name == "ragged":  # not a multiple of the 65- or 42-step interval
         return list(load_config(CONFIG_DIR / "stp3.json").ifs.matrices), None, 107
-    # "hard": as contracting as the |det| floor allows, log range 26.9
+    # "hard": near the smallest singular value the floor allows, log range 26.9
     return [np.array([[0.5, 0.2, 0.0], [0.0, 0.4, 0.1], [0.0, 0.0, 0.3]]),
             np.diag([0.9, 0.9, 2e-12])], None, 1_001
 
@@ -596,16 +591,13 @@ def test_draw_words_widest_comparison_alphabet():
     assert np.array_equal(words, np.random.default_rng(5).choice(n, size=400, p=p))
 
 
-def test_sample_word_and_furstenberg_step_draw_as_choice():
+def test_furstenberg_sample_draws_words_as_choice():
     w = BernoulliWeights(np.array([0.25, 0.0, 0.5, 0.25]))
-    assert np.array_equal(sample_word(w, 500, rng=3),
-                          np.random.default_rng(3).choice(4, size=500, p=w.p))
     maps = [np.diag([0.5, 0.25]), np.array([[0.3, 0.1], [0.0, 0.4]]),
             np.diag([0.2, 0.6]), np.array([[0.4, 0.0], [0.2, 0.3]])]
     samples = furstenberg_sample(maps, w, 5, 40, rng=5, dims=(1,))
-    stepped = furstenberg_step(maps, w, samples, rng=np.random.default_rng(7))
-    want = np.random.default_rng(7).choice(4, size=40, p=w.p)
-    assert [int(s.word_prefix[0]) for s in stepped] == want.tolist()
+    want = np.random.default_rng(5).choice(4, size=(40, 5), p=w.p)
+    assert np.array_equal([s.word_prefix for s in samples], want)
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +606,7 @@ def test_sample_word_and_furstenberg_step_draw_as_choice():
 
 def test_furstenberg_diagonal_dirac():
     samples = furstenberg_sample(
-        DIAG_PAIR, BernoulliWeights.uniform(2), iterations=80, count=200, rng=31
+        DIAG_PAIR, BernoulliWeights.uniform(2), iterations=80, count=200, rng=31, dims=(1,)
     )
     e1 = SubspaceFrame.coordinate(2, [0])
     for s in samples:
@@ -625,7 +617,7 @@ def test_furstenberg_diagonal_dirac():
 def test_furstenberg_single_map_dirac_at_eigenflag():
     a = 0.2 * np.array([[2.0, 1.0], [1.0, 1.0]])
     samples = furstenberg_sample(
-        (a,), BernoulliWeights.uniform(1), iterations=120, count=16, rng=37
+        (a,), BernoulliWeights.uniform(1), iterations=120, count=16, rng=37, dims=(1,)
     )
     # power-iteration oracle for the attracting line of the inverse action
     v = np.array([1.0, 0.3])
@@ -638,42 +630,33 @@ def test_furstenberg_single_map_dirac_at_eigenflag():
         assert principal_angle_distance(s.flag.frames[0], target) <= 1e-10
 
 
-def test_furstenberg_requires_gap():
-    maps = (0.5 * rotation(0.4), 0.5 * rotation(1.3))
-    with pytest.raises(SpectralGapError):
-        furstenberg_sample(maps, BernoulliWeights.uniform(2), iterations=50, count=10, rng=41)
+@pytest.mark.parametrize("d, dims", [(2, ()), (2, (0,)), (2, (2,)), (3, (1, 2)), (3, (2, 2))],
+                         ids=["empty", "zero", "full", "increasing", "repeated"])
+def test_furstenberg_refuses_dims_that_are_not_a_flag(d, dims):
+    maps = (0.5 * np.eye(d), 0.25 * np.eye(d))
+    with pytest.raises(ValueError, match=f"strictly decreasing within 1..{d - 1}"):
+        furstenberg_sample(maps, BernoulliWeights.uniform(2), 10, 2, rng=0, dims=dims)
 
 
 def test_furstenberg_stationarity_ks():
+    # one more iteration leaves the stationary law unchanged
     rng = np.random.default_rng(43)
     maps = [0.5 * m / np.linalg.norm(m, 2) for m in rng.uniform(0.1, 1.0, (2, 2, 2))]
     w = BernoulliWeights.uniform(2)
-    samples = furstenberg_sample(maps, w, iterations=100, count=4000, rng=47)
-    pushed = furstenberg_step(maps, w, samples, rng=53)
+    samples = furstenberg_sample(maps, w, iterations=100, count=4000, rng=47, dims=(1,))
+    pushed = furstenberg_sample(maps, w, iterations=101, count=4000, rng=53, dims=(1,))
     angles = [line_angle(s.flag.frames[0]) for s in samples]
     pushed_angles = [line_angle(s.flag.frames[0]) for s in pushed]
     ks = stats.ks_2samp(angles, pushed_angles).statistic
     assert ks < 0.05
 
 
-def test_furstenberg_step_extends_word():
-    samples = furstenberg_sample(
-        DIAG_PAIR, BernoulliWeights.uniform(2), iterations=30, count=3, rng=59
-    )
-    pushed = furstenberg_step(DIAG_PAIR, BernoulliWeights.uniform(2), samples, rng=61)
-    for old, new in zip(samples, pushed):
-        assert new.word_prefix.size == old.word_prefix.size + 1
-        assert np.array_equal(new.word_prefix[1:], old.word_prefix)
-
-
 @pytest.mark.parametrize("n", [1, 3])
 def test_weights_must_be_one_per_map(n):
     w = BernoulliWeights.uniform(n)
-    samples = furstenberg_sample(DIAG_PAIR, BernoulliWeights.uniform(2), 10, 2, rng=0, dims=(1,))
     calls = [
         lambda: lyapunov_spectrum(DIAG_PAIR, w, steps=200, trials=2, rng=0),
         lambda: furstenberg_sample(DIAG_PAIR, w, 10, 2, rng=0, dims=(1,)),
-        lambda: furstenberg_step(DIAG_PAIR, w, samples, rng=0),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=f"^{n} weights for 2 maps$"):
@@ -682,8 +665,8 @@ def test_weights_must_be_one_per_map(n):
 
 def test_furstenberg_deterministic():
     w = BernoulliWeights.uniform(2)
-    a = furstenberg_sample(DIAG_PAIR, w, iterations=40, count=5, rng=67)
-    b = furstenberg_sample(DIAG_PAIR, w, iterations=40, count=5, rng=67)
+    a = furstenberg_sample(DIAG_PAIR, w, iterations=40, count=5, rng=67, dims=(1,))
+    b = furstenberg_sample(DIAG_PAIR, w, iterations=40, count=5, rng=67, dims=(1,))
     for s, t in zip(a, b):
         assert np.array_equal(s.flag.frames[0].frame, t.flag.frames[0].frame)
         assert np.array_equal(s.word_prefix, t.word_prefix)

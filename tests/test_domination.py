@@ -7,7 +7,7 @@ import pytest
 from conftest import PASCAL3, random_contractive_tuple, random_stp_tuple, word_product
 
 from affinedim import domination
-from affinedim.cocycle import BernoulliWeights, sample_word
+from affinedim.cocycle import BernoulliWeights
 from affinedim.domination import (
     cone_invariance_check,
     detect_domination,
@@ -224,12 +224,17 @@ def test_positive_entries_negative_det_still_dominated():
 # bundles
 
 
+def _choice(weights, n, seed):
+    """``n`` i.i.d. symbols of law ``weights``, drawn from ``seed`` as the library draws words."""
+    return np.random.default_rng(seed).choice(weights.n, size=n, p=weights.p)
+
+
 def diag_report():
     return detect_domination(gap_ratio_scan(DIAG_PAIR, n_max=6))
 
 
 def test_bundle_diagonal_axes_exact():
-    word = sample_word(BernoulliWeights.uniform(2), 41, rng=7)
+    word = _choice(BernoulliWeights.uniform(2), 41, 7)
     est = strong_stable_bundle(DIAG_PAIR, word, i=1, depth=40, domination=diag_report())
     e1 = SubspaceFrame.coordinate(2, [0])
     e2 = SubspaceFrame.coordinate(2, [1])
@@ -242,7 +247,7 @@ def test_bundle_diagonal_axes_exact():
 def test_bundle_refuses_undominated_index():
     maps = (0.5 * rotation(0.3), 0.5 * rotation(1.2))
     report = detect_domination(gap_ratio_scan(maps, n_max=7))
-    word = sample_word(BernoulliWeights.uniform(2), 41, rng=9)
+    word = _choice(BernoulliWeights.uniform(2), 41, 9)
     with pytest.raises(ValueError):
         strong_stable_bundle(maps, word, i=1, depth=40, domination=report)
 
@@ -257,7 +262,7 @@ def test_bundle_stp_cone_geometry():
     maps = random_stp_tuple(rng, 2, 2)
     report = detect_domination(gap_ratio_scan(maps, n_max=8))
     assert report.dominated_indices == (1,)
-    word = sample_word(BernoulliWeights.uniform(2), 61, rng=13)
+    word = _choice(BernoulliWeights.uniform(2), 61, 13)
     est = strong_stable_bundle(maps, word, i=1, depth=60, domination=report)
     slow_dir = est.slow.frame[:, 0]
     fast_dir = est.fast.frame[:, 0]
@@ -268,7 +273,7 @@ def test_bundle_stp_cone_geometry():
 
 
 def test_bundle_growth_ratio_bounded():
-    word = sample_word(BernoulliWeights.uniform(2), 41, rng=17)
+    word = _choice(BernoulliWeights.uniform(2), 41, 17)
     est = strong_stable_bundle(DIAG_PAIR, word, i=1, depth=40, domination=diag_report())
     assert np.isfinite(est.growth_ratio_sup)
     assert est.growth_ratio_sup <= 1.0 + 1e-9  # diagonal case is tight
@@ -279,7 +284,7 @@ def test_bundle_growth_ratio_singular_values_on_a_diagonal_system(index):
     # a frame off the axes grows unlike any singular value, so only the
     # identity frame's sorted growth gives alpha_{index+1} of each product
     maps = (np.diag([0.5, 0.3, 0.2]), np.diag([0.25, 0.4, 0.1]))
-    word = sample_word(BernoulliWeights.uniform(2), 30, rng=23)
+    word = _choice(BernoulliWeights.uniform(2), 30, 23)
     f = np.array([[1.0], [2.0], [2.0]]) / 3.0
     ratios = domination.bundle_growth_ratios(maps, word, SubspaceFrame(f), index, 30)
     products = np.cumprod([np.diag(maps[s]) for s in word[:30]], axis=0)
@@ -298,9 +303,9 @@ def test_bundle_holder_continuity_probe():
     for k in ks:
         angles = []
         for trial in range(6):
-            shared = sample_word(w, k, rng=100 * k + trial)
-            tail_a = sample_word(w, 41 - k, rng=200 * k + trial)
-            tail_b = sample_word(w, 41 - k, rng=300 * k + trial)
+            shared = _choice(w, k, 100 * k + trial)
+            tail_a = _choice(w, 41 - k, 200 * k + trial)
+            tail_b = _choice(w, 41 - k, 300 * k + trial)
             wa = np.concatenate([shared, tail_a])
             wb = np.concatenate([shared, tail_b])
             fa = strong_stable_bundle(maps, wa, 1, 40, report).fast
@@ -315,7 +320,7 @@ def test_splitting_diagonal_three_dim_axes():
     maps = (np.diag([0.25, 1.0 / 3.0, 0.5]), np.diag([0.25, 1.0 / 3.0, 0.5]))
     report = detect_domination(gap_ratio_scan(maps, n_max=8))
     assert report.dominated_indices == (1, 2)
-    word = sample_word(BernoulliWeights.uniform(2), 81, rng=29)
+    word = _choice(BernoulliWeights.uniform(2), 81, 29)
     bundles = [
         strong_stable_bundle(maps, word, i, depth=80, domination=report) for i in (1, 2)
     ]
@@ -331,7 +336,7 @@ def test_splitting_random_stp_direct_sum():
     maps = random_stp_tuple(rng, 3, 2)
     report = detect_domination(gap_ratio_scan(maps, n_max=7))
     assert report.dominated_indices == (1, 2)
-    word = sample_word(BernoulliWeights.uniform(2), 81, rng=37)
+    word = _choice(BernoulliWeights.uniform(2), 81, 37)
     bundles = [
         strong_stable_bundle(maps, word, i, depth=80, domination=report) for i in (1, 2)
     ]
@@ -348,7 +353,7 @@ def test_transversality_margin_over_random_words():
     w = BernoulliWeights.uniform(2)
     min_angle = np.pi
     for trial in range(100):
-        word = sample_word(w, 51, rng=1000 + trial)
+        word = _choice(w, 51, 1000 + trial)
         est = strong_stable_bundle(maps, word, 1, 50, report)
         min_angle = min(min_angle, est.angle_lower_bound)
     assert min_angle > 1e-2

@@ -7,8 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affinedim.linalg import (
+    DET_EPS,
     FlagChain,
     SubspaceFrame,
+    check_contractive_invertible,
     exterior_power,
     index_tuples,
     principal_angle_distance,
@@ -51,6 +53,23 @@ def test_singular_values_against_charpoly_oracle():
 def test_singular_values_rejects_nonfinite():
     with pytest.raises(ValueError):
         singular_values(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_contraction_with_tiny_determinant_is_invertible():
+    # det is 5.4e-13, but every singular value is at least 0.02
+    a = np.diag(np.linspace(0.04, 0.02, 8))
+    assert abs(np.linalg.det(a)) <= DET_EPS
+    assert check_contractive_invertible(a) is not None
+
+
+@pytest.mark.parametrize("a, message", [
+    (np.diag([0.5, 1e-13]), r"numerically singular: smallest singular value 1e-13 <= 1e-12"),
+    (np.full((2, 2), 0.25), r"numerically singular: smallest singular value .* <= 1e-12"),
+    (np.diag([0.5, 1.0]), r"not contractive: operator norm 1 >= 1"),
+], ids=["tiny-axis", "rank-one", "norm-one"])
+def test_contractive_invertible_refusals(a, message):
+    with pytest.raises(ValueError, match=message):
+        check_contractive_invertible(a)
 
 
 def test_dimension_cap_rejected():
@@ -187,6 +206,21 @@ def test_smallest_principal_angle_transversal():
     u = SubspaceFrame.coordinate(3, [0, 1])
     w = SubspaceFrame.from_span(np.array([0.0, 1.0, 1.0]))
     assert smallest_principal_angle(u, w) == pytest.approx(np.pi / 4, rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [1e-6, 1e-8, 1e-10, np.pi / 2 - 1e-7, np.pi / 2],
+                         ids=["1e-6", "1e-8", "1e-10", "near-right", "right"])
+def test_smallest_principal_angle_keeps_tiny_and_right_angles(t):
+    # a cosine near 1 loses the angle below about 1e-8; its sine does not
+    line = lambda *v: SubspaceFrame(np.array(v, dtype=float)[:, None])
+    cases = [(SubspaceFrame.coordinate(2, [0]), line(np.cos(t), np.sin(t))),
+             (SubspaceFrame.coordinate(3, [0, 1]), line(np.cos(t), 0.0, np.sin(t))),
+             (line(0.0, np.cos(t), np.sin(t)), SubspaceFrame.coordinate(3, [0, 1]))]
+    for u, w in cases:
+        assert smallest_principal_angle(u, w) == pytest.approx(t, rel=1e-12)
+        if u.k == w.k:
+            assert np.sin(smallest_principal_angle(u, w)) == pytest.approx(
+                principal_angle_distance(u, w), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
