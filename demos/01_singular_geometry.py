@@ -26,7 +26,7 @@ c = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0], [1.0, 3.0, 6.0]])
 print("\nPascal matrix 2nd compound (entries are all 2x2 minors):\n", exterior_power(c, 2))
 
 # Grassmannian distance
-u = SubspaceFrame.coordinate(3, [0, 1])
-w = SubspaceFrame.coordinate(3, [1, 2])
+u = SubspaceFrame(np.eye(3)[:, [0, 1]])
+w = SubspaceFrame(np.eye(3)[:, [1, 2]])
 print("\nsin of largest principal angle between xy- and yz-planes:",
       principal_angle_distance(u, w))

@@ -7,7 +7,7 @@ values.
 
 Modules
 -------
-``linalg``      singular values, compound matrices, subspace/flag geometry
+``linalg``      singular values, compound matrices, subspace geometry
 ``cocycle``     random words, spectra, stationary flag sampling
 ``domination``  gap-ratio scans, STP/cone checks, invariant bundles
 ``measure``     IFS sampling, separation certificates, dimension estimators

@@ -16,18 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .linalg import (
-    FlagChain,
-    SubspaceFrame,
-    check_contractive_invertible,
-    exterior_power,
-    qr_positive,
-)
+from .linalg import check_contractive_invertible, exterior_power, qr_positive
 
 __all__ = [
     "BernoulliWeights",
     "LyapunovSpectrum",
-    "FlagSample",
     "as_map_stack",
     "entropy",
     "lyapunov_spectrum",
@@ -127,14 +120,6 @@ class LyapunovSpectrum:
     @property
     def simple(self) -> bool:
         return all(m == 1 for m in self.multiplicities)
-
-
-@dataclass(frozen=True)
-class FlagSample:
-    """One sampled flag together with the word that generated it."""
-
-    flag: FlagChain
-    word_prefix: np.ndarray
 
 
 def as_map_stack(maps, require_contractive: bool = True) -> np.ndarray:
@@ -442,25 +427,20 @@ def lyapunov_spectrum(
 
 
 def furstenberg_sample(
-    maps,
-    weights: BernoulliWeights,
-    iterations: int,
-    count: int,
-    rng=None,
-    *,
-    dims: tuple[int, ...],
-) -> list[FlagSample]:
+    maps, weights: BernoulliWeights, iterations: int, count: int, rng=None
+) -> np.ndarray:
     """Sample the stationary flag distribution of the inverse matrix action.
 
     Each sample applies the inverses of ``iterations`` i.i.d. maps to an
-    independent random orthonormal frame, first symbol outermost, so the
-    returned flag, of subspace dimensions ``dims`` (strictly decreasing, in
-    ``1..d-1``), is the one carried to time zero along the word; for large
-    ``iterations`` its law approximates the stationary distribution, which
-    one more iteration leaves unchanged.
+    independent random orthonormal frame, first symbol outermost, so it is
+    the frame carried to time zero along the word; for large ``iterations``
+    the law of the flag it spans approximates the stationary distribution,
+    which one more iteration leaves unchanged.
 
-    Samples are drawn and reduced in index order, so output is deterministic
-    given the seed.
+    Returns the (count, d, d) array ``q`` of orthonormal frames: for each
+    ``k`` in ``1..d-1``, ``q[s, :, :k]`` spans sample ``s``'s k-dimensional
+    flag member, so the members nest by construction.  Samples are drawn
+    and reduced in index order, so output is deterministic given the seed.
     """
     mats = as_map_stack(maps)
     _check_weights(weights, mats)
@@ -468,21 +448,10 @@ def furstenberg_sample(
     rng = np.random.default_rng(rng)
     if iterations < 1 or count < 1:
         raise ValueError("iterations and count must be positive")
-    dims = tuple(int(k) for k in dims)
-    if not dims or any(not 0 < k < d for k in dims) or any(
-        b >= a for a, b in zip(dims, dims[1:])
-    ):
-        raise ValueError(f"flag dims must be strictly decreasing within 1..{d - 1}, got {dims}")
 
     invs = np.linalg.inv(mats)
     words = _draw_words(rng, weights.p, np.empty((count, iterations), dtype=np.int64))
     q, _ = qr_positive(rng.standard_normal((count, d, d)))
     # the first symbol is applied last, so it ends up outermost
     q, _ = _propagate(invs, words[:, ::-1], q)
-
-    samples = []
-    for i in range(count):
-        frames = tuple(SubspaceFrame(q[i][:, :k]) for k in dims)
-        samples.append(FlagSample(FlagChain(frames), words[i].copy()))
-    return samples
-
+    return q

@@ -28,13 +28,16 @@ from .domination import (
     gap_ratio_scan,
 )
 from .errors import BudgetExceededError
+from .linalg import SubspaceFrame
 from .measure import (
     DEFAULT_CENTERS,
     DEFAULT_RADII_COUNT,
     DEFAULT_RADII_RATIO,
+    MIN_USABLE_RADII,
     BoxCountReport,
     IfsSystem,
     LocalDimensionReport,
+    PointCloud,
     SeparationVerdict,
     box_counting_dimension,
     check_separation,
@@ -318,12 +321,11 @@ class DimensionReport:
     equivalence: KYEquivalence | None
     caveats: tuple[str, ...]
     config: PipelineConfig
-    schema_version: int = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
         """JSON-ready structure; every result number carries a provenance tag."""
         doc = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "route": self.route,
             "entropy": _tag(self.entropy, "closed-form"),
             "fiber_entropy": _tag(self.fiber_entropy, self.fiber_entropy_provenance),
@@ -376,10 +378,27 @@ class DimensionReport:
         return doc
 
 
+def _radii(cloud: PointCloud, cfg: PipelineConfig) -> np.ndarray:
+    """The pipeline's radii grid for ``cloud``: empty for a point mass.
+
+    Raises ``ValueError`` when the sample's truncation floor leaves a cloud
+    of positive extent fewer than ``MIN_USABLE_RADII`` radii, naming the
+    sample depth that set the floor.
+    """
+    radii = _default_radii(cloud, cfg.radii_count, cfg.radii_ratio)
+    if cloud.diameter > 0 and radii.size < MIN_USABLE_RADII:
+        raise ValueError(
+            f"dim.sample_depth {cfg.sample_depth} keeps {radii.size} radii above the "
+            f"sample's truncation floor, need at least {MIN_USABLE_RADII}; "
+            "raise dim.sample_depth"
+        )
+    return radii
+
+
 def _estimate_projection_dims(
     ifs: IfsSystem,
     indices: tuple[int, ...],
-    cloud,
+    cloud: PointCloud,
     cfg: PipelineConfig,
     rng_flags,
     rng_proj,
@@ -387,21 +406,18 @@ def _estimate_projection_dims(
     """Median projected-cloud dimension over sampled invariant directions."""
     caveats: list[str] = []
     d = ifs.d
-    dims = tuple(d - i for i in sorted(indices))
-    flags = furstenberg_sample(
-        ifs.matrices, ifs.weights, cfg.flag_iterations, cfg.flag_count, rng_flags,
-        dims=dims,
+    frames = furstenberg_sample(
+        ifs.matrices, ifs.weights, cfg.flag_iterations, cfg.flag_count, rng_flags
     )
     raw: dict[int, float] = {}
     spread: dict[int, float] = {}
     for i in sorted(indices):
         per_flag = []
-        for sample in flags:
-            v = sample.flag.subspace(d - i)
-            projected = project_cloud(cloud, v.complement())
+        for frame in frames:
+            # the flag member of dimension d - i is spanned by the first d - i columns
+            projected = project_cloud(cloud, SubspaceFrame(frame[:, :d - i]).complement())
             rep = local_dimension_estimate(
-                projected, _default_radii(projected, cfg.radii_count, cfg.radii_ratio),
-                n_centers=cfg.centers, rng=rng_proj,
+                projected, _radii(projected, cfg), n_centers=cfg.centers, rng=rng_proj,
             )
             per_flag.append(rep.median)
         raw[i] = float(np.median(per_flag))
@@ -494,8 +510,7 @@ def full_pipeline(ifs: IfsSystem, config: PipelineConfig | None = None) -> Dimen
 
     cloud = sample_measure(ifs, cfg.sample_count, cfg.sample_depth, rng_cloud)
     empirical = local_dimension_estimate(
-        cloud, _default_radii(cloud, cfg.radii_count, cfg.radii_ratio),
-        n_centers=cfg.centers, rng=rng_centers,
+        cloud, _radii(cloud, cfg), n_centers=cfg.centers, rng=rng_centers
     )
     boxcount = box_counting_dimension(cloud)
 

@@ -359,8 +359,7 @@ def strong_stable_bundle(
     worst = max(gap_f, gap_s)
     if worst > BUNDLE_GAP_TOL:
         raise SpectralGapError(
-            f"depth {depth} leaves gap ratio {worst:.3g} above {BUNDLE_GAP_TOL:g} at index {i}",
-            observed_gap=worst,
+            f"depth {depth} leaves gap ratio {worst:.3g} above {BUNDLE_GAP_TOL:g} at index {i}"
         )
     fast = SubspaceFrame(q_f[:, : d - i])
     slow = SubspaceFrame(q_s[:, :i])
@@ -373,8 +372,7 @@ def strong_stable_bundle(
     if equiv > BUNDLE_EQUIV_TOL:
         raise SpectralGapError(
             f"fast bundle equivariance residual {equiv:.3g} exceeds {BUNDLE_EQUIV_TOL:g}; "
-            "increase depth",
-            observed_gap=equiv,
+            "increase depth"
         )
 
     sup_ratio = float(bundle_growth_ratios(maps, w, fast, i, depth).max())

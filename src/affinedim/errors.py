@@ -16,15 +16,7 @@ class AffineDimError(Exception):
 
 
 class SpectralGapError(AffineDimError):
-    """An operation needed a singular-value gap that the data does not show.
-
-    Carries the best gap ratio observed so the caller can decide whether a
-    deeper run could help.
-    """
-
-    def __init__(self, message: str, observed_gap: float | None = None):
-        super().__init__(message)
-        self.observed_gap = observed_gap
+    """An operation needed a singular-value gap that the data does not show."""
 
 
 class BudgetExceededError(AffineDimError):

@@ -1,6 +1,6 @@
 """Small dense-matrix primitives.
 
-Singular values, exterior powers (compound matrices), and subspace/flag
+Singular values, exterior powers (compound matrices), and subspace
 geometry on orthonormal frames.  Everything here is a pure function of its
 inputs and works on plain ``numpy`` arrays; dimensions up to ``MAX_DIM`` are
 supported.
@@ -17,9 +17,7 @@ __all__ = [
     "MAX_DIM",
     "DET_EPS",
     "FRAME_ORTHO_TOL",
-    "FLAG_NESTING_TOL",
     "SubspaceFrame",
-    "FlagChain",
     "as_matrix",
     "check_contractive_invertible",
     "singular_values",
@@ -33,7 +31,6 @@ __all__ = [
 MAX_DIM = 8          # compound sizes stay small; larger d is rejected outright
 DET_EPS = 1e-12      # invertibility floor for the smallest singular value of A
 FRAME_ORTHO_TOL = 1e-10
-FLAG_NESTING_TOL = 1e-8
 
 
 def as_matrix(a) -> np.ndarray:
@@ -130,59 +127,12 @@ class SubspaceFrame:
             raise ValueError("spanning vectors are numerically rank deficient")
         return cls(q)
 
-    @classmethod
-    def coordinate(cls, d: int, axes) -> "SubspaceFrame":
-        """Span of the given coordinate axes (0-based)."""
-        axes = list(axes)
-        f = np.zeros((d, len(axes)))
-        for j, ax in enumerate(axes):
-            f[ax, j] = 1.0
-        return cls(f)
-
     def complement(self) -> "SubspaceFrame":
         """Orthonormal frame of the orthogonal complement."""
         if self.k == self.d:
             raise ValueError("the full space has no nonempty orthogonal complement")
         u, _, _ = np.linalg.svd(self.frame, full_matrices=True)
         return SubspaceFrame(u[:, self.k:])
-
-
-@dataclass(frozen=True)
-class FlagChain:
-    """Nested subspaces listed from largest to smallest dimension.
-
-    ``frames[i]`` strictly contains ``frames[i+1]`` up to ``FLAG_NESTING_TOL``.
-    A full chain in R^d has dims ``(d-1, d-2, ..., 1)``.
-    """
-
-    frames: tuple[SubspaceFrame, ...]
-
-    def __post_init__(self):
-        frames = tuple(self.frames)
-        if not frames:
-            raise ValueError("flag chain needs at least one subspace")
-        d = frames[0].d
-        dims = [f.k for f in frames]
-        if any(f.d != d for f in frames):
-            raise ValueError("frames have mismatched ambient dimensions")
-        if any(nxt >= prev for prev, nxt in zip(dims, dims[1:])):
-            raise ValueError(f"dims must be strictly decreasing, got {dims}")
-        for big, small in zip(frames, frames[1:]):
-            resid = small.frame - big.frame @ (big.frame.T @ small.frame)
-            if np.linalg.norm(resid, 2) > FLAG_NESTING_TOL:
-                raise ValueError("flag chain is not nested")
-        object.__setattr__(self, "frames", frames)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(f.k for f in self.frames)
-
-    def subspace(self, dim: int) -> SubspaceFrame:
-        """The member with the requested dimension."""
-        for f in self.frames:
-            if f.k == dim:
-                return f
-        raise KeyError(f"no subspace of dimension {dim} in chain {self.dims}")
 
 
 def index_tuples(d: int, p: int) -> list[tuple[int, ...]]:

@@ -151,19 +151,17 @@ def test_criterion_05_bundle_growth_bound_stable():
 
 
 def test_criterion_06_furstenberg_degenerate_and_stationary():
-    samples = furstenberg_sample(DIAG_PAIR, UNIFORM2, iterations=80, count=10_000, rng=606,
-                                 dims=(1,))
-    e1 = SubspaceFrame.coordinate(2, [0])
-    worst = max(principal_angle_distance(s.flag.frames[0], e1) for s in samples)
+    samples = furstenberg_sample(DIAG_PAIR, UNIFORM2, iterations=80, count=10_000, rng=606)
+    e1 = SubspaceFrame(np.eye(2)[:, [0]])
+    worst = max(principal_angle_distance(SubspaceFrame(q[:, :1]), e1) for q in samples)
     assert worst <= 1e-6
     rng = np.random.default_rng(607)
     maps = [0.55 * m / np.linalg.norm(m, 2) for m in rng.uniform(0.1, 1.0, size=(2, 2, 2))]
     # stationarity: one more iteration leaves the law of the line angle unchanged
-    flags = furstenberg_sample(maps, UNIFORM2, iterations=100, count=10_000, rng=608, dims=(1,))
-    pushed = furstenberg_sample(maps, UNIFORM2, iterations=101, count=10_000, rng=609, dims=(1,))
-    angle = lambda s: float(np.arctan2(s.flag.frames[0].frame[1, 0],
-                                       s.flag.frames[0].frame[0, 0]) % np.pi)
-    ks = stats.ks_2samp([angle(s) for s in flags], [angle(s) for s in pushed]).statistic
+    flags = furstenberg_sample(maps, UNIFORM2, iterations=100, count=10_000, rng=608)
+    pushed = furstenberg_sample(maps, UNIFORM2, iterations=101, count=10_000, rng=609)
+    angle = lambda q: np.arctan2(q[:, 1, 0], q[:, 0, 0]) % np.pi  # each frame's first column
+    ks = stats.ks_2samp(angle(flags), angle(pushed)).statistic
     assert ks < 0.05
     _passed(6, f"10^4 flags within {worst:.2e} of the strong axis; KS={ks:.4f}")
 

@@ -340,6 +340,20 @@ def test_config_H_above_entropy_is_located(command, tmp_path, capsys):
     assert err.startswith("error: dim.H: supplied fiber entropy 0.7 outside [0, 0.69314718")
 
 
+@pytest.mark.parametrize("depth, kept", [(3, 0), (8, 19)])
+def test_dim_shallow_sample_depth_refused_by_name(depth, kept, tmp_path, capsys):
+    # truncation at this depth leaves the cloud fewer radii than a fit needs
+    doc = json.loads((CONFIG_DIR / "cantor.json").read_text())
+    doc["dim"]["sample_depth"] = depth
+    out_path = tmp_path / "r.json"
+    code, out, err = run(["dim", "--config", write_config(tmp_path, doc), "--deterministic",
+                          "--out", str(out_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: dim.sample_depth {depth} keeps {kept} radii above the sample's "
+                   "truncation floor, need at least 20; raise dim.sample_depth\n")
+    assert not out_path.exists()
+
+
 def test_dim_histogram_csv(tmp_path, capsys):
     cfg = write_config(tmp_path, cantor_doc())
     hist = tmp_path / "hist.csv"

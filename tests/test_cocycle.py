@@ -20,7 +20,12 @@ from affinedim.cocycle import (
     lyapunov_spectrum,
 )
 from affinedim.config import load_config
-from affinedim.linalg import SubspaceFrame, principal_angle_distance
+from affinedim.linalg import (
+    FRAME_ORTHO_TOL,
+    SubspaceFrame,
+    principal_angle_distance,
+    qr_positive,
+)
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -31,9 +36,15 @@ def rotation(theta):
     return np.array([[c, -s], [s, c]])
 
 
-def line_angle(frame: SubspaceFrame) -> float:
-    v = frame.frame[:, 0]
-    return float(np.arctan2(v[1], v[0]) % np.pi)
+def line_angles(frames: np.ndarray) -> np.ndarray:
+    """Angle in [0, pi) of the line each sampled frame's first column spans."""
+    return np.arctan2(frames[:, 1, 0], frames[:, 0, 0]) % np.pi
+
+
+def assert_orthonormal_frames(frames: np.ndarray, count: int, d: int) -> None:
+    assert frames.shape == (count, d, d)
+    gram = frames.transpose(0, 2, 1) @ frames
+    assert np.abs(gram - np.eye(d)).max() <= FRAME_ORTHO_TOL
 
 
 DIAG_PAIR = (np.diag([1.0 / 3.0, 0.5]), np.diag([1.0 / 3.0, 0.5]))
@@ -595,9 +606,13 @@ def test_furstenberg_sample_draws_words_as_choice():
     w = BernoulliWeights(np.array([0.25, 0.0, 0.5, 0.25]))
     maps = [np.diag([0.5, 0.25]), np.array([[0.3, 0.1], [0.0, 0.4]]),
             np.diag([0.2, 0.6]), np.array([[0.4, 0.0], [0.2, 0.3]])]
-    samples = furstenberg_sample(maps, w, 5, 40, rng=5, dims=(1,))
-    want = np.random.default_rng(5).choice(4, size=(40, 5), p=w.p)
-    assert np.array_equal([s.word_prefix for s in samples], want)
+    frames = furstenberg_sample(maps, w, 5, 40, rng=5)
+    # the words are one choice call, and the start frames the next normal draw
+    rng = np.random.default_rng(5)
+    words = rng.choice(4, size=(40, 5), p=w.p)
+    q0, _ = qr_positive(rng.standard_normal((40, 2, 2)))
+    want, _ = cocycle._propagate(np.linalg.inv(maps), words[:, ::-1], q0)
+    assert np.array_equal(frames, want)
 
 
 # ---------------------------------------------------------------------------
@@ -605,20 +620,21 @@ def test_furstenberg_sample_draws_words_as_choice():
 
 
 def test_furstenberg_diagonal_dirac():
-    samples = furstenberg_sample(
-        DIAG_PAIR, BernoulliWeights.uniform(2), iterations=80, count=200, rng=31, dims=(1,)
+    frames = furstenberg_sample(
+        DIAG_PAIR, BernoulliWeights.uniform(2), iterations=80, count=200, rng=31
     )
-    e1 = SubspaceFrame.coordinate(2, [0])
-    for s in samples:
-        assert s.flag.dims == (1,)
-        assert principal_angle_distance(s.flag.frames[0], e1) <= 1e-8
+    assert_orthonormal_frames(frames, 200, 2)
+    e1 = SubspaceFrame(np.eye(2)[:, [0]])
+    for q in frames:
+        assert principal_angle_distance(SubspaceFrame(q[:, :1]), e1) <= 1e-8
 
 
 def test_furstenberg_single_map_dirac_at_eigenflag():
     a = 0.2 * np.array([[2.0, 1.0], [1.0, 1.0]])
-    samples = furstenberg_sample(
-        (a,), BernoulliWeights.uniform(1), iterations=120, count=16, rng=37, dims=(1,)
+    frames = furstenberg_sample(
+        (a,), BernoulliWeights.uniform(1), iterations=120, count=16, rng=37
     )
+    assert_orthonormal_frames(frames, 16, 2)
     # power-iteration oracle for the attracting line of the inverse action
     v = np.array([1.0, 0.3])
     a_inv = np.linalg.inv(a)
@@ -626,16 +642,8 @@ def test_furstenberg_single_map_dirac_at_eigenflag():
         v = a_inv @ v
         v /= np.linalg.norm(v)
     target = SubspaceFrame.from_span(v)
-    for s in samples:
-        assert principal_angle_distance(s.flag.frames[0], target) <= 1e-10
-
-
-@pytest.mark.parametrize("d, dims", [(2, ()), (2, (0,)), (2, (2,)), (3, (1, 2)), (3, (2, 2))],
-                         ids=["empty", "zero", "full", "increasing", "repeated"])
-def test_furstenberg_refuses_dims_that_are_not_a_flag(d, dims):
-    maps = (0.5 * np.eye(d), 0.25 * np.eye(d))
-    with pytest.raises(ValueError, match=f"strictly decreasing within 1..{d - 1}"):
-        furstenberg_sample(maps, BernoulliWeights.uniform(2), 10, 2, rng=0, dims=dims)
+    for q in frames:
+        assert principal_angle_distance(SubspaceFrame(q[:, :1]), target) <= 1e-10
 
 
 def test_furstenberg_stationarity_ks():
@@ -643,11 +651,10 @@ def test_furstenberg_stationarity_ks():
     rng = np.random.default_rng(43)
     maps = [0.5 * m / np.linalg.norm(m, 2) for m in rng.uniform(0.1, 1.0, (2, 2, 2))]
     w = BernoulliWeights.uniform(2)
-    samples = furstenberg_sample(maps, w, iterations=100, count=4000, rng=47, dims=(1,))
-    pushed = furstenberg_sample(maps, w, iterations=101, count=4000, rng=53, dims=(1,))
-    angles = [line_angle(s.flag.frames[0]) for s in samples]
-    pushed_angles = [line_angle(s.flag.frames[0]) for s in pushed]
-    ks = stats.ks_2samp(angles, pushed_angles).statistic
+    frames = furstenberg_sample(maps, w, iterations=100, count=4000, rng=47)
+    pushed = furstenberg_sample(maps, w, iterations=101, count=4000, rng=53)
+    assert_orthonormal_frames(frames, 4000, 2)
+    ks = stats.ks_2samp(line_angles(frames), line_angles(pushed)).statistic
     assert ks < 0.05
 
 
@@ -656,7 +663,7 @@ def test_weights_must_be_one_per_map(n):
     w = BernoulliWeights.uniform(n)
     calls = [
         lambda: lyapunov_spectrum(DIAG_PAIR, w, steps=200, trials=2, rng=0),
-        lambda: furstenberg_sample(DIAG_PAIR, w, 10, 2, rng=0, dims=(1,)),
+        lambda: furstenberg_sample(DIAG_PAIR, w, 10, 2, rng=0),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=f"^{n} weights for 2 maps$"):
@@ -665,21 +672,20 @@ def test_weights_must_be_one_per_map(n):
 
 def test_furstenberg_deterministic():
     w = BernoulliWeights.uniform(2)
-    a = furstenberg_sample(DIAG_PAIR, w, iterations=40, count=5, rng=67, dims=(1,))
-    b = furstenberg_sample(DIAG_PAIR, w, iterations=40, count=5, rng=67, dims=(1,))
-    for s, t in zip(a, b):
-        assert np.array_equal(s.flag.frames[0].frame, t.flag.frames[0].frame)
-        assert np.array_equal(s.word_prefix, t.word_prefix)
+    a = furstenberg_sample(DIAG_PAIR, w, iterations=40, count=5, rng=67)
+    b = furstenberg_sample(DIAG_PAIR, w, iterations=40, count=5, rng=67)
+    assert np.array_equal(a, b)
 
 
 def test_furstenberg_explicit_dims_three_dim():
     maps = (np.diag([0.2, 0.35, 0.6]), np.diag([0.25, 0.4, 0.55]))
-    samples = furstenberg_sample(
-        maps, BernoulliWeights.uniform(2), iterations=100, count=8, rng=71, dims=(2, 1)
+    frames = furstenberg_sample(
+        maps, BernoulliWeights.uniform(2), iterations=100, count=8, rng=71
     )
-    for s in samples:
-        assert s.flag.dims == (2, 1)
-        # fastest inverse growth is the first axis
-        assert principal_angle_distance(
-            s.flag.subspace(1), SubspaceFrame.coordinate(3, [0])
-        ) <= 1e-8
+    assert_orthonormal_frames(frames, 8, 3)
+    for q in frames:
+        # the inverse grows fastest along the first axis, then the second:
+        # the line is the first axis, the plane the first two
+        for k in (2, 1):
+            member = SubspaceFrame(q[:, :k])
+            assert principal_angle_distance(member, SubspaceFrame(np.eye(3)[:, :k])) <= 1e-8

@@ -21,7 +21,8 @@ from affinedim.dimension import (
     ly_dimension,
     lyapunov_dimension,
 )
-from affinedim.measure import IfsSystem
+from affinedim.linalg import SubspaceFrame
+from affinedim.measure import IfsSystem, PointCloud, project_cloud
 
 LOG2, LOG3 = np.log(2.0), np.log(3.0)
 BM_PROJ = 0.9182958340544898
@@ -476,6 +477,19 @@ def test_pipeline_radii_count_reaches_estimator():
     finer = full_pipeline(cantor_ifs(), small_config(sample_count=5000, radii_count=30))
     assert default.empirical.radii.size == 24
     assert finer.empirical.radii.size != default.empirical.radii.size
+
+
+def test_pipeline_radii_refuse_a_projection_the_depth_leaves_short():
+    # the cloud keeps its whole grid; the grid of its projection onto the thin
+    # axis starts 200 times lower and keeps 18 radii above the same floor
+    cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.005]]), np.full(3, 1e-6), 12)
+    cfg = PipelineConfig(sample_depth=12)
+    assert dimension._radii(cloud, cfg).size == 24
+    thin = project_cloud(cloud, SubspaceFrame(np.eye(2)[:, [1]]))
+    with pytest.raises(ValueError, match=r"^dim\.sample_depth 12 keeps 18 radii .* at least 20;"):
+        dimension._radii(thin, cfg)
+    # a point mass has no grid, and the estimator reads its slope as 0
+    assert dimension._radii(PointCloud(np.zeros((2, 1)), np.full(2, 1e-6), 12), cfg).size == 0
 
 
 def test_pipeline_deterministic():

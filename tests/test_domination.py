@@ -236,8 +236,8 @@ def diag_report():
 def test_bundle_diagonal_axes_exact():
     word = _choice(BernoulliWeights.uniform(2), 41, 7)
     est = strong_stable_bundle(DIAG_PAIR, word, i=1, depth=40, domination=diag_report())
-    e1 = SubspaceFrame.coordinate(2, [0])
-    e2 = SubspaceFrame.coordinate(2, [1])
+    e1 = SubspaceFrame(np.eye(2)[:, [0]])
+    e2 = SubspaceFrame(np.eye(2)[:, [1]])
     assert principal_angle_distance(est.fast, e1) <= 1e-10
     assert principal_angle_distance(est.slow, e2) <= 1e-10
     assert est.angle_lower_bound == pytest.approx(np.pi / 2)
@@ -327,8 +327,9 @@ def test_splitting_diagonal_three_dim_axes():
     # each index splits the weakly contracted axes (slow) from the strongly contracted ones (fast)
     for est, slow_axes in zip(bundles, ([2], [1, 2])):
         fast_axes = [k for k in range(3) if k not in slow_axes]
-        assert principal_angle_distance(est.slow, SubspaceFrame.coordinate(3, slow_axes)) <= 1e-8
-        assert principal_angle_distance(est.fast, SubspaceFrame.coordinate(3, fast_axes)) <= 1e-8
+        slow, fast = (SubspaceFrame(np.eye(3)[:, axes]) for axes in (slow_axes, fast_axes))
+        assert principal_angle_distance(est.slow, slow) <= 1e-8
+        assert principal_angle_distance(est.fast, fast) <= 1e-8
 
 
 def test_splitting_random_stp_direct_sum():

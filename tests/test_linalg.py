@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from affinedim.linalg import (
     DET_EPS,
-    FlagChain,
     SubspaceFrame,
     check_contractive_invertible,
     exterior_power,
@@ -133,13 +132,13 @@ def test_principal_angle_same_frame():
 
 
 def test_principal_angle_orthogonal_lines():
-    u = SubspaceFrame.coordinate(2, [0])
-    w = SubspaceFrame.coordinate(2, [1])
+    u = SubspaceFrame(np.eye(2)[:, [0]])
+    w = SubspaceFrame(np.eye(2)[:, [1]])
     assert principal_angle_distance(u, w) == pytest.approx(1.0)
 
 
 def test_principal_angle_45_degrees():
-    u = SubspaceFrame.coordinate(2, [0])
+    u = SubspaceFrame(np.eye(2)[:, [0]])
     w = SubspaceFrame.from_span(np.array([1.0, 1.0]))
     assert principal_angle_distance(u, w) == pytest.approx(np.sin(np.pi / 4), rel=1e-12)
 
@@ -168,7 +167,7 @@ def test_frame_requires_orthonormal_columns():
 
 
 def test_frame_is_immutable():
-    v = SubspaceFrame.coordinate(2, [0])
+    v = SubspaceFrame(np.eye(2)[:, [0]])
     with pytest.raises(ValueError):
         v.frame[0, 0] = 2.0
 
@@ -181,29 +180,8 @@ def test_frame_complement():
     assert np.allclose(v.frame.T @ c.frame, 0.0, atol=1e-12)
 
 
-def test_flag_chain_nesting_enforced():
-    big = SubspaceFrame.coordinate(3, [0, 1])
-    good_small = SubspaceFrame.coordinate(3, [1])
-    bad_small = SubspaceFrame.coordinate(3, [2])
-    chain = FlagChain((big, good_small))
-    assert chain.dims == (2, 1)
-    with pytest.raises(ValueError):
-        FlagChain((big, bad_small))
-    with pytest.raises(ValueError):
-        FlagChain((good_small, big))
-
-
-def test_flag_chain_subspace_lookup():
-    big = SubspaceFrame.coordinate(4, [0, 1, 2])
-    small = SubspaceFrame.coordinate(4, [1, 2])
-    chain = FlagChain((big, small))
-    assert chain.subspace(2) is small
-    with pytest.raises(KeyError):
-        chain.subspace(1)
-
-
 def test_smallest_principal_angle_transversal():
-    u = SubspaceFrame.coordinate(3, [0, 1])
+    u = SubspaceFrame(np.eye(3)[:, [0, 1]])
     w = SubspaceFrame.from_span(np.array([0.0, 1.0, 1.0]))
     assert smallest_principal_angle(u, w) == pytest.approx(np.pi / 4, rel=1e-12)
 
@@ -213,9 +191,9 @@ def test_smallest_principal_angle_transversal():
 def test_smallest_principal_angle_keeps_tiny_and_right_angles(t):
     # a cosine near 1 loses the angle below about 1e-8; its sine does not
     line = lambda *v: SubspaceFrame(np.array(v, dtype=float)[:, None])
-    cases = [(SubspaceFrame.coordinate(2, [0]), line(np.cos(t), np.sin(t))),
-             (SubspaceFrame.coordinate(3, [0, 1]), line(np.cos(t), 0.0, np.sin(t))),
-             (line(0.0, np.cos(t), np.sin(t)), SubspaceFrame.coordinate(3, [0, 1]))]
+    cases = [(SubspaceFrame(np.eye(2)[:, [0]]), line(np.cos(t), np.sin(t))),
+             (SubspaceFrame(np.eye(3)[:, [0, 1]]), line(np.cos(t), 0.0, np.sin(t))),
+             (line(0.0, np.cos(t), np.sin(t)), SubspaceFrame(np.eye(3)[:, [0, 1]]))]
     for u, w in cases:
         assert smallest_principal_angle(u, w) == pytest.approx(t, rel=1e-12)
         if u.k == w.k:

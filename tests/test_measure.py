@@ -683,7 +683,7 @@ def test_project_composition_matches_composed_frame():
 
 def test_project_dust_to_axis_is_cantor():
     dust = sample_measure(cantor_dust_ifs(), 20_000, 30, rng=43)
-    axis = project_cloud(dust, SubspaceFrame.coordinate(2, [0]))
+    axis = project_cloud(dust, SubspaceFrame(np.eye(2)[:, [0]]))
     line = sample_measure(cantor_ifs(), 20_000, 30, rng=47)
     ks = stats.ks_2samp(axis.points[:, 0], line.points[:, 0]).statistic
     assert ks < 0.03
@@ -692,14 +692,14 @@ def test_project_dust_to_axis_is_cantor():
 def test_project_bm_carpet_row_marginal():
     ifs = bm_carpet_ifs()  # rows 0,0,1 -> marginal (2/3, 1/3)
     cloud = sample_measure(ifs, 30_000, 30, rng=53)
-    rows = project_cloud(cloud, SubspaceFrame.coordinate(2, [1]))
+    rows = project_cloud(cloud, SubspaceFrame(np.eye(2)[:, [1]]))
     frac_low = np.mean(rows.points[:, 0] < 0.5)
     assert frac_low == pytest.approx(2.0 / 3.0, abs=0.01)
 
 
 def test_project_shares_frozen_errors():
     cloud = sample_measure(bm_carpet_ifs(), 300, 20, rng=59)
-    proj = project_cloud(cloud, SubspaceFrame.coordinate(2, [0]))
+    proj = project_cloud(cloud, SubspaceFrame(np.eye(2)[:, [0]]))
     assert np.shares_memory(proj.errors, cloud.errors)
     assert not proj.errors.flags.writeable
     assert proj.depth == cloud.depth == 20

@@ -31,9 +31,6 @@ METHODS_NOT_RUN_BY_COMMANDS = {
     "DominationReport.tds_verified": "no shipped config takes the dominated route",
     "SubspaceFrame.from_span": "test_criterion_05_bundle_growth_bound_stable, "
                                "through strong_stable_bundle",
-    "SubspaceFrame.coordinate": "test_criterion_06_furstenberg_degenerate_and_stationary",
-    "FlagChain.dims": "read by subspace only to name a missing dimension, which no "
-                      "command asks for",
 }
 
 
