@@ -264,15 +264,11 @@ def _block_codes(w: np.ndarray, length: int, b: int, n_maps: int, first: list[in
     w = w.reshape(batch, -1, length)
     starts = range(0, length, b)
     codes = np.empty((w.shape[1], len(starts), batch), dtype=np.intp)
+    powers = n_maps ** np.arange(b)
     for j, s in enumerate(starts):
         k = min(b, length - s)
-        # Horner's rule for first[k] + sum_i w[s + i] * n_maps**i
-        code = codes[:, j].T
-        code[...] = w[:, :, s + k - 1]
-        for i in range(s + k - 2, s - 1, -1):
-            code *= n_maps
-            code += w[:, :, i]
-        code += first[k]
+        # the row of a block of k symbols s_0 .. s_{k-1} is first[k] + sum_i s_i N**i
+        codes[:, j] = (w[:, :, s:s + k] @ powers[:k] + first[k]).T
     return codes.reshape(-1, batch)
 
 

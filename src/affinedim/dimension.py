@@ -381,12 +381,18 @@ class DimensionReport:
 def _radii(cloud: PointCloud, cfg: PipelineConfig) -> np.ndarray:
     """The pipeline's radii grid for ``cloud``: empty for a point mass.
 
-    Raises ``ValueError`` when the sample's truncation floor leaves a cloud
-    of positive extent fewer than ``MIN_USABLE_RADII`` radii, naming the
-    sample depth that set the floor.
+    Raises ``ValueError`` when a cloud of positive extent keeps fewer than
+    ``MIN_USABLE_RADII`` radii, naming ``radii_count`` when the grid asks for
+    fewer than that, and otherwise the sample depth whose truncation floor
+    dropped the rest.
     """
     radii = _default_radii(cloud, cfg.radii_count, cfg.radii_ratio)
     if cloud.diameter > 0 and radii.size < MIN_USABLE_RADII:
+        if cfg.radii_count < MIN_USABLE_RADII:
+            raise ValueError(
+                f"dim.radii_count {cfg.radii_count} is below the {MIN_USABLE_RADII} "
+                "radii a fit needs; raise dim.radii_count"
+            )
         raise ValueError(
             f"dim.sample_depth {cfg.sample_depth} keeps {radii.size} radii above the "
             f"sample's truncation floor, need at least {MIN_USABLE_RADII}; "

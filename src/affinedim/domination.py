@@ -98,6 +98,17 @@ def _log_ratios_from_compound_norms(log_norms: np.ndarray) -> np.ndarray:
     return padded[..., 2:] - 2.0 * padded[..., 1:-1] + padded[..., :-2]
 
 
+def _two_norms(a: np.ndarray) -> np.ndarray:
+    """2-norms of a stack of square matrices, from the top eigenvalue of each Gram.
+
+    ``||a||_2`` is the root of the largest eigenvalue of ``a^T a``.  By Weyl's
+    bound the computed eigenvalue is within about ``n eps ||a||^2`` of it, so
+    the norm keeps full relative accuracy however small the other singular
+    values are, while the squares stay normal floats; no SVD is formed.
+    """
+    return np.sqrt(np.linalg.eigvalsh(np.swapaxes(a, -2, -1) @ a)[..., -1])
+
+
 def gap_ratio_scan(maps, n_max: int, budget: int = PRODUCT_BUDGET) -> GapRatioTable:
     """Exact per-length maxima of gap ratios over every word up to ``n_max``.
 
@@ -106,6 +117,15 @@ def gap_ratio_scan(maps, n_max: int, budget: int = PRODUCT_BUDGET) -> GapRatioTa
     their log norms, so the N children of every word are formed at once.
     A batch holds at most ``_SCAN_BATCH_FLOATS`` floats of products, or the
     children of a single word when those alone are more.
+
+    Each child's 2-norm is the root of its Gram's top eigenvalue
+    (:func:`_two_norms`), or ``|det|`` for the 1x1 order-d compound; the
+    child is then divided by it in place.  The scan needs only these top
+    singular values, and the Gram loses none of their accuracy: a child of
+    order ``p < d`` has norm at least the p-th power of the smallest
+    singular value of a map, so above ``DET_EPS ** 7``, whose square is a
+    normal float.
+
     Raises :class:`BudgetExceededError` when ``N ** n_max`` exceeds ``budget``.
     """
     mats = as_map_stack(maps)
@@ -140,8 +160,9 @@ def gap_ratio_scan(maps, n_max: int, budget: int = PRODUCT_BUDGET) -> GapRatioTa
                 if comp.shape[1] == 1:  # the 1x1 order-d compound: its 2-norm is |det|
                     norm = np.abs(nxt[..., 0, 0])
                 else:
-                    norm = np.linalg.norm(nxt, 2, axis=(-2, -1))
-                children.append((nxt / norm[..., None, None]).reshape((-1,) + comp.shape[1:]))
+                    norm = _two_norms(nxt)
+                nxt /= norm[..., None, None]
+                children.append(nxt.reshape((-1,) + comp.shape[1:]))
                 logs.append((off[:, None] + np.log(norm)).ravel())
             products_examined += len(logs[0])
             stack.append((depth + 1, children, np.stack(logs, axis=1)))

@@ -143,6 +143,26 @@ def word_product(maps, word):
     return out
 
 
+def horner_block_codes(w, length, b, n_maps, first):
+    """``cocycle._block_codes`` by Horner's rule, one symbol position of a block at a time."""
+    if b == 1:
+        return w.T
+    batch = w.shape[0]
+    w = w.reshape(batch, -1, length)
+    starts = range(0, length, b)
+    codes = np.empty((w.shape[1], len(starts), batch), dtype=np.intp)
+    for j, s in enumerate(starts):
+        k = min(b, length - s)
+        # first[k] + sum_i w[s + i] * n_maps**i
+        code = codes[:, j].T
+        code[...] = w[:, :, s + k - 1]
+        for i in range(s + k - 2, s - 1, -1):
+            code *= n_maps
+            code += w[:, :, i]
+        code += first[k]
+    return codes.reshape(-1, batch)
+
+
 def haar_frame(d: int, rng: np.random.Generator, k: int | None = None) -> np.ndarray:
     """Haar-random orthonormal ``d x k`` frame (``k = d`` by default)."""
     g = rng.standard_normal((d, d))

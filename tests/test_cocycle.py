@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import traced_peak, word_product
+from conftest import horner_block_codes, traced_peak, word_product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -444,6 +444,21 @@ def test_block_length_caps():
     assert cocycle._schedule(skewed, 10, 1) == (10, 10)
     assert cocycle._schedule(bad, 10, 1) == (10, 10)
     assert cocycle._schedule(scalar, 10, 1) == (10, 6)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+@pytest.mark.parametrize("n_maps", [1, 2, 3, 5])
+def test_block_codes_match_horner(n_maps, dtype):
+    rng = np.random.default_rng(n_maps)
+    for b in range(1, 13):
+        # the _block_table row of the first word of each length 0..b
+        first = [0, 0] + [sum(n_maps**j for j in range(1, k)) for k in range(2, b + 1)]
+        # whole blocks only, a tail block after them, and a tail block alone
+        for length in {b, 3 * b, 3 * b + (b + 1) // 2, b + 1, max(1, b - 1)}:
+            w = rng.integers(0, n_maps, size=(5, 2 * length), dtype=dtype)
+            codes = cocycle._block_codes(w, length, b, n_maps, first)
+            oracle = horner_block_codes(w, length, b, n_maps, first)
+            assert codes.dtype == oracle.dtype and np.array_equal(codes, oracle), (b, length)
 
 
 def test_schedule_of_one_step_needs_no_svd(monkeypatch):

@@ -492,6 +492,13 @@ def test_pipeline_radii_refuse_a_projection_the_depth_leaves_short():
     assert dimension._radii(PointCloud(np.zeros((2, 1)), np.full(2, 1e-6), 12), cfg).size == 0
 
 
+def test_pipeline_radii_count_below_usable_minimum_named():
+    # the resolved depth keeps all ten radii: the grid, not the depth, is short
+    with pytest.raises(ValueError, match=r"^dim\.radii_count 10 is below the 20 radii a fit "
+                                         r"needs; raise dim\.radii_count$"):
+        full_pipeline(cantor_ifs(), small_config(sample_count=5000, radii_count=10))
+
+
 def test_pipeline_deterministic():
     a = full_pipeline(cantor_ifs(), small_config(sample_count=5000))
     b = full_pipeline(cantor_ifs(), small_config(sample_count=5000))

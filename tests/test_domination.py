@@ -4,7 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import PASCAL3, random_contractive_tuple, random_stp_tuple, word_product
+from conftest import (PASCAL3, haar_frame, random_contractive_tuple, random_stp_tuple,
+                      word_product)
 
 from affinedim import domination
 from affinedim.cocycle import BernoulliWeights
@@ -16,7 +17,7 @@ from affinedim.domination import (
     strong_stable_bundle,
 )
 from affinedim.errors import BudgetExceededError
-from affinedim.linalg import SubspaceFrame, exterior_power, principal_angle_distance
+from affinedim.linalg import DET_EPS, SubspaceFrame, exterior_power, principal_angle_distance
 
 DIAG_PAIR = (np.diag([1.0 / 3.0, 0.5]), np.diag([1.0 / 3.0, 0.5]))
 
@@ -107,6 +108,42 @@ def test_scan_one_parent_per_batch_matches_default(monkeypatch, d, n_maps, n_max
     narrow = gap_ratio_scan(maps, n_max)
     assert np.array_equal(narrow.log_ratios, default.log_ratios)
     assert narrow.products_examined == default.products_examined
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 28, 56])  # the compound sizes of d = 3 and d = 8
+def test_two_norms_match_the_svd_norm(n):
+    rng = np.random.default_rng(n)
+    frames = np.stack([haar_frame(n, rng) for _ in range(24)])
+    # singular values in [0.1, 0.9] but the smallest at the invertibility floor
+    sv = np.sort(rng.uniform(0.1, 0.9, (24, n)), axis=1)[:, ::-1]
+    sv[:, -1] = DET_EPS
+    floor = (frames * sv[:, None]) @ frames[::-1]
+    batches = {
+        "gaussian": rng.standard_normal((24, n, n)),
+        "conformal": rng.uniform(0.1, 0.9, (24, 1, 1)) * frames,  # equal singular values
+        "det-floor": floor,
+        # the smallest norm a scan child of order p <= 7 can have
+        "det-floor-7": DET_EPS**7 * floor / 0.9,
+    }
+    for name, a in batches.items():
+        ref = np.linalg.norm(a, 2, axis=(-2, -1))
+        assert np.max(np.abs(domination._two_norms(a) - ref) / ref) <= 1e-14, name
+
+
+@pytest.mark.parametrize("maps", [stp_pair_3x3(), random_stp_tuple(np.random.default_rng(4), 4, 2)],
+                         ids=["stp3", "stp4"])
+def test_scan_needs_no_svd(maps, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("svd or norm called")
+
+    default = gap_ratio_scan(maps, 7)
+    # the maps are validated (by an SVD each) before the refusal is set
+    mats = domination.as_map_stack(maps)
+    monkeypatch.setattr(domination, "as_map_stack", lambda _: mats)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    table = gap_ratio_scan(maps, 7)
+    assert np.array_equal(table.log_ratios, default.log_ratios)
 
 
 # ---------------------------------------------------------------------------
