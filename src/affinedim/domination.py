@@ -104,7 +104,7 @@ def _two_norms(a: np.ndarray) -> np.ndarray:
     ``||a||_2`` is the root of the largest eigenvalue of ``a^T a``.  By Weyl's
     bound the computed eigenvalue is within about ``n eps ||a||^2`` of it, so
     the norm keeps full relative accuracy however small the other singular
-    values are, while the squares stay normal floats; no SVD is formed.
+    values are, as long as ``||a||^2`` is a normal float.  No SVD is formed.
     """
     return np.sqrt(np.linalg.eigvalsh(np.swapaxes(a, -2, -1) @ a)[..., -1])
 
@@ -118,13 +118,11 @@ def gap_ratio_scan(maps, n_max: int, budget: int = PRODUCT_BUDGET) -> GapRatioTa
     A batch holds at most ``_SCAN_BATCH_FLOATS`` floats of products, or the
     children of a single word when those alone are more.
 
-    Each child's 2-norm is the root of its Gram's top eigenvalue
-    (:func:`_two_norms`), or ``|det|`` for the 1x1 order-d compound; the
-    child is then divided by it in place.  The scan needs only these top
-    singular values, and the Gram loses none of their accuracy: a child of
-    order ``p < d`` has norm at least the p-th power of the smallest
-    singular value of a map, so above ``DET_EPS ** 7``, whose square is a
-    normal float.
+    Each child's 2-norm comes from its Gram (:func:`_two_norms`), or is
+    ``|det|`` for the 1x1 order-d compound, and the child is divided by it
+    in place.  A child of order ``p < d`` has norm at least the p-th power
+    of the smallest singular value of a map, so above ``DET_EPS ** 7``,
+    whose square is a normal float: the Gram costs the norm no accuracy.
 
     Raises :class:`BudgetExceededError` when ``N ** n_max`` exceeds ``budget``.
     """
