@@ -77,10 +77,6 @@ class BernoulliWeights:
     def n(self) -> int:
         return self.p.size
 
-    @property
-    def strictly_positive(self) -> bool:
-        return bool(np.all(self.p > 0))
-
     @classmethod
     def uniform(cls, n: int) -> "BernoulliWeights":
         return cls(np.full(n, 1.0 / n))
@@ -122,18 +118,12 @@ class LyapunovSpectrum:
         return all(m == 1 for m in self.multiplicities)
 
 
-def as_map_stack(maps, require_contractive: bool = True) -> np.ndarray:
-    """Stack a tuple of matrices into an (N, d, d) array, validating each."""
-    mats = [
-        check_contractive_invertible(m) if require_contractive else np.asarray(m, dtype=float)
-        for m in maps
-    ]
-    if not mats:
-        raise ValueError("need at least one map")
-    stack = np.stack(mats)
-    if stack.shape[1] != stack.shape[2]:
-        raise ValueError("maps must be square matrices")
-    return stack
+def as_map_stack(maps) -> np.ndarray:
+    """``maps`` as a nonempty (N, d, d) stack of contractive invertible matrices."""
+    stack = np.asarray(maps, dtype=float)
+    if stack.ndim != 3 or not stack.shape[0]:
+        raise ValueError(f"need a nonempty (N, d, d) stack of maps, got shape {stack.shape}")
+    return check_contractive_invertible(stack)
 
 
 def _check_weights(weights: BernoulliWeights, mats: np.ndarray) -> None:
@@ -161,9 +151,9 @@ def _check_word(word, n_maps: int) -> np.ndarray:
 
 
 def entropy(weights: BernoulliWeights) -> float:
-    """Shannon entropy of the weights in nats."""
+    """Shannon entropy of the weights in nats; +0.0, not -0.0, for a point mass."""
     p = weights.p[weights.p > 0]
-    return float(-(p * np.log(p)).sum())
+    return float(0.0 - (p * np.log(p)).sum())
 
 
 def _draw_words(rng: np.random.Generator, p: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -354,11 +344,6 @@ def _symbol_counts(words: np.ndarray, n_maps: int) -> np.ndarray:
     return counts.reshape(batch, n_maps)
 
 
-def _compounds(mats: np.ndarray, p: int) -> np.ndarray:
-    """The p-th compound matrix of each map, stacked."""
-    return np.stack([exterior_power(m, p) for m in mats])
-
-
 def lyapunov_spectrum(
     maps,
     weights: BernoulliWeights,
@@ -408,7 +393,7 @@ def lyapunov_spectrum(
     else:
         partial = np.zeros((trials, d + 1))
         for p in range(1, d):
-            compounds = _compounds(mats, p)
+            compounds = exterior_power(mats, p)
             _, grow = _propagate(compounds, words, np.eye(compounds.shape[1])[:, :1])
             partial[:, p] = grow[:, 0]
         partial[:, d] = _symbol_counts(words, mats.shape[0]) @ np.linalg.slogdet(mats)[1]

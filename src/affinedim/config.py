@@ -18,6 +18,7 @@ from .cocycle import PRODUCT_BUDGET, BernoulliWeights, entropy
 from .dimension import PipelineConfig, _check_fiber_entropy
 from .domination import EPS_SLOPE, MIN_FIT_LENGTH
 from .errors import ConfigError
+from .linalg import check_contractive_invertible
 from .measure import MIN_USABLE_RADII, IfsSystem
 
 CONFIG_SCHEMA_VERSION = 1
@@ -149,7 +150,10 @@ def _parse_matrix(entry, d: int | None, loc: str) -> np.ndarray:
             raise ConfigError(f"flat matrix of length {len(flat)} is not square", loc)
     if d is not None and n != d:
         raise ConfigError(f"matrix is {n}x{n}, expected {d}x{d}", loc)
-    return np.array([_number(x, loc) for x in flat]).reshape(n, n)
+    try:
+        return check_contractive_invertible(np.array([_number(x, loc) for x in flat]).reshape(n, n))
+    except ValueError as err:
+        raise ConfigError(str(err), loc) from None
 
 
 def _parse_ifs(doc: dict) -> IfsSystem:

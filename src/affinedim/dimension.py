@@ -457,9 +457,10 @@ def full_pipeline(ifs: IfsSystem, config: PipelineConfig | None = None) -> Dimen
     separation checking, measure sampling, per-index projected-dimension
     estimation at sampled invariant directions, and the formula evaluations.
     The fiber-entropy correction is set to zero only when strong separation
-    is verified and all weights are positive; otherwise it must be supplied
-    in the config, or the formula value is reported conditional on it.  A
-    supplied value outside ``[0, h]`` is refused before any stage runs.
+    of all the maps is verified (a map of weight zero keeps the pieces
+    disjoint); otherwise it must be supplied in the config, or the formula
+    value is reported conditional on it.  A supplied value outside
+    ``[0, h]`` is refused before any stage runs.
     """
     cfg = (config or PipelineConfig()).resolved(ifs)
     h = entropy(ifs.weights)
@@ -505,7 +506,7 @@ def full_pipeline(ifs: IfsSystem, config: PipelineConfig | None = None) -> Dimen
 
     if cfg.fiber_entropy is not None:
         fiber, fiber_prov = float(cfg.fiber_entropy), "user-supplied"
-    elif separation.status == "ssc-verified" and ifs.weights.strictly_positive:
+    elif separation.status == "ssc-verified":
         fiber, fiber_prov = 0.0, "closed-form"
     else:
         fiber, fiber_prov = None, "unresolved"

@@ -19,13 +19,13 @@ import numpy as np
 from .cocycle import (
     PRODUCT_BUDGET,
     _check_word,
-    _compounds,
     _propagate,
     as_map_stack,
 )
 from .errors import BudgetExceededError, SpectralGapError, SubspaceInconsistencyError
 from .linalg import (
     SubspaceFrame,
+    as_matrix,
     exterior_power,
     principal_angle_distance,
     smallest_principal_angle,
@@ -118,11 +118,13 @@ def gap_ratio_scan(maps, n_max: int, budget: int = PRODUCT_BUDGET) -> GapRatioTa
     A batch holds at most ``_SCAN_BATCH_FLOATS`` floats of products, or the
     children of a single word when those alone are more.
 
-    Each child's 2-norm comes from its Gram (:func:`_two_norms`), or is
-    ``|det|`` for the 1x1 order-d compound, and the child is divided by it
-    in place.  A child of order ``p < d`` has norm at least the p-th power
-    of the smallest singular value of a map, so above ``DET_EPS ** 7``,
-    whose square is a normal float: the Gram costs the norm no accuracy.
+    Each child's 2-norm comes from its Gram (:func:`_two_norms`), and the
+    child is divided by it in place.  A child of order ``p < d`` has norm at
+    least the p-th power of the smallest singular value of a map, so above
+    ``DET_EPS ** 7``, whose square is a normal float: the Gram costs the norm
+    no accuracy.  Order d is read from determinants, as the spectrum reads
+    ``S_d``: a child's log norm is its parent's plus ``log|det A_s|``, so at
+    ``d = 1`` no product is formed, yet every word counts as examined.
 
     Raises :class:`BudgetExceededError` when ``N ** n_max`` exceeds ``budget``.
     """
@@ -134,14 +136,17 @@ def gap_ratio_scan(maps, n_max: int, budget: int = PRODUCT_BUDGET) -> GapRatioTa
         raise BudgetExceededError(
             f"{n_maps}^{n_max} words exceed the {budget} product budget"
         )
-    compounds = [_compounds(mats, p) for p in range(1, d + 1)]
+    compounds = [exterior_power(mats, p) for p in range(1, d)]
+    log_dets = np.log(np.abs(np.linalg.det(mats)))
     floats_per_word = sum(c[0].size for c in compounds)
-    parents_per_batch = max(1, _SCAN_BATCH_FLOATS // (floats_per_word * n_maps))
-    best = np.full((n_max + 1, max(d - 1, 0)), -np.inf)
+    # at d = 1 a word holds no products, only its log|det|
+    parents_per_batch = max(1, _SCAN_BATCH_FLOATS // max(1, floats_per_word * n_maps))
+    best = np.full((n_max + 1, d - 1), -np.inf)
     best[0, :] = 0.0
     products_examined = 0
 
-    # stack entries: (depth, normalised compound products per order, log norms)
+    # stack entries: (depth, normalised compound products of orders 1..d-1,
+    # log norms of orders 1..d)
     stack = [(0, [np.eye(c.shape[1])[None] for c in compounds], np.zeros((1, d)))]
     while stack:
         depth, prods, offs = stack.pop()
@@ -153,15 +158,13 @@ def gap_ratio_scan(maps, n_max: int, budget: int = PRODUCT_BUDGET) -> GapRatioTa
         for lo in range(0, len(offs), parents_per_batch):
             part = slice(lo, lo + parents_per_batch)
             children, logs = [], []
-            for prod, comp, off in zip(prods, compounds, offs[part].T):
+            for prod, comp, off in zip(prods, compounds, offs[part, :-1].T):
                 nxt = prod[part, None] @ comp[None]
-                if comp.shape[1] == 1:  # the 1x1 order-d compound: its 2-norm is |det|
-                    norm = np.abs(nxt[..., 0, 0])
-                else:
-                    norm = _two_norms(nxt)
+                norm = _two_norms(nxt)
                 nxt /= norm[..., None, None]
                 children.append(nxt.reshape((-1,) + comp.shape[1:]))
                 logs.append((off[:, None] + np.log(norm)).ravel())
+            logs.append((offs[part, -1, None] + log_dets).ravel())
             products_examined += len(logs[0])
             stack.append((depth + 1, children, np.stack(logs, axis=1)))
     return GapRatioTable(d, n_max, best, products_examined)
@@ -265,11 +268,11 @@ def cone_invariance_check(maps, p: int) -> bool:
     True when every entry of every p-th compound is strictly positive, so the
     closed positive orthant of the exterior power maps into its interior.
     """
-    mats = as_map_stack(maps, require_contractive=False)
-    d = mats.shape[1]
+    mats = as_matrix(maps)
+    d = mats.shape[-1]
     if not 1 <= p <= d - 1:
         raise ValueError(f"need 1 <= p <= {d - 1}")
-    return all(exterior_power(m, p).min() > EPS_MINOR for m in mats)
+    return bool(exterior_power(mats, p).min() > EPS_MINOR)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Singular values, exterior powers (compound matrices), and subspace
 geometry on orthonormal frames.  Everything here is a pure function of its
 inputs and works on plain ``numpy`` arrays; dimensions up to ``MAX_DIM`` are
-supported.
+supported, and the matrix functions take a stack ``(..., d, d)`` wherever
+they take one matrix.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ FRAME_ORTHO_TOL = 1e-10
 
 
 def as_matrix(a) -> np.ndarray:
-    """Validate ``a`` as a finite square matrix of supported size."""
+    """Validate ``a`` as a finite square matrix of supported size, or a stack ``(..., d, d)``."""
     arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    n = arr.shape[0]
+    n = arr.shape[-1]
     if not 1 <= n <= MAX_DIM:
         raise ValueError(f"dimension {n} outside supported range 1..{MAX_DIM}")
     if not np.all(np.isfinite(arr)):
@@ -51,22 +52,27 @@ def check_contractive_invertible(a) -> np.ndarray:
 
     Invertibility is judged by the smallest singular value, the 2-norm
     distance from ``a`` to the singular matrices, so a well-conditioned
-    contraction with a tiny determinant passes.
+    contraction with a tiny determinant passes.  On a stack the error names
+    the first bad map, as ``maps[i]``.
     """
     arr = as_matrix(a)
     sv = singular_values(arr)
-    if sv[-1] >= 1.0:
-        raise ValueError(f"matrix is not contractive: operator norm {sv[-1]:.6g} >= 1")
-    if sv[0] <= DET_EPS:
-        raise ValueError(f"matrix is numerically singular: smallest singular value "
-                         f"{sv[0]:.6g} <= {DET_EPS:g}")
+    bad = (sv[..., -1] >= 1.0) | (sv[..., 0] <= DET_EPS)
+    if bad.any():
+        at = tuple(np.argwhere(bad)[0])
+        name = f"maps[{', '.join(map(str, at))}]" if at else "matrix"
+        top, low = sv[at][-1], sv[at][0]
+        if top >= 1.0:
+            raise ValueError(f"{name} is not contractive: operator norm {top:.6g} >= 1")
+        raise ValueError(f"{name} is numerically singular: smallest singular value "
+                         f"{low:.6g} <= {DET_EPS:g}")
     return arr
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values of a square matrix, sorted ascending."""
+    """Singular values of a square matrix, or of each in a stack, sorted ascending."""
     arr = as_matrix(a)
-    return np.linalg.svd(arr, compute_uv=False)[::-1].copy()
+    return np.linalg.svd(arr, compute_uv=False)[..., ::-1].copy()
 
 
 def qr_positive(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,16 +151,16 @@ def exterior_power(a, p: int) -> np.ndarray:
 
     Rows and columns are indexed by ``index_tuples(d, p)`` in lexicographic
     order, so the result is ``C(d, p) x C(d, p)`` and multiplicative over
-    matrix products.
+    matrix products.  A stack ``(..., d, d)`` gives the stack of compounds.
     """
     arr = as_matrix(a)
-    d = arr.shape[0]
+    d = arr.shape[-1]
     if not 1 <= p <= d:
         raise ValueError(f"need 1 <= p <= {d}, got p={p}")
     if p == 1:
         return arr.copy()
     idx = np.asarray(index_tuples(d, p))
-    sub = arr[idx[:, None, :, None], idx[None, :, None, :]]
+    sub = arr[..., idx[:, None, :, None], idx[None, :, None, :]]
     with np.errstate(divide="ignore", invalid="ignore"):
         # zero minors are legitimate entries; LAPACK warns on exact singularity
         return np.linalg.det(sub)

@@ -56,7 +56,7 @@ class IfsSystem:
     weights: BernoulliWeights
 
     def __post_init__(self):
-        mats = as_map_stack(list(np.asarray(self.matrices, dtype=float)))
+        mats = as_map_stack(self.matrices)
         ts = np.asarray(self.translations, dtype=float)
         if ts.shape != (mats.shape[0], mats.shape[1]):
             raise ValueError(
@@ -82,7 +82,7 @@ class IfsSystem:
 
     @cached_property
     def top_singular_values(self) -> np.ndarray:
-        return np.array([singular_values(m)[-1] for m in self.matrices])
+        return singular_values(self.matrices)[:, -1]
 
     @cached_property
     def bounding_radius(self) -> float:
@@ -99,7 +99,9 @@ class IfsSystem:
         radius, so ``f_w`` maps the ball into ``B(f_w(c), ||A_w|| R_c)``, which
         lies in the ball of every prefix of ``w`` (Hutchinson 1981).
         """
-        fixed = np.array([self.map_fixed_point(i) for i in range(self.n_maps)])
+        # (I - A_i) x_i = t_i for every map; numpy reads a 2-d right side as one matrix
+        fixed = np.linalg.solve(np.eye(self.d) - self.matrices, self.translations[..., None])
+        fixed = fixed[..., 0]
         c = (fixed.min(axis=0) + fixed.max(axis=0)) / 2.0
         moved = np.linalg.norm(self.matrices @ c + self.translations - c, axis=1)
         return c, float((moved / (1.0 - self.top_singular_values)).max())
@@ -107,9 +109,6 @@ class IfsSystem:
     def truncation_bound(self, words) -> np.ndarray:
         """Truncation error ``R * prod(alpha_1(A_{w_k}))`` of each word (over the last axis)."""
         return self.bounding_radius * np.prod(self.top_singular_values[words], axis=-1)
-
-    def map_fixed_point(self, i: int) -> np.ndarray:
-        return np.linalg.solve(np.eye(self.d) - self.matrices[i], self.translations[i])
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -439,7 +438,7 @@ def lift_ifs(ifs: IfsSystem) -> LiftedIfs:
     strongly separates.
     """
     n = ifs.n_maps
-    rho = 0.9 * min(1.0 / n, min(float(singular_values(m)[0]) for m in ifs.matrices))
+    rho = 0.9 * min(1.0 / n, float(singular_values(ifs.matrices)[:, 0].min()))
     d = ifs.d
     mats = np.zeros((n, d + 1, d + 1))
     mats[:, :d, :d] = ifs.matrices

@@ -5,9 +5,9 @@ import tracemalloc
 
 import numpy as np
 
-from affinedim.cocycle import BernoulliWeights, _check_word, as_map_stack
+from affinedim.cocycle import BernoulliWeights, _check_word
 from affinedim.domination import stp_check
-from affinedim.linalg import qr_positive
+from affinedim.linalg import as_matrix, qr_positive
 from affinedim.measure import IfsSystem
 
 PASCAL3 = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0], [1.0, 3.0, 6.0]])
@@ -136,7 +136,7 @@ def gentle_stp_tuple(rng, d, n_maps, norm=0.8):
 
 def word_product(maps, word):
     """Left-to-right product of the maps named by ``word`` (empty -> identity)."""
-    mats = as_map_stack(maps, require_contractive=False)
+    mats = as_matrix(maps)
     out = np.eye(mats.shape[1])
     for s in _check_word(word, mats.shape[0]):
         out = out @ mats[s]

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -71,6 +72,19 @@ def test_bad_matrix_shape_reports_location(tmp_path, capsys):
     code, _, err = run(["lyapunov", "--config", write_config(tmp_path, doc)], capsys)
     assert code == 2
     assert "ifs.matrices[1]" in err
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([[1.2]], "ifs.matrices[1]: matrix is not contractive: operator norm 1.2 >= 1"),
+    ([[0.0]],
+     "ifs.matrices[1]: matrix is numerically singular: smallest singular value 0 <= 1e-12"),
+], ids=["not-contractive", "singular"])
+def test_bad_map_reports_location(tmp_path, capsys, matrix, message):
+    doc = cantor_doc()
+    doc["ifs"]["matrices"] = [[[1 / 3]], matrix]
+    code, out, err = run(["lyapunov", "--config", write_config(tmp_path, doc)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_config_roundtrip_normalization(tmp_path):
@@ -474,6 +488,48 @@ def test_shipped_config_report_bytes_pinned(command, name, tmp_path, capsys):
                       "--out", str(path)], capsys)
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest()[:12] == PINNED_DIGESTS[command, name]
+
+
+# certify-stp3's own reports, which run the gap scan to depth 14 and the
+# spectrum over 100,000 steps; a moved digest is explained in CHANGES.md
+CERTIFY_STP3_DIGESTS = {
+    ("domination",): "6bd0f5d5ec94",
+    ("lyapunov", "--steps", "100000"): "2914b9b5f1db",
+}
+
+
+@pytest.mark.parametrize("args", CERTIFY_STP3_DIGESTS, ids=["domination", "lyapunov"])
+def test_certify_stp3_report_bytes_pinned(args, tmp_path, capsys):
+    doc = json.loads((CONFIG_DIR / "stp3.json").read_text())
+    doc["domination"] = {"n_max": 14}
+    path = tmp_path / "report.json"
+    code, _, _ = run([*args, "--config", write_config(tmp_path, doc), "--deterministic",
+                      "--out", str(path)], capsys)
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:12] == CERTIFY_STP3_DIGESTS[args]
+
+
+def _numbers(node):
+    """Every float in a parsed JSON document."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [x for item in node for x in _numbers(item)]
+    return [node] if isinstance(node, float) else []
+
+
+@pytest.mark.parametrize("command", ["lyapunov", "dim"])
+@pytest.mark.parametrize("ifs", [
+    {"matrices": [[[0.5, 0.1], [0.0, 0.3]]], "translations": [[0.1, 0.2]], "weights": [1.0]},
+    {"matrices": [[[1 / 3]], [[1 / 3]]], "translations": [[0.0], [2 / 3]], "weights": [1.0, 0.0]},
+], ids=["one-map", "cantor-point-mass"])
+def test_point_mass_reports_have_no_negative_zero(command, ifs, tmp_path, capsys):
+    code, out, _ = run([command, "--config", write_config(tmp_path, cantor_doc(ifs=ifs)),
+                        "--deterministic"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["results"]["entropy"]["value"] == 0.0
+    assert not [x for x in _numbers(report) if x == 0.0 and math.copysign(1.0, x) < 0]
 
 
 def _fresh_python(code, *args):

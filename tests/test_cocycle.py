@@ -15,6 +15,7 @@ from affinedim import cocycle
 from affinedim.cocycle import (
     BernoulliWeights,
     LyapunovSpectrum,
+    as_map_stack,
     entropy,
     furstenberg_sample,
     lyapunov_spectrum,
@@ -23,6 +24,7 @@ from affinedim.config import load_config
 from affinedim.linalg import (
     FRAME_ORTHO_TOL,
     SubspaceFrame,
+    exterior_power,
     principal_angle_distance,
     qr_positive,
 )
@@ -80,8 +82,17 @@ def test_weights_validation():
         BernoulliWeights(np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
         BernoulliWeights(np.array([-0.1, 1.1]))
-    assert BernoulliWeights.uniform(3).strictly_positive
-    assert not BernoulliWeights(np.array([1.0, 0.0])).strictly_positive
+
+
+@pytest.mark.parametrize("maps", [
+    [],
+    # N vectors of length N stack into one N x N contraction, not N maps
+    [np.array([0.5, 0.1]), np.array([0.2, 0.3])],
+    [0.5 * np.eye(2), 0.5 * np.eye(3)],
+], ids=["empty", "vectors", "ragged"])
+def test_map_stack_refuses_what_is_not_a_stack(maps):
+    with pytest.raises(ValueError):
+        as_map_stack(maps)
 
 
 def test_word_product_single_and_empty():
@@ -222,7 +233,7 @@ def _edge_spectrum_case(name):
 def test_spectrum_edge_cases_are_finite(name):
     maps, p, steps = _edge_spectrum_case(name)
     if name == "300-maps":
-        assert cocycle._schedule(cocycle._compounds(np.stack(maps), 1), steps, 1)[1] == 1
+        assert cocycle._schedule(exterior_power(np.stack(maps), 1), steps, 1)[1] == 1
     w = BernoulliWeights.uniform(len(maps)) if p is None else BernoulliWeights(np.array(p))
     spec = lyapunov_spectrum(maps, w, steps, 3, rng=11)
     assert np.isfinite(spec.trial_exponents).all() and np.isfinite(spec.stderr).all()
@@ -424,7 +435,7 @@ def test_one_column_steps_stp3_compounds_by_log_range():
     # blocks of 11, the longest whose 4,094 rows of 9 floats fit in 2^16
     mats = load_config(CONFIG_DIR / "stp3.json").ifs.matrices
     for p, interval in ((1, 65), (2, 42)):
-        assert cocycle._schedule(cocycle._compounds(mats, p), 100_000, 1) == (interval, 11)
+        assert cocycle._schedule(exterior_power(mats, p), 100_000, 1) == (interval, 11)
     # a run shorter than the interval is renormalised once, at its end
     assert cocycle._schedule(mats, 40, 1) == (40, 11)
 

@@ -404,6 +404,20 @@ def test_pipeline_bm_carpet():
     assert report.projection_dims[1] == pytest.approx(BM_PROJ, abs=0.05)
 
 
+def test_pipeline_zero_weight_map_keeps_closed_form_fiber_entropy():
+    # the check separates all three maps, and a map of weight 0 keeps the
+    # pieces disjoint: the point still fixes the first symbol, so H = 0
+    mats = np.stack([np.diag([0.4, 0.3]), np.diag([0.4, 0.3]), np.diag([0.2, 0.2])])
+    ts = np.array([[0.0, 0.0], [0.6, 0.7], [0.1, 0.75]])
+    ifs = IfsSystem(mats, ts, BernoulliWeights(np.array([0.5, 0.5, 0.0])))
+    report = full_pipeline(ifs, small_config())
+    assert report.separation.status == "ssc-verified"
+    assert report.fiber_entropy_provenance == "closed-form" and report.fiber_entropy == 0.0
+    assert report.caveats == ()
+    closed, _ = diagonal_closed_form(IfsSystem(mats[:2], ts[:2], BernoulliWeights.uniform(2)))
+    assert report.ly_dim == pytest.approx(closed, abs=0.02)
+
+
 def test_supplied_fiber_entropy_checked_before_any_stage(monkeypatch):
     def first_stage(*args, **kwargs):
         raise AssertionError("a stage ran before the supplied fiber entropy was checked")

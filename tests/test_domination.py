@@ -110,6 +110,18 @@ def test_scan_one_parent_per_batch_matches_default(monkeypatch, d, n_maps, n_max
     assert narrow.products_examined == default.products_examined
 
 
+def test_scan_in_one_dimension_forms_no_product(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product was formed")
+
+    # d = 1 has no gap index: no compound or norm is formed, yet every word counts
+    monkeypatch.setattr(domination, "exterior_power", refuse)
+    monkeypatch.setattr(domination, "_two_norms", refuse)
+    table = gap_ratio_scan([np.array([[0.2]]), np.array([[0.3]]), np.array([[-0.4]])], 5)
+    assert table.log_ratios.shape == (6, 0)
+    assert table.products_examined == 3 + 9 + 27 + 81 + 243
+
+
 @pytest.mark.parametrize("n", [2, 3, 8, 28, 56])  # compound sizes from d = 2 to d = 8
 def test_two_norms_match_the_svd_norm(n):
     rng = np.random.default_rng(n)

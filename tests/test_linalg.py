@@ -71,6 +71,29 @@ def test_contractive_invertible_refusals(a, message):
         check_contractive_invertible(a)
 
 
+def test_contractive_invertible_names_the_first_bad_map():
+    good = np.diag([0.5, 0.25])
+    maps = np.stack([good, np.diag([1.2, 0.5]), np.diag([0.5, 0.0])])
+    with pytest.raises(ValueError, match=r"^maps\[1\] is not contractive: operator norm 1\.2 >= 1$"):
+        check_contractive_invertible(maps)
+    with pytest.raises(ValueError, match=r"^maps\[2\] is numerically singular: smallest singular "
+                                         r"value 0 <= 1e-12$"):
+        check_contractive_invertible(maps[[0, 0, 2]])
+    assert check_contractive_invertible(maps[[0, 0]]).shape == (2, 2, 2)
+
+
+@pytest.mark.parametrize("n_maps", [1, 2, 5])
+@pytest.mark.parametrize("d", range(1, 9))
+def test_stack_kernels_equal_per_matrix_calls(d, n_maps):
+    # the stack forms make the same LAPACK call per matrix, so every bit agrees
+    stack = np.random.default_rng(10 * d + n_maps).uniform(-1.0, 1.0, (n_maps, d, d))
+    for p in range(1, d + 1):
+        per_map = np.stack([exterior_power(m, p) for m in stack])
+        assert exterior_power(stack, p).tobytes() == per_map.tobytes(), p
+    per_map = np.stack([singular_values(m) for m in stack])
+    assert singular_values(stack).tobytes() == per_map.tobytes()
+
+
 def test_dimension_cap_rejected():
     with pytest.raises(ValueError):
         singular_values(np.eye(9))

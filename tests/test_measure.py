@@ -420,7 +420,9 @@ def test_hull_ball_is_the_least_invariant_ball():
         reach = moved + ifs.top_singular_values * r  # f_i(B(c, r)) lies in B(c, reach_i)
         assert np.all(reach <= r * (1.0 + 1e-12)), trial
         assert reach.max() == pytest.approx(r, rel=1e-12), trial
-        fixed = np.array([ifs.map_fixed_point(i) for i in range(ifs.n_maps)])
+        # oracle: each fixed point solves (I - A_i) x = t_i on its own
+        fixed = np.array([np.linalg.solve(np.eye(ifs.d) - a, t)
+                          for a, t in zip(ifs.matrices, ifs.translations)])
         assert np.all(np.linalg.norm(fixed - c, axis=1) <= r * (1.0 + 1e-12)), trial
 
 
