@@ -9,7 +9,7 @@ Modules
 -------
 ``linalg``      singular values, compound matrices, subspace geometry
 ``cocycle``     random words, spectra, stationary flag sampling
-``domination``  gap-ratio scans, STP/cone checks, invariant bundles
+``domination``  gap-ratio scans, smallest minors for STP/cone, invariant bundles
 ``measure``     IFS sampling, separation certificates, dimension estimators
 ``dimension``   dimension formulas, the diagonal closed form, the full pipeline
 ``errors``      the exception types

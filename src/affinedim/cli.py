@@ -29,7 +29,7 @@ from .dimension import (
     full_pipeline,
     ly_dimension,
 )
-from .domination import cone_invariance_check, detect_domination, gap_ratio_scan, stp_check
+from .domination import EPS_MINOR, detect_domination, gap_ratio_scan, smallest_minors
 from .errors import AffineDimError, BudgetExceededError, ConfigError
 from .measure import IfsSystem
 
@@ -82,16 +82,15 @@ def cmd_lyapunov(args) -> int:
 
     ifs = cfg.ifs
     spectrum = lyapunov_spectrum(
-        list(ifs.matrices),
+        ifs.matrices,
         ifs.weights,
         opts["steps"],
         opts["trials"],
         rng=cfg.seed,
         gap_threshold=opts["gap_threshold"],
     )
-    expected_sum = -float(
-        sum(p * np.log(abs(np.linalg.det(m))) for p, m in zip(ifs.weights.p, ifs.matrices))
-    )
+    # the builtin sum adds left to right; ndarray.sum would regroup the terms
+    expected_sum = -float(sum(ifs.weights.p * np.log(np.abs(np.linalg.det(ifs.matrices)))))
     results = {
         **_spectrum_block(spectrum),
         "sum_exponents": _tag(float(spectrum.exponents.sum()), "estimated"),
@@ -124,26 +123,27 @@ def cmd_domination(args) -> int:
     cfg = _load(args, {})
     ifs = cfg.ifs
     opts = cfg.domination
-    maps = list(ifs.matrices)
     try:
-        table = gap_ratio_scan(maps, opts["n_max"], opts["budget"])
+        table = gap_ratio_scan(ifs.matrices, opts["n_max"], opts["budget"])
     except BudgetExceededError as err:
         raise ConfigError(
             f"{err} (lower domination.n_max or raise domination.budget)", "domination"
         ) from None
 
     report = detect_domination(table, opts["eps_slope"])
+    # STP reads the minors of order 1..d-1 (none at d = 1), the determinant
+    # sign the last column, and the cone of order p column p-1 over all maps
+    minors = smallest_minors(ifs.matrices)
+    positive = minors > EPS_MINOR
     results = {
         "method": "exhaustive",
         **_domination_block(report),
         "stp": [
-            {"map": j, "is_stp": bool(chk), "det_positive": chk.det_positive,
-             "min_minor": _tag(chk.min_minor, "closed-form")}
-            for j, chk in enumerate(stp_check(m) for m in maps)
+            {"map": j, "is_stp": bool(pos[:-1].all()), "det_positive": bool(pos[-1]),
+             "min_minor": _tag(float(row[:-1].min()) if ifs.d > 1 else None, "closed-form")}
+            for j, (row, pos) in enumerate(zip(minors, positive))
         ],
-        "cone_invariance": {
-            str(p): cone_invariance_check(maps, p) for p in range(1, ifs.d)
-        },
+        "cone_invariance": {str(p): bool(positive[:, p - 1].all()) for p in range(1, ifs.d)},
     }
     _emit(_report_shell("domination", cfg, results, []), args)
     return EXIT_OK
@@ -310,7 +310,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (AffineDimError, ValueError) as err:
+    except (AffineDimError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -28,8 +28,9 @@ __all__ = [
 ]
 
 WEIGHT_SUM_TOL = 1e-12
-# default cap on a search's work: the words a gap-ratio scan forms, and the
-# cylinder pairs a separation check forms
+# default cap on a search's work: the N^n_max longest words of a gap-ratio
+# scan (not the shorter words it also forms), and the cylinder pairs a
+# separation check forms
 PRODUCT_BUDGET = 10**6
 # most steps between renormalisations of a frame of two or more columns
 _MAX_FRAME_INTERVAL = 10

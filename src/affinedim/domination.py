@@ -1,9 +1,9 @@
 """Dominated-splitting detection and invariant bundle estimation.
 
 Scans singular-value gap ratios over all words up to a budgeted length,
-fits decay rates to decide domination per index, checks the strict
-total-positivity sufficient condition and its exterior-cone form, and
-estimates the strongly/weakly contracted bundles at a dominated index.
+fits decay rates to decide domination per index, tabulates the smallest
+minors that the STP and exterior-cone conditions read, and estimates the
+strongly/weakly contracted bundles at a dominated index.
 
 Index convention: index ``i`` (1-based, in ``1..d-1``) names the gap between
 the i-th and (i+1)-th largest singular values; it equals the dimension of the
@@ -38,12 +38,10 @@ __all__ = [
     "GapRatioTable",
     "IndexDomination",
     "DominationReport",
-    "StpCheck",
     "BundleEstimate",
     "gap_ratio_scan",
     "detect_domination",
-    "stp_check",
-    "cone_invariance_check",
+    "smallest_minors",
     "strong_stable_bundle",
 ]
 
@@ -236,43 +234,17 @@ def detect_domination(table: GapRatioTable, eps_slope: float = EPS_SLOPE) -> Dom
     return DominationReport(tuple(items), eps_slope)
 
 
-@dataclass(frozen=True)
-class StpCheck:
-    """Outcome of the strict total-positivity test.
+def smallest_minors(maps) -> np.ndarray:
+    """``(N, d)`` table whose entry ``(j, p - 1)`` is map j's smallest p x p minor.
 
-    ``is_stp`` covers minors of order up to d-1 (the defining range);
-    the determinant sign is reported separately.  A 1x1 matrix has no such
-    minors: it is vacuously STP and ``min_minor`` is ``None``.
-    """
-
-    is_stp: bool
-    det_positive: bool
-    min_minor: float | None
-
-    def __bool__(self) -> bool:
-        return self.is_stp
-
-
-def stp_check(a) -> StpCheck:
-    """Check that every minor of order 1..d-1 exceeds ``EPS_MINOR``."""
-    arr = np.asarray(a, dtype=float)
-    minors = [float(exterior_power(arr, p).min()) for p in range(1, arr.shape[0])]
-    min_minor = min(minors) if minors else None
-    det = float(np.linalg.det(arr))
-    return StpCheck(min_minor is None or min_minor > EPS_MINOR, det > EPS_MINOR, min_minor)
-
-
-def cone_invariance_check(maps, p: int) -> bool:
-    """Strict invariance of the positive p-fold exterior orthant.
-
-    True when every entry of every p-th compound is strictly positive, so the
-    closed positive orthant of the exterior power maps into its interior.
+    Column ``d - 1`` is the determinant.  A map is strictly totally positive
+    when its minors of order 1..d-1 exceed ``EPS_MINOR`` (vacuously at
+    ``d = 1``); every map takes the closed positive p-fold exterior orthant
+    into its interior when all of column ``p - 1`` does.  Maps need not contract.
     """
     mats = as_matrix(maps)
-    d = mats.shape[-1]
-    if not 1 <= p <= d - 1:
-        raise ValueError(f"need 1 <= p <= {d - 1}")
-    return bool(exterior_power(mats, p).min() > EPS_MINOR)
+    return np.stack([exterior_power(mats, p).min(axis=(-2, -1))
+                     for p in range(1, mats.shape[-1] + 1)], axis=-1)
 
 
 @dataclass(frozen=True)

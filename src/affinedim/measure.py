@@ -258,7 +258,8 @@ def self_affinity_check(cloud: PointCloud, ifs: IfsSystem, boxes) -> SelfAffinit
     """
     pts = cloud.points
     m = cloud.m
-    pushed_pts = [pts @ a.T + t for a, t in zip(ifs.matrices, ifs.translations)]
+    # (N, m, d): every sample pushed through every map
+    pushed_pts = pts @ ifs.matrices.transpose(0, 2, 1) + ifs.translations[:, None]
     checks = []
     max_disc = 0.0
     radius = ifs.bounding_radius
@@ -273,10 +274,8 @@ def self_affinity_check(cloud: PointCloud, ifs: IfsSystem, boxes) -> SelfAffinit
         inside = np.all((pts >= lo) & (pts <= hi), axis=1)
         count = int(inside.sum())
         mass = count / m
-        pushed = sum(
-            p * np.mean(np.all((fp >= lo) & (fp <= hi), axis=1))
-            for p, fp in zip(ifs.weights.p, pushed_pts)
-        )
+        in_box = np.all((pushed_pts >= lo) & (pushed_pts <= hi), axis=2)
+        pushed = sum(ifs.weights.p * in_box.mean(axis=1))
         tol = 3.0 * np.sqrt(max(mass, 1.0 / m) / m)
         disc = abs(mass - pushed)
         if count == 0 and pushed == 0.0:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 
 from affinedim.cocycle import BernoulliWeights, _check_word
-from affinedim.domination import stp_check
+from affinedim.domination import EPS_MINOR, smallest_minors
 from affinedim.linalg import as_matrix, qr_positive
 from affinedim.measure import IfsSystem
 
@@ -88,6 +88,11 @@ def _positive_bidiagonal(rng, d, lower):
     return m
 
 
+def is_stp(maps):
+    """Whether every map's minors of order 1..d-1 exceed ``EPS_MINOR``."""
+    return bool((smallest_minors(maps)[..., :-1] > EPS_MINOR).all())
+
+
 def random_stp_matrix(rng, d, norm=0.8):
     """Strictly totally positive contraction via positive bidiagonal factors."""
     while True:
@@ -95,7 +100,7 @@ def random_stp_matrix(rng, d, norm=0.8):
         a = factors[0]
         for f in factors[1:]:
             a = a @ f
-        if stp_check(a).is_stp:
+        if is_stp(a):
             return scaled_to_norm(a, norm)
 
 
@@ -122,7 +127,7 @@ def gentle_stp_matrix(rng, d, norm=0.8, max_log_cond=0.85):
                     m[k, k + 1] = rng.uniform(0.10, 0.18)
             a = a @ m
         sv = np.linalg.svd(a, compute_uv=False)
-        if stp_check(a).is_stp and np.log(sv[0] / sv[-1]) <= max_log_cond:
+        if is_stp(a) and np.log(sv[0] / sv[-1]) <= max_log_cond:
             return norm * a / sv[0]
 
 
@@ -131,7 +136,19 @@ def gentle_stp_tuple(rng, d, n_maps, norm=0.8):
 
 
 # ---------------------------------------------------------------------------
-# oracles: direct products, Haar frames and the formula's double-sum identity
+# oracles: minors, direct products, Haar frames and the formula's double-sum identity
+
+
+def brute_force_minors(maps):
+    """``(N, d)`` table of each map's smallest minor of each order, by enumeration."""
+    d = np.shape(maps)[-1]
+    return np.array([
+        [min(np.linalg.det(a[np.ix_(rows, cols)])
+             for rows in itertools.combinations(range(d), p)
+             for cols in itertools.combinations(range(d), p))
+         for p in range(1, d + 1)]
+        for a in np.asarray(maps, dtype=float)
+    ])
 
 
 def word_product(maps, word):

@@ -13,6 +13,7 @@ from conftest import (
     bm_carpet_ifs,
     cantor_ifs,
     gentle_stp_tuple,
+    is_stp,
     random_contractive_tuple,
     random_stp_tuple,
     telescoping_identity_check,
@@ -36,7 +37,6 @@ from affinedim.domination import (
     bundle_growth_ratios,
     detect_domination,
     gap_ratio_scan,
-    stp_check,
     strong_stable_bundle,
 )
 from affinedim.linalg import (
@@ -114,7 +114,7 @@ def test_criterion_04_stp_implies_full_domination():
     rng = np.random.default_rng(404)
     for k in range(20):
         maps = random_stp_tuple(rng, 3, 2)
-        assert all(stp_check(m) for m in maps)
+        assert is_stp(maps)
         report = detect_domination(gap_ratio_scan(maps, n_max=7))
         assert report.dominated_indices == (1, 2), f"tuple {k}: {report.dominated_indices}"
     theta = rng.uniform(0.2, 1.2, size=2)

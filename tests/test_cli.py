@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import PASCAL3, brute_force_minors
 
 import affinedim
 from affinedim.cli import main
@@ -56,6 +57,20 @@ def test_missing_config_file_exit_2(capsys):
     code, _, err = run(["lyapunov", "--config", "/nonexistent/nowhere.json"], capsys)
     assert code == 2
     assert "/nonexistent/nowhere.json" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lyapunov", "--out", "/nonexistent/x.json"],
+    ["lyapunov", "--csv", "/nonexistent/x.csv"],
+    ["dim", "--emit-histogram", "/nonexistent/h.csv"],
+    ["lyapunov", "--config", str(CONFIG_DIR)],
+], ids=["out", "csv", "histogram", "config-directory"])
+def test_failed_file_io_exits_2_with_one_line_error(argv, tmp_path, capsys):
+    config = ["--config", write_config(tmp_path, cantor_doc())]
+    code, _, err = run(argv + ([] if "--config" in argv else config), capsys)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_unknown_key_rejected_with_location(tmp_path, capsys):
@@ -208,6 +223,31 @@ def test_domination_conformal_empty(tmp_path, capsys):
     assert results["dominated_indices"] == []
     statuses = {e["index"]: e["status"] for e in results["indices"]}
     assert statuses[1] == "non-dominated"
+
+
+def test_domination_mixed_config_reads_the_brute_force_minors(tmp_path, capsys):
+    # an STP map, and a map of positive entries whose 2x2 minors and
+    # determinant are negative
+    maps = np.array([0.1 * PASCAL3, [[0.1, 0.3, 0.1], [0.3, 0.1, 0.1], [0.1, 0.1, 0.3]]])
+    doc = cantor_doc(ifs={"matrices": maps.tolist(), "translations": [[0.0] * 3] * 2,
+                          "weights": [0.5, 0.5]})
+    code, out, _ = run(["domination", "--config", write_config(tmp_path, doc),
+                        "--deterministic"], capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    oracle = brute_force_minors(maps)
+    positive = oracle > 1e-12
+    assert [row["map"] for row in results["stp"]] == [0, 1]
+    for row, minors, pos in zip(results["stp"], oracle, positive):
+        assert row["is_stp"] == bool(pos[:-1].all())
+        assert row["det_positive"] == bool(pos[-1])
+        assert row["min_minor"]["value"] == pytest.approx(minors[:-1].min(), rel=1e-9)
+    assert results["cone_invariance"] == {str(p): bool(positive[:, p - 1].all())
+                                          for p in (1, 2)}
+    # each verdict takes both values, so none of the checks above is vacuous
+    assert [row["is_stp"] for row in results["stp"]] == [True, False]
+    assert [row["det_positive"] for row in results["stp"]] == [True, False]
+    assert results["cone_invariance"] == {"1": True, "2": False}
 
 
 def test_domination_over_budget_exits_2_without_report(tmp_path, capsys):
@@ -477,6 +517,7 @@ PINNED_DIGESTS = {
     ("lyapunov", "bm.json"): "5e39b4a34378",
     ("domination", "stp3.json"): "e0d6cbc3119f",
     ("domination", "bm.json"): "37300282755d",
+    ("domination", "cantor.json"): "ef65b1d784eb",
 }
 
 

@@ -4,16 +4,16 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import (PASCAL3, haar_frame, random_contractive_tuple, random_stp_tuple,
-                      word_product)
+from conftest import (PASCAL3, brute_force_minors, haar_frame, is_stp,
+                      random_contractive_tuple, random_stp_tuple, word_product)
 
 from affinedim import domination
 from affinedim.cocycle import BernoulliWeights
 from affinedim.domination import (
-    cone_invariance_check,
+    EPS_MINOR,
     detect_domination,
     gap_ratio_scan,
-    stp_check,
+    smallest_minors,
     strong_stable_bundle,
 )
 from affinedim.errors import BudgetExceededError
@@ -201,44 +201,59 @@ def test_fitted_constant_dominates_data_with_inflation():
 
 
 # ---------------------------------------------------------------------------
-# STP and cone checks
+# the table of smallest minors: STP and cone conditions
 
 
-def test_stp_check_positive_2x2():
-    chk = stp_check(np.array([[2.0, 1.0], [1.0, 1.0]]))
-    assert chk.is_stp and chk.det_positive
+def test_smallest_minors_positive_2x2_is_stp():
+    a = np.array([[2.0, 1.0], [1.0, 1.0]])
+    minors = smallest_minors(a)
+    assert minors.shape == (2,)
+    assert is_stp(a) and minors[-1] > EPS_MINOR
 
 
-def test_stp_check_one_by_one_has_no_minor():
-    chk = stp_check(np.array([[0.5]]))
-    assert chk.is_stp and chk.det_positive
-    assert chk.min_minor is None
+def test_smallest_minors_one_by_one_is_vacuously_stp():
+    maps = np.array([[[0.5]], [[-0.25]]])
+    minors = smallest_minors(maps)
+    # no minor of order 1..d-1, and the determinant column is the entry itself
+    assert minors.shape == (2, 1)
+    assert minors[:, :-1].size == 0 and is_stp(maps)
+    assert minors[:, -1].tolist() == [0.5, -0.25]
 
 
-def test_stp_check_identity_fails():
-    assert not stp_check(np.eye(2))
+def test_smallest_minors_identity_is_not_stp():
+    assert smallest_minors(np.eye(2)).tolist() == [0.0, 1.0]
+    assert not is_stp(np.eye(2))
 
 
-def test_stp_check_against_minor_enumeration_oracle():
-    a = 0.1 * PASCAL3
-    min_minor = np.inf
-    for p in (1, 2):
-        for rows in itertools.combinations(range(3), p):
-            for cols in itertools.combinations(range(3), p):
-                min_minor = min(min_minor, np.linalg.det(a[np.ix_(rows, cols)]))
-    chk = stp_check(a)
-    assert chk.is_stp == (min_minor > 1e-12)
-    assert chk.min_minor == pytest.approx(min_minor, rel=1e-9)
-    assert chk.is_stp
+@pytest.mark.parametrize("n_maps", [1, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_smallest_minors_against_minor_enumeration_oracle(d, n_maps):
+    maps = np.array(random_contractive_tuple(np.random.default_rng(10 * d + n_maps), d, n_maps))
+    minors = smallest_minors(maps)
+    oracle = brute_force_minors(maps)
+    assert minors.shape == (n_maps, d)
+    if d == 1:
+        # a 1x1 determinant comes back through LU, a few ulps off the entry
+        assert minors == pytest.approx(oracle, rel=1e-9)
+        return
+    assert minors[:, :-1] == pytest.approx(oracle[:, :-1], rel=1e-9)
+    assert np.array_equal(minors[:, -1], oracle[:, -1])
 
 
 def test_stp_implies_cone_invariance():
     rng = np.random.default_rng(3)
     for d in (2, 3, 4):
         maps = random_stp_tuple(rng, d, 2)
-        assert all(stp_check(m) for m in maps)
+        assert is_stp(maps)
+        positive = smallest_minors(maps) > EPS_MINOR
         for p in range(1, d):
-            assert cone_invariance_check(maps, p)
+            assert positive[:, p - 1].all()
+            # the closed positive orthant of the p-th exterior power maps into its interior
+            comp = exterior_power(np.array(maps), p)
+            k = comp.shape[-1]
+            v = np.where(rng.random(k) < 0.5, 0.0, rng.random(k))
+            v[rng.integers(k)] = 1.0
+            assert np.all(comp @ v > 0)
 
 
 def test_stp_random_tuples_fully_dominated():
@@ -250,21 +265,17 @@ def test_stp_random_tuples_fully_dominated():
 
 
 def test_cone_invariance_identity_false():
-    maps = (np.eye(2), np.array([[0.5, 0.1], [0.2, 0.3]]))
-    assert not cone_invariance_check(maps, 1)
-
-
-def test_cone_invariance_rejects_bad_p():
-    with pytest.raises(ValueError):
-        cone_invariance_check(DIAG_PAIR, 2)
+    positive = smallest_minors((np.eye(2), np.array([[0.5, 0.1], [0.2, 0.3]]))) > EPS_MINOR
+    # the second map alone keeps the order-1 cone; the identity does not
+    assert positive[:, 0].tolist() == [False, True]
 
 
 def test_positive_entries_negative_det_still_dominated():
     # entry positivity gives cone invariance for p=1 regardless of det sign,
     # and the scan agrees
     maps = (np.array([[0.2, 0.4], [0.3, 0.1]]), np.array([[0.3, 0.1], [0.2, 0.2]]))
-    assert np.linalg.det(maps[0]) < 0 < np.linalg.det(maps[1])
-    assert cone_invariance_check(maps, 1)
+    positive = smallest_minors(maps) > EPS_MINOR
+    assert positive[:, 0].all() and positive[:, -1].tolist() == [False, True]
     report = detect_domination(gap_ratio_scan(maps, n_max=8))
     assert report.dominated_indices == (1,)
 
