@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .linalg import check_contractive_invertible, exterior_power, qr_positive
+from .linalg import _freeze, check_contractive_invertible, exterior_power, qr_positive
 
 __all__ = [
     "BernoulliWeights",
@@ -70,9 +70,7 @@ class BernoulliWeights:
             raise ValueError("weights must be finite and nonnegative")
         if abs(p.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {p.sum()!r}, not 1")
-        p = p.copy()
-        p.flags.writeable = False
-        object.__setattr__(self, "p", p)
+        _freeze(self, p=p)
 
     @property
     def n(self) -> int:
@@ -88,7 +86,7 @@ class LyapunovSpectrum:
     """Estimated exponents 0 < chi_1 <= ... <= chi_d in nats per symbol.
 
     ``multiplicities`` are the block sizes found by merging exponents whose
-    gap is below ``gap_threshold``; ``trial_exponents`` holds the per-trial
+    gap is at most ``gap_threshold``; ``trial_exponents`` holds the per-trial
     estimates behind ``stderr``.
     """
 
@@ -104,9 +102,7 @@ class LyapunovSpectrum:
             raise ValueError("exponents must be positive for contractive cocycles")
         if np.any(np.diff(chi) < -1e-12):
             raise ValueError("exponents must be sorted ascending")
-        chi = chi.copy()
-        chi.flags.writeable = False
-        object.__setattr__(self, "exponents", chi)
+        _freeze(self, exponents=chi)
         if sum(self.multiplicities) != chi.size or any(m < 1 for m in self.multiplicities):
             raise ValueError(f"multiplicities {self.multiplicities} do not partition d={chi.size}")
 
@@ -351,7 +347,6 @@ def lyapunov_spectrum(
     steps: int,
     trials: int,
     rng=None,
-    gap_threshold: float | None = None,
 ) -> LyapunovSpectrum:
     """Estimate the Lyapunov spectrum of the i.i.d. matrix cocycle.
 
@@ -365,6 +360,8 @@ def lyapunov_spectrum(
     column rates, the same quantities.
     Exponents are the column rates divided by ``-steps``, sorted ascending
     per trial and averaged; ``stderr`` comes from the independent trials.
+    Adjacent exponents whose gap is at most ``0.05 * mean(chi)`` merge into
+    one block of the multiplicities.
 
     Parameters
     ----------
@@ -375,9 +372,6 @@ def lyapunov_spectrum(
     steps, trials : int
         Word length (>= 100) and number of independent trials.
     rng : numpy Generator or int seed, optional
-    gap_threshold : float, optional
-        Merge exponents closer than this into one block; defaults to
-        ``0.05 * mean(chi)``.
     """
     mats = as_map_stack(maps)
     _check_weights(weights, mats)
@@ -403,7 +397,7 @@ def lyapunov_spectrum(
     per_trial = np.sort(-sums / steps, axis=1)
     chi = per_trial.mean(axis=0)
     stderr = per_trial.std(axis=0, ddof=1) / np.sqrt(trials) if trials > 1 else None
-    threshold = 0.05 * float(chi.mean()) if gap_threshold is None else float(gap_threshold)
+    threshold = 0.05 * float(chi.mean())
     mult = _multiplicities_from_gaps(chi, threshold)
     return LyapunovSpectrum(chi, stderr, mult, threshold, per_trial)
 

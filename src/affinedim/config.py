@@ -16,7 +16,7 @@ import numpy as np
 
 from .cocycle import PRODUCT_BUDGET, BernoulliWeights, entropy
 from .dimension import PipelineConfig, _check_fiber_entropy
-from .domination import EPS_SLOPE, MIN_FIT_LENGTH
+from .domination import MIN_FIT_LENGTH
 from .errors import ConfigError
 from .linalg import check_contractive_invertible
 from .measure import MIN_USABLE_RADII, IfsSystem
@@ -47,7 +47,6 @@ _COUNT = _bounded(integer=True, minimum=1)
 _SIZE = _bounded(integer=True, minimum=100)  # word lengths and sample sizes
 _FIT_LENGTH = _bounded(integer=True, minimum=MIN_FIT_LENGTH)
 _TOL = _bounded(minimum=0.0)
-_OPTIONAL_TOL = _bounded(minimum=0.0, optional=True)
 _PIPELINE_DEFAULTS = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
 
 # section -> key -> (default, check returning the normalized value); the dim
@@ -57,39 +56,32 @@ SECTIONS: dict[str, dict[str, tuple]] = {
     "lyapunov": {
         "steps": (10_000, _SIZE),
         "trials": (20, _COUNT),
-        "gap_threshold": (None, _OPTIONAL_TOL),
     },
     "domination": {
         "n_max": (8, _FIT_LENGTH),
         "budget": (PRODUCT_BUDGET, _COUNT),
-        "eps_slope": (EPS_SLOPE, _TOL),
     },
     "dim": {
         "H" if name == "fiber_entropy" else name: (_PIPELINE_DEFAULTS[name], check)
         for name, check in {
             "spectrum_steps": _SIZE,
             "spectrum_trials": _COUNT,
-            "gap_threshold": _OPTIONAL_TOL,
             "scan_n_max": _FIT_LENGTH,
             "scan_budget": _COUNT,
-            "eps_slope": _TOL,
             "flag_iterations": _COUNT,
             "flag_count": _COUNT,
             "sample_count": _SIZE,
             "sample_depth": _bounded(integer=True, minimum=1, optional=True),
             "centers": _COUNT,
             "radii_count": _bounded(integer=True, minimum=MIN_USABLE_RADII),
-            "radii_ratio": _bounded(minimum=0.1, maximum=0.99),
             "separation_level": _COUNT,
             "separation_budget": _COUNT,
-            "fiber_entropy": _OPTIONAL_TOL,
-            "ky_tol": _TOL,
+            "fiber_entropy": _bounded(minimum=0.0, optional=True),
         }.items()
     },
     "validate": {
         "cases": (VALIDATE_CASES, _cases),
         "sample_count": (30_000, _SIZE),
-        "formula_tol": (1e-9, _TOL),
         "value_tol": (0.02, _TOL),
         "empirical_tol": (0.05, _TOL),
     },

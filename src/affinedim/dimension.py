@@ -21,12 +21,7 @@ from .cocycle import (
     furstenberg_sample,
     lyapunov_spectrum,
 )
-from .domination import (
-    EPS_SLOPE,
-    DominationReport,
-    detect_domination,
-    gap_ratio_scan,
-)
+from .domination import DominationReport, detect_domination, gap_ratio_scan
 from .errors import BudgetExceededError
 from .linalg import SubspaceFrame
 from .measure import (
@@ -63,6 +58,8 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 INPUT_SLACK = 1e-9
+# the pipeline's tolerance for the Kaplan-Yorke equivalence check
+KY_TOL = 0.02
 
 
 def _check_fiber_entropy(value: float, h: float) -> None:
@@ -238,33 +235,29 @@ def kaplan_yorke_equivalence_check(inputs: DimensionInputs, tol: float) -> KYEqu
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Budgets, tolerances, and options for :func:`full_pipeline`."""
+    """Budgets and options for :func:`full_pipeline`."""
 
     seed: int = 0
     spectrum_steps: int = 5000
     spectrum_trials: int = 12
-    gap_threshold: float | None = None
     scan_n_max: int = 8
     scan_budget: int = PRODUCT_BUDGET
-    eps_slope: float = EPS_SLOPE
     flag_iterations: int = 128
     flag_count: int = 12
     sample_count: int = 100_000
     sample_depth: int | None = None
     centers: int = DEFAULT_CENTERS
     radii_count: int = DEFAULT_RADII_COUNT
-    radii_ratio: float = DEFAULT_RADII_RATIO
     separation_level: int = 8
     separation_budget: int = PRODUCT_BUDGET
     fiber_entropy: float | None = None
-    ky_tol: float = 0.02
 
     def resolved(self, ifs: IfsSystem) -> "PipelineConfig":
         """Fill the sampling depth when it is not set."""
         if self.sample_depth is not None:
             return self
         alpha = float(ifs.top_singular_values.max())
-        r_min = 0.2 * float(ifs.bounding_radius) * self.radii_ratio ** (self.radii_count - 1)
+        r_min = 0.2 * float(ifs.bounding_radius) * DEFAULT_RADII_RATIO ** (self.radii_count - 1)
         target = max(r_min / 10.0, 1e-14)
         r = max(float(ifs.bounding_radius), 1e-12)
         depth = int(np.ceil(np.log(target / r) / np.log(alpha))) + 1
@@ -320,7 +313,6 @@ class DimensionReport:
     empirical_boxcount: BoxCountReport
     equivalence: KYEquivalence | None
     caveats: tuple[str, ...]
-    config: PipelineConfig
 
     def to_dict(self) -> dict:
         """JSON-ready structure; every result number carries a provenance tag."""
@@ -386,7 +378,7 @@ def _radii(cloud: PointCloud, cfg: PipelineConfig) -> np.ndarray:
     fewer than that, and otherwise the sample depth whose truncation floor
     dropped the rest.
     """
-    radii = _default_radii(cloud, cfg.radii_count, cfg.radii_ratio)
+    radii = _default_radii(cloud, cfg.radii_count)
     if cloud.diameter > 0 and radii.size < MIN_USABLE_RADII:
         if cfg.radii_count < MIN_USABLE_RADII:
             raise ValueError(
@@ -474,8 +466,7 @@ def full_pipeline(ifs: IfsSystem, config: PipelineConfig | None = None) -> Dimen
     d = ifs.d
 
     spectrum = lyapunov_spectrum(
-        ifs.matrices, ifs.weights, cfg.spectrum_steps, cfg.spectrum_trials, rng_spectrum,
-        gap_threshold=cfg.gap_threshold,
+        ifs.matrices, ifs.weights, cfg.spectrum_steps, cfg.spectrum_trials, rng_spectrum
     )
 
     domination = None
@@ -493,7 +484,7 @@ def full_pipeline(ifs: IfsSystem, config: PipelineConfig | None = None) -> Dimen
                 "(lower dim.scan_n_max or raise dim.scan_budget)"
             )
         else:
-            domination = detect_domination(table, cfg.eps_slope)
+            domination = detect_domination(table)
             if domination.tds_verified:
                 route, indices = "dominated-splitting", domination.dominated_indices
             else:
@@ -537,7 +528,7 @@ def full_pipeline(ifs: IfsSystem, config: PipelineConfig | None = None) -> Dimen
         inputs = DimensionInputs(h, 0.0 if fiber is None else fiber, spectrum, proj_used, indices)
         if fiber is not None:
             ly_val = ly_dimension(inputs)
-            equivalence = kaplan_yorke_equivalence_check(inputs, cfg.ky_tol)
+            equivalence = kaplan_yorke_equivalence_check(inputs, KY_TOL)
             if not 0.0 <= ly_val <= float(d):
                 clamped = min(max(ly_val, 0.0), float(d))
                 caveats.append(
@@ -569,5 +560,4 @@ def full_pipeline(ifs: IfsSystem, config: PipelineConfig | None = None) -> Dimen
         empirical_boxcount=boxcount,
         equivalence=equivalence,
         caveats=tuple(caveats),
-        config=cfg,
     )

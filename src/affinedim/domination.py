@@ -25,6 +25,7 @@ from .cocycle import (
 from .errors import BudgetExceededError, SpectralGapError, SubspaceInconsistencyError
 from .linalg import (
     SubspaceFrame,
+    _freeze,
     as_matrix,
     exterior_power,
     principal_angle_distance,
@@ -76,9 +77,7 @@ class GapRatioTable:
         lr = np.asarray(self.log_ratios, dtype=float)
         if lr.shape != (self.n_max + 1, max(self.d - 1, 0)):
             raise ValueError(f"table shape {lr.shape} does not match n_max={self.n_max}, d={self.d}")
-        lr = lr.copy()
-        lr.flags.writeable = False
-        object.__setattr__(self, "log_ratios", lr)
+        _freeze(self, log_ratios=lr)
 
     def log_ratio_for_index(self, i: int) -> np.ndarray:
         """Column of per-length max log ratios for math index ``i``."""
@@ -181,17 +180,16 @@ class IndexDomination:
 
 @dataclass(frozen=True)
 class DominationReport:
-    """Per-index domination statuses plus the slope threshold used."""
+    """Per-index domination statuses."""
 
     indices: tuple[IndexDomination, ...]
-    eps_slope: float
 
     def __post_init__(self):
         for item in self.indices:
-            if item.status == "dominated" and not item.decay_rate < -self.eps_slope:
+            if item.status == "dominated" and not item.decay_rate < -EPS_SLOPE:
                 raise ValueError(
                     f"index {item.index} marked dominated but decay rate "
-                    f"{item.decay_rate:.4g} is not below -{self.eps_slope}"
+                    f"{item.decay_rate:.4g} is not below -{EPS_SLOPE}"
                 )
 
     @property
@@ -204,11 +202,11 @@ class DominationReport:
         return all(it.status != "inconclusive" for it in self.indices)
 
 
-def detect_domination(table: GapRatioTable, eps_slope: float = EPS_SLOPE) -> DominationReport:
+def detect_domination(table: GapRatioTable) -> DominationReport:
     """Decide domination per index from a gap-ratio table.
 
     Fits ``log max-ratio ~ intercept + rate * n`` over lengths ``1..n_max``.
-    An index is dominated when the rate is below ``-eps_slope`` with a tight
+    An index is dominated when the rate is below ``-EPS_SLOPE`` with a tight
     fit (no residual above ``RESIDUAL_TOL``), non-dominated when the rate is
     above with a tight fit (ratios stay bounded below), and inconclusive
     otherwise -- never guessed.  The reported constant is the smallest C with
@@ -222,16 +220,16 @@ def detect_domination(table: GapRatioTable, eps_slope: float = EPS_SLOPE) -> Dom
         y = table.log_ratio_for_index(i)[1:]
         rate, intercept = np.polyfit(lengths, y, 1)
         resid = np.max(np.abs(y - (rate * lengths + intercept)))
-        if rate < -eps_slope and resid <= RESIDUAL_TOL:
+        if rate < -EPS_SLOPE and resid <= RESIDUAL_TOL:
             status = "dominated"
-        elif rate >= -eps_slope and resid <= RESIDUAL_TOL:
+        elif rate >= -EPS_SLOPE and resid <= RESIDUAL_TOL:
             status = "non-dominated"
         else:
             status = "inconclusive"
         all_lengths = np.arange(0, table.n_max + 1, dtype=float)
         constant = float(np.exp(np.max(table.log_ratio_for_index(i) - rate * all_lengths)))
         items.append(IndexDomination(i, status, float(rate), constant, table.n_max))
-    return DominationReport(tuple(items), eps_slope)
+    return DominationReport(tuple(items))
 
 
 def smallest_minors(maps) -> np.ndarray:
@@ -262,7 +260,6 @@ class BundleEstimate:
     fast: SubspaceFrame
     slow: SubspaceFrame
     angle_lower_bound: float
-    word: np.ndarray
     equivariance_angle: float
     growth_ratio_sup: float
 
@@ -372,4 +369,4 @@ def strong_stable_bundle(
     sup_ratio = float(bundle_growth_ratios(maps, w, fast, i, depth).max())
 
     angle = smallest_principal_angle(fast, slow)
-    return BundleEstimate(i, fast, slow, angle, w[:depth].copy(), float(equiv), float(sup_ratio))
+    return BundleEstimate(i, fast, slow, angle, float(equiv), float(sup_ratio))

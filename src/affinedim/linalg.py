@@ -34,6 +34,20 @@ DET_EPS = 1e-12      # invertibility floor for the smallest singular value of A
 FRAME_ORTHO_TOL = 1e-10
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` itself when it is read-only and owns its data, else a read-only copy."""
+    if a.flags.writeable or not a.flags.owndata:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
+def _freeze(obj, **arrays: np.ndarray) -> None:
+    """Store :func:`_frozen` of each array as that field of the frozen dataclass ``obj``."""
+    for name, a in arrays.items():
+        object.__setattr__(obj, name, _frozen(a))
+
+
 def as_matrix(a) -> np.ndarray:
     """Validate ``a`` as a finite square matrix of supported size, or a stack ``(..., d, d)``."""
     arr = np.asarray(a, dtype=float)
@@ -109,9 +123,7 @@ class SubspaceFrame:
             raise ValueError("frame has non-finite entries")
         if np.max(np.abs(f.T @ f - np.eye(k))) > FRAME_ORTHO_TOL:
             raise ValueError("frame columns are not orthonormal")
-        f = f.copy()
-        f.flags.writeable = False
-        object.__setattr__(self, "frame", f)
+        _freeze(self, frame=f)
 
     @property
     def d(self) -> int:

@@ -17,7 +17,7 @@ from numpy.linalg import _umath_linalg
 
 from .cocycle import (PRODUCT_BUDGET, BernoulliWeights, _WORD_BLOCK_SYMBOLS, _check_weights,
                       _draw_words, as_map_stack)
-from .linalg import SubspaceFrame, singular_values
+from .linalg import SubspaceFrame, _freeze, _frozen, singular_values
 
 __all__ = [
     "IfsSystem",
@@ -65,12 +65,7 @@ class IfsSystem:
         if not np.all(np.isfinite(ts)):
             raise ValueError("translations have non-finite entries")
         _check_weights(self.weights, mats)
-        mats = mats.copy()
-        ts = ts.copy()
-        mats.flags.writeable = False
-        ts.flags.writeable = False
-        object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "translations", ts)
+        _freeze(self, matrices=mats, translations=ts)
 
     @property
     def n_maps(self) -> int:
@@ -109,14 +104,6 @@ class IfsSystem:
     def truncation_bound(self, words) -> np.ndarray:
         """Truncation error ``R * prod(alpha_1(A_{w_k}))`` of each word (over the last axis)."""
         return self.bounding_radius * np.prod(self.top_singular_values[words], axis=-1)
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """``a`` itself when it is read-only and owns its data, else a read-only copy."""
-    if a.flags.writeable or not a.flags.owndata:
-        a = a.copy()
-        a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -244,7 +231,6 @@ class BoxCheck:
 @dataclass(frozen=True)
 class SelfAffinityReport:
     boxes: tuple[BoxCheck, ...]
-    max_discrepancy: float
 
 
 def self_affinity_check(cloud: PointCloud, ifs: IfsSystem, boxes) -> SelfAffinityReport:
@@ -261,7 +247,6 @@ def self_affinity_check(cloud: PointCloud, ifs: IfsSystem, boxes) -> SelfAffinit
     # (N, m, d): every sample pushed through every map
     pushed_pts = pts @ ifs.matrices.transpose(0, 2, 1) + ifs.translations[:, None]
     checks = []
-    max_disc = 0.0
     radius = ifs.bounding_radius
     for lo, hi in boxes:
         lo = np.asarray(lo, dtype=float)
@@ -277,17 +262,14 @@ def self_affinity_check(cloud: PointCloud, ifs: IfsSystem, boxes) -> SelfAffinit
         in_box = np.all((pushed_pts >= lo) & (pushed_pts <= hi), axis=2)
         pushed = sum(ifs.weights.p * in_box.mean(axis=1))
         tol = 3.0 * np.sqrt(max(mass, 1.0 / m) / m)
-        disc = abs(mass - pushed)
         if count == 0 and pushed == 0.0:
             status = "pass"
         elif count < SELF_AFFINITY_MIN_COUNT:
             status = "skipped"
         else:
-            status = "pass" if disc <= tol else "fail"
-        if status != "skipped":
-            max_disc = max(max_disc, disc)
+            status = "pass" if abs(mass - pushed) <= tol else "fail"
         checks.append(BoxCheck(lo, hi, mass, float(pushed), float(tol), status))
-    return SelfAffinityReport(tuple(checks), max_disc)
+    return SelfAffinityReport(tuple(checks))
 
 
 @dataclass(frozen=True)
@@ -471,15 +453,15 @@ class LocalDimensionReport:
     n_skipped: int
 
 
-def default_radii(cloud: PointCloud, count: int = DEFAULT_RADII_COUNT,
-                  ratio: float = DEFAULT_RADII_RATIO) -> np.ndarray:
+def default_radii(cloud: PointCloud, count: int = DEFAULT_RADII_COUNT) -> np.ndarray:
     """Geometric radii grid from diam/10 downward, floored above truncation.
 
-    A cloud of zero extent (a point mass) gets an empty grid.
+    Each of the ``count`` radii is ``DEFAULT_RADII_RATIO`` times the one
+    before.  A cloud of zero extent (a point mass) gets an empty grid.
     """
     if cloud.diameter <= 0:
         return np.empty(0)
-    radii = (cloud.diameter / 10.0) * ratio ** np.arange(count)
+    radii = (cloud.diameter / 10.0) * DEFAULT_RADII_RATIO ** np.arange(count)
     if cloud.truncation_floor is not None:
         radii = radii[radii >= cloud.truncation_floor]
     return radii
@@ -650,7 +632,6 @@ def local_dimension_estimate(
 class BoxCountReport:
     dimension: float
     eps: np.ndarray
-    information: np.ndarray
 
 
 _KEY_LIMIT = int(np.iinfo(np.int64).max)
@@ -704,7 +685,7 @@ def box_counting_dimension(cloud: PointCloud) -> BoxCountReport:
     pts = cloud.points
     m = cloud.m
     if cloud.diameter <= 0.0:
-        return BoxCountReport(0.0, np.array([]), np.array([]))
+        return BoxCountReport(0.0, np.array([]))
     sizes = (cloud.diameter / 5.0) * DEFAULT_RADII_RATIO ** np.arange(BOX_SIZES)
     if cloud.truncation_floor is not None:
         sizes = sizes[sizes >= cloud.truncation_floor]
@@ -720,6 +701,5 @@ def box_counting_dimension(cloud: PointCloud) -> BoxCountReport:
     if len(eps_used) < 4:
         raise ValueError("fewer than 4 usable box sizes; enlarge the sample")
     eps_used = np.asarray(eps_used)
-    info = np.asarray(info)
     slope = float(np.polyfit(np.log(eps_used), info, 1)[0])
-    return BoxCountReport(slope, eps_used, info)
+    return BoxCountReport(slope, eps_used)

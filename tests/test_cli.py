@@ -13,8 +13,9 @@ import pytest
 from conftest import PASCAL3, brute_force_minors
 
 import affinedim
+from affinedim import cli
 from affinedim.cli import main
-from affinedim.config import parse_config
+from affinedim.config import SECTIONS, parse_config
 from affinedim.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -73,6 +74,48 @@ def test_failed_file_io_exits_2_with_one_line_error(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _refuse_work(*args, **kwargs):
+    raise AssertionError("the stage ran before the output path was checked")
+
+
+@pytest.mark.parametrize("argv, stage", [
+    (["dim", "--out", "/nonexistent/x.json"], "full_pipeline"),
+    (["dim", "--out", "."], "full_pipeline"),
+    (["lyapunov", "--csv", "/nonexistent/x.csv"], "lyapunov_spectrum"),
+    (["dim", "--emit-histogram", "/nonexistent/h.csv"], "full_pipeline"),
+], ids=["out", "out-directory", "csv", "histogram"])
+def test_unwritable_output_refused_before_work(argv, stage, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, stage, _refuse_work)
+    code, out, err = run(argv + ["--config", write_config(tmp_path, cantor_doc())], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1
+    assert f"'{argv[-1]}'" in err
+
+
+def test_config_schema_key_set_pinned():
+    # a new knob is a reviewed change to this list
+    assert {name: list(keys) for name, keys in SECTIONS.items()} == {
+        "lyapunov": ["steps", "trials"],
+        "domination": ["n_max", "budget"],
+        "dim": ["spectrum_steps", "spectrum_trials", "scan_n_max", "scan_budget",
+                "flag_iterations", "flag_count", "sample_count", "sample_depth", "centers",
+                "radii_count", "separation_level", "separation_budget", "H"],
+        "validate": ["cases", "sample_count", "value_tol", "empirical_tol"],
+    }
+
+
+@pytest.mark.parametrize("section, key", [
+    ("lyapunov", "gap_threshold"), ("domination", "eps_slope"), ("dim", "gap_threshold"),
+    ("dim", "eps_slope"), ("dim", "radii_ratio"), ("dim", "ky_tol"), ("validate", "formula_tol"),
+])
+def test_retired_tolerance_key_is_an_unknown_key(section, key, tmp_path, capsys):
+    doc = cantor_doc()
+    doc.setdefault(section, {})[key] = 0.01
+    code, out, err = run(["lyapunov", "--config", write_config(tmp_path, doc)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {section}: unknown key '{key}'\n"
+
+
 def test_unknown_key_rejected_with_location(tmp_path, capsys):
     doc = cantor_doc()
     doc["dim"]["sample_cout"] = 10  # typo
@@ -110,8 +153,8 @@ def test_config_roundtrip_normalization(tmp_path):
 
 
 @pytest.mark.parametrize("section, key, value", [
-    ("dim", "ky_tol", float("nan")),
-    ("lyapunov", "gap_threshold", float("inf")),
+    ("dim", "H", float("nan")),
+    ("lyapunov", "steps", float("inf")),
     ("validate", "value_tol", float("inf")),
 ])
 def test_non_finite_config_number_rejected_with_location(section, key, value, tmp_path, capsys):
@@ -508,16 +551,16 @@ def test_stdout_is_one_strict_json_report(command, tmp_path, capsys):
 # (command, config) -> sha256 prefix of its --deterministic report; kept out of
 # the test ids, so that a re-pinned digest does not rename a test
 PINNED_DIGESTS = {
-    ("dim", "bm.json"): "86e824daa883",
-    ("dim", "stp3.json"): "efaf78eb6238",
-    ("dim", "cantor.json"): "b330c41f4226",
-    ("dim", "overlap.json"): "c0265371cb69",
-    ("validate", "cantor.json"): "efb8895e134b",
-    ("lyapunov", "stp3.json"): "41060373c98f",
-    ("lyapunov", "bm.json"): "5e39b4a34378",
-    ("domination", "stp3.json"): "e0d6cbc3119f",
-    ("domination", "bm.json"): "37300282755d",
-    ("domination", "cantor.json"): "ef65b1d784eb",
+    ("dim", "bm.json"): "3a211670f6ed",
+    ("dim", "stp3.json"): "6c450e7c2794",
+    ("dim", "cantor.json"): "cc4feb0612f9",
+    ("dim", "overlap.json"): "6491984cf728",
+    ("validate", "cantor.json"): "be5bb0ae9c94",
+    ("lyapunov", "stp3.json"): "1833efb915ec",
+    ("lyapunov", "bm.json"): "b4e25a9d322b",
+    ("domination", "stp3.json"): "d35502b42bce",
+    ("domination", "bm.json"): "2b4291a90b68",
+    ("domination", "cantor.json"): "0bb3ea0ad25a",
 }
 
 
@@ -534,8 +577,8 @@ def test_shipped_config_report_bytes_pinned(command, name, tmp_path, capsys):
 # certify-stp3's own reports, which run the gap scan to depth 14 and the
 # spectrum over 100,000 steps; a moved digest is explained in CHANGES.md
 CERTIFY_STP3_DIGESTS = {
-    ("domination",): "6bd0f5d5ec94",
-    ("lyapunov", "--steps", "100000"): "2914b9b5f1db",
+    ("domination",): "04fbebc8a27f",
+    ("lyapunov", "--steps", "100000"): "73468f6315fe",
 }
 
 
@@ -595,7 +638,7 @@ def test_dim_report_bytes_without_scipy(tmp_path):
                   "from affinedim.cli import main\nsys.exit(main(sys.argv[1:]))",
                   "dim", "--config", str(CONFIG_DIR / "cantor.json"), "--deterministic",
                   "--out", str(path))
-    assert hashlib.sha256(path.read_bytes()).hexdigest()[:12] == "b330c41f4226"
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:12] == "cc4feb0612f9"
 
 
 def test_timestamp_present_without_deterministic(tmp_path, capsys):
