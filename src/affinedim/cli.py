@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cocycle import BernoulliWeights, entropy, lyapunov_spectrum
-from .config import RunConfig, load_config
+from .cocycle import entropy, lyapunov_spectrum
+from .config import VALIDATE_CASES, RunConfig, load_config
 from .dimension import (
     PipelineConfig,
     _domination_block,
@@ -33,7 +33,6 @@ from .dimension import (
 )
 from .domination import EPS_MINOR, detect_domination, gap_ratio_scan, smallest_minors
 from .errors import AffineDimError, BudgetExceededError, ConfigError
-from .measure import IfsSystem
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILED = 1
@@ -191,60 +190,29 @@ def cmd_dim(args) -> int:
 # validate
 
 
-# bm-carpet-formula's tolerance: both sides are one closed form, so only rounding differs
+# a formula case's tolerance: both sides are one closed form, so only rounding differs
 FORMULA_TOL = 1e-9
-
-
-def _two_map_interval(scale: float, shift: float) -> IfsSystem:
-    """The maps ``scale * x`` and ``scale * x + shift`` with equal weights."""
-    mats = np.array([[[scale]], [[scale]]])
-    ts = np.array([[0.0], [shift]])
-    return IfsSystem(mats, ts, BernoulliWeights.uniform(2))
 
 
 def cmd_validate(args) -> int:
     cfg = _load(args, {})
     opts = cfg.validate
-    # the reference carpet: diag(1/3, 1/2) at the cells (0, 0), (1, 0) and (2, 1)
-    bm = IfsSystem(np.tile(np.diag([1.0 / 3.0, 1.0 / 2.0]), (3, 1, 1)),
-                   np.array([[0.0, 0.0], [1.0 / 3.0, 0.0], [2.0 / 3.0, 1.0 / 2.0]]),
-                   BernoulliWeights.uniform(3))
-    # pipeline case -> (system, supplied fiber entropy); every reference is
-    # the closed form of the case's own system
-    pipelines = {
-        # corners of the carpet touch, so strong separation cannot be
-        # certified; the open-set condition justifies a zero correction
-        "bm-carpet-pipeline": (bm, 0.0),
-        "cantor-pipeline": (_two_map_interval(1.0 / 3.0, 2.0 / 3.0), None),
-        # the two half-scale maps abut at 1/2: open-set condition only,
-        # so the zero fiber correction is supplied
-        "segment-pipeline": (_two_map_interval(0.5, 0.5), 0.0),
-    }
     rows = []
 
     def add_row(case, check, value, reference, tol):
         # a missing value has no difference and fails
         diff = None if value is None else abs(value - reference)
-        rows.append(
-            {
-                "case": case,
-                "check": check,
-                "value": value,
-                "reference": reference,
-                "difference": diff,
-                "tolerance": tol,
-                "status": "pass" if diff is not None and diff <= tol else "fail",
-            }
-        )
+        rows.append({"case": case, "check": check, "value": value, "reference": reference,
+                     "difference": diff, "tolerance": tol,
+                     "status": "pass" if diff is not None and diff <= tol else "fail"})
 
     for case in opts["cases"]:
-        if case == "bm-carpet-formula":
-            value, inputs = diagonal_closed_form(bm)
-            add_row(case, "generic formula vs closed form", ly_dimension(inputs), value,
-                    FORMULA_TOL)
+        check, system, fiber = VALIDATE_CASES[case]
+        ifs = system()
+        ref, inputs = diagonal_closed_form(ifs)
+        if check == "formula":
+            add_row(case, "generic formula vs closed form", ly_dimension(inputs), ref, FORMULA_TOL)
             continue
-        ifs, fiber = pipelines[case]
-        ref = diagonal_closed_form(ifs)[0]
         rep = full_pipeline(ifs, PipelineConfig(seed=cfg.seed, sample_count=opts["sample_count"],
                                                 fiber_entropy=fiber))
         add_row(case, "pipeline formula value", rep.ly_dim, ref, opts["value_tol"])

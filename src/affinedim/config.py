@@ -16,15 +16,39 @@ import numpy as np
 
 from .cocycle import PRODUCT_BUDGET, BernoulliWeights, entropy
 from .dimension import PipelineConfig, _check_fiber_entropy
-from .domination import MIN_FIT_LENGTH
+from .domination import MIN_FIT_LENGTH, SCAN_N_MAX
 from .errors import ConfigError
 from .linalg import check_contractive_invertible
 from .measure import MIN_USABLE_RADII, IfsSystem
 
 CONFIG_SCHEMA_VERSION = 1
 
-# the validate suite's cases: the default list and the allowed names
-VALIDATE_CASES = ("bm-carpet-formula", "bm-carpet-pipeline", "cantor-pipeline", "segment-pipeline")
+
+def _two_map_interval(scale: float, shift: float) -> IfsSystem:
+    """The maps ``scale * x`` and ``scale * x + shift`` with equal weights."""
+    return IfsSystem(np.array([[[scale]], [[scale]]]), np.array([[0.0], [shift]]),
+                     BernoulliWeights.uniform(2))
+
+
+def _bm_carpet() -> IfsSystem:
+    """The reference carpet: diag(1/3, 1/2) at the cells (0, 0), (1, 0) and (2, 1)."""
+    return IfsSystem(np.tile(np.diag([1.0 / 3.0, 1.0 / 2.0]), (3, 1, 1)),
+                     np.array([[0.0, 0.0], [1.0 / 3.0, 0.0], [2.0 / 3.0, 1.0 / 2.0]]),
+                     BernoulliWeights.uniform(3))
+
+
+# the validate suite's cases, which are its allowed names, in their default
+# order: name -> (check, system, supplied fiber entropy).  Every reference is
+# the closed form of the case's own system: a "formula" case evaluates the
+# generic formula on the closed form's inputs, a "pipeline" case runs the
+# pipeline.  The carpet's corners touch and the segment's halves abut, so
+# neither certifies strong separation; the open-set condition justifies H = 0.
+VALIDATE_CASES = {
+    "bm-carpet-formula": ("formula", _bm_carpet, None),
+    "bm-carpet-pipeline": ("pipeline", _bm_carpet, 0.0),
+    "cantor-pipeline": ("pipeline", lambda: _two_map_interval(1.0 / 3.0, 2.0 / 3.0), None),
+    "segment-pipeline": ("pipeline", lambda: _two_map_interval(0.5, 0.5), 0.0),
+}
 
 
 def _bounded(**bounds):
@@ -58,7 +82,7 @@ SECTIONS: dict[str, dict[str, tuple]] = {
         "trials": (20, _COUNT),
     },
     "domination": {
-        "n_max": (8, _FIT_LENGTH),
+        "n_max": (SCAN_N_MAX, _FIT_LENGTH),
         "budget": (PRODUCT_BUDGET, _COUNT),
     },
     "dim": {
@@ -80,7 +104,7 @@ SECTIONS: dict[str, dict[str, tuple]] = {
         }.items()
     },
     "validate": {
-        "cases": (VALIDATE_CASES, _cases),
+        "cases": (tuple(VALIDATE_CASES), _cases),
         "sample_count": (30_000, _SIZE),
         "value_tol": (0.02, _TOL),
         "empirical_tol": (0.05, _TOL),

@@ -21,13 +21,12 @@ from .cocycle import (
     furstenberg_sample,
     lyapunov_spectrum,
 )
-from .domination import DominationReport, detect_domination, gap_ratio_scan
+from .domination import SCAN_N_MAX, DominationReport, detect_domination, gap_ratio_scan
 from .errors import BudgetExceededError
 from .linalg import SubspaceFrame
 from .measure import (
     DEFAULT_CENTERS,
     DEFAULT_RADII_COUNT,
-    DEFAULT_RADII_RATIO,
     MIN_USABLE_RADII,
     BoxCountReport,
     IfsSystem,
@@ -40,7 +39,8 @@ from .measure import (
     project_cloud,
     sample_measure,
 )
-# a private name keeps this helper out of the stage functions the module exposes
+# private names keep these helpers out of the stage functions the module exposes
+from .measure import default_depth as _default_depth
 from .measure import default_radii as _default_radii
 
 __all__ = [
@@ -240,7 +240,7 @@ class PipelineConfig:
     seed: int = 0
     spectrum_steps: int = 5000
     spectrum_trials: int = 12
-    scan_n_max: int = 8
+    scan_n_max: int = SCAN_N_MAX
     scan_budget: int = PRODUCT_BUDGET
     flag_iterations: int = 128
     flag_count: int = 12
@@ -253,15 +253,10 @@ class PipelineConfig:
     fiber_entropy: float | None = None
 
     def resolved(self, ifs: IfsSystem) -> "PipelineConfig":
-        """Fill the sampling depth when it is not set."""
+        """Fill the sampling depth (:func:`measure.default_depth`) when it is not set."""
         if self.sample_depth is not None:
             return self
-        alpha = float(ifs.top_singular_values.max())
-        r_min = 0.2 * float(ifs.bounding_radius) * DEFAULT_RADII_RATIO ** (self.radii_count - 1)
-        target = max(r_min / 10.0, 1e-14)
-        r = max(float(ifs.bounding_radius), 1e-12)
-        depth = int(np.ceil(np.log(target / r) / np.log(alpha))) + 1
-        return dataclasses.replace(self, sample_depth=int(min(max(depth, 10), 200)))
+        return dataclasses.replace(self, sample_depth=_default_depth(ifs, self.radii_count))
 
 
 def _tag(value, provenance: str, **extra) -> dict:

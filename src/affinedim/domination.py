@@ -49,6 +49,7 @@ __all__ = [
 EPS_SLOPE = 0.01
 EPS_MINOR = 1e-12
 MIN_FIT_LENGTH = 6
+SCAN_N_MAX = 8  # the default longest word of a gap-ratio scan
 RESIDUAL_TOL = 0.5
 # a bundle estimate needs a gap ratio below BUNDLE_GAP_TOL at its depth and a
 # one-step equivariance residual below BUNDLE_EQUIV_TOL

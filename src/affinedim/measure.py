@@ -11,6 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -39,9 +40,10 @@ __all__ = [
 
 DEFAULT_RADII_COUNT = 24
 DEFAULT_RADII_RATIO = 0.8
+FLOOR_FACTOR = 10.0  # no grid scale lies below this many times a cloud's truncation bound
 DEFAULT_CENTERS = 64
 MIN_USABLE_RADII = 20  # a centre with fewer non-empty balls is skipped
-BOX_SIZES = 26  # box grid: sizes from diam/5 down in steps of DEFAULT_RADII_RATIO
+BOX_SIZES = 26  # box grid: sizes from diam/5 down (see scale_grid)
 MIN_BOX_OCCUPANCY = 5.0  # a box size whose mean occupancy is lower is dropped
 SELF_AFFINITY_MIN_COUNT = 20
 _SAMPLE_BLOCK_ROWS = 4096  # rows of points stepped or gathered together: near cache size
@@ -108,15 +110,15 @@ class IfsSystem:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Sampled points with their truncation bounds and sampling depth.
+    """Sampled points, the largest truncation bound of any of them, and the sampling depth.
 
-    ``errors`` and ``depth`` are ``None`` for synthetic clouds that came
-    from somewhere other than an IFS.
+    ``max_error`` is 0.0 and ``depth`` is ``None`` for synthetic clouds that
+    came from somewhere other than an IFS.
     """
 
     points: np.ndarray
-    errors: np.ndarray | None
-    depth: int | None
+    max_error: float = 0.0
+    depth: int | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -125,12 +127,10 @@ class PointCloud:
         if not np.isfinite(pts).all():
             bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))[0]
             raise ValueError(f"point {bad} has non-finite coordinates {pts[bad].tolist()}")
+        if not isinstance(self.max_error, Real) or not 0.0 <= self.max_error < np.inf:
+            raise ValueError(f"max_error is {self.max_error!r}; it must be finite and non-negative")
         object.__setattr__(self, "points", _frozen(pts))
-        if self.errors is not None:
-            e = np.asarray(self.errors, dtype=float)
-            if e.shape != (pts.shape[0],):
-                raise ValueError("one truncation bound per point required")
-            object.__setattr__(self, "errors", _frozen(e))
+        object.__setattr__(self, "max_error", float(self.max_error))
 
     @property
     def m(self) -> int:
@@ -156,11 +156,6 @@ class PointCloud:
         lo, hi = self.bounding_box
         return float(np.linalg.norm(hi - lo))
 
-    @cached_property
-    def truncation_floor(self) -> float | None:
-        """Smallest scale the estimators resolve: ten times the largest truncation bound."""
-        return None if self.errors is None else 10.0 * float(self.errors.max())
-
 
 def sample_measure(ifs: IfsSystem, count: int, depth: int, rng=None) -> PointCloud:
     """Draw ``count`` approximate samples of the stationary measure.
@@ -168,9 +163,9 @@ def sample_measure(ifs: IfsSystem, count: int, depth: int, rng=None) -> PointClo
     Words of length ``depth`` are drawn i.i.d. from the weights, in bounded
     flat blocks (the same words and generator state as one draw), into the
     narrowest unsigned type that holds a symbol, and each word is sent to
-    the point ``f_{w_0} o ... o f_{w_{depth-1}}(0)``, whose truncation bound
-    (:meth:`IfsSystem.truncation_bound`) is recorded: the limit point of any
-    extension of the word lies within it.  Points are built from the last
+    the point ``f_{w_0} o ... o f_{w_{depth-1}}(0)``; the cloud keeps the
+    largest truncation bound (:meth:`IfsSystem.truncation_bound`) of any
+    word, within which the limit point of its every extension lies.  Points are built from the last
     symbol inwards, so after ``j`` steps there are at most ``N**j`` distinct
     partial points: while that table is no longer than the sample, every
     suffix is stepped once, the next level written in blocks of
@@ -185,10 +180,10 @@ def sample_measure(ifs: IfsSystem, count: int, depth: int, rng=None) -> PointClo
     rng = np.random.default_rng(rng)
     n = ifs.n_maps
     words = _draw_words(rng, ifs.weights.p, np.empty((count, depth), np.min_scalar_type(n - 1)))
-    errors = np.empty(count)
+    max_error = 0.0
     rows = max(1, _WORD_BLOCK_SYMBOLS // depth)  # bounds the product's float temporaries
     for s in range(0, count, rows):
-        errors[s:s + rows] = ifs.truncation_bound(words[s:s + rows])
+        max_error = max(max_error, float(ifs.truncation_bound(words[s:s + rows]).max()))
 
     def step(sel, x):
         mats = np.take(ifs.matrices, sel, axis=0)
@@ -213,9 +208,8 @@ def sample_measure(ifs: IfsSystem, count: int, depth: int, rng=None) -> PointClo
         for j in range(k, -1, -1):
             x = step(words[block, j], x)
         pts[block] = x
-    for a in (pts, errors):  # fresh arrays: the cloud keeps them without a copy
-        a.flags.writeable = False
-    return PointCloud(pts, errors, depth)
+    pts.flags.writeable = False  # a fresh array: the cloud keeps it without a copy
+    return PointCloud(pts, max_error, depth)
 
 
 @dataclass(frozen=True)
@@ -433,14 +427,14 @@ def lift_ifs(ifs: IfsSystem) -> LiftedIfs:
 def project_cloud(cloud: PointCloud, v: SubspaceFrame) -> PointCloud:
     """Orthogonal projection of every point onto ``v`` (in frame coordinates).
 
-    Truncation bounds carry over; projections are 1-Lipschitz so the bounds
-    stay valid.
+    The truncation bound carries over; projections are 1-Lipschitz so it
+    stays valid.
     """
     if cloud.dim != v.d:
         raise ValueError(f"cloud dimension {cloud.dim} does not match ambient {v.d}")
     points = cloud.points @ v.frame
     points.flags.writeable = False  # a fresh array: the cloud keeps it without a copy
-    return PointCloud(points, cloud.errors, cloud.depth)
+    return PointCloud(points, cloud.max_error, cloud.depth)
 
 
 @dataclass(frozen=True)
@@ -453,18 +447,34 @@ class LocalDimensionReport:
     n_skipped: int
 
 
-def default_radii(cloud: PointCloud, count: int = DEFAULT_RADII_COUNT) -> np.ndarray:
-    """Geometric radii grid from diam/10 downward, floored above truncation.
-
-    Each of the ``count`` radii is ``DEFAULT_RADII_RATIO`` times the one
-    before.  A cloud of zero extent (a point mass) gets an empty grid.
-    """
-    if cloud.diameter <= 0:
+def scale_grid(top: float, count: int, max_error: float = 0.0) -> np.ndarray:
+    """``top * DEFAULT_RADII_RATIO**k`` for ``k < count``, those at or above
+    ``FLOOR_FACTOR * max_error``; empty for a top of zero (a point mass)."""
+    if top <= 0:
         return np.empty(0)
-    radii = (cloud.diameter / 10.0) * DEFAULT_RADII_RATIO ** np.arange(count)
-    if cloud.truncation_floor is not None:
-        radii = radii[radii >= cloud.truncation_floor]
-    return radii
+    grid = top * DEFAULT_RADII_RATIO ** np.arange(count)
+    return grid[grid >= FLOOR_FACTOR * max_error]
+
+
+def default_radii(cloud: PointCloud, count: int = DEFAULT_RADII_COUNT) -> np.ndarray:
+    """The pipeline's radii grid: :func:`scale_grid` from diam/10 down."""
+    return scale_grid(cloud.diameter / 10.0, count, cloud.max_error)
+
+
+def default_depth(ifs: IfsSystem, radii_count: int = DEFAULT_RADII_COUNT) -> int:
+    """The pipeline's sample depth: the truncation floor inverted against the grid.
+
+    One more than the least ``n`` at which ``FLOOR_FACTOR R alpha**n`` (the
+    floor of a word of length ``n``, ``alpha`` the largest top singular
+    value) is at most the last radius of a cloud of diameter ``2R``, ``R``
+    the bounding radius, within 10..200.  ``R = 0`` reads as 1e-12.
+    """
+    r = float(ifs.bounding_radius)
+    grid = scale_grid(0.2 * r, radii_count)
+    target = max(grid[-1] / FLOOR_FACTOR if grid.size else 0.0, 1e-14)
+    alpha = float(ifs.top_singular_values.max())
+    depth = int(np.ceil(np.log(target / max(r, 1e-12)) / np.log(alpha))) + 1
+    return min(max(depth, 10), 200)
 
 
 def _run_end(xs: np.ndarray, c: np.ndarray, r2: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -669,9 +679,9 @@ def box_counting_dimension(cloud: PointCloud) -> BoxCountReport:
     """Information (box-counting) dimension of the sampled measure.
 
     Bins the points into grid boxes of side ``eps`` (anchored at the cloud's
-    min corner) over the ``BOX_SIZES`` sizes ``(diam / 5) *
-    DEFAULT_RADII_RATIO**k`` at or above the cloud's truncation floor, and
-    fits the slope of the occupancy sum ``sum p log p`` against ``log eps``.
+    min corner) over the ``BOX_SIZES`` sizes of :func:`scale_grid` from
+    ``diam / 5`` down, and fits the slope of the occupancy sum ``sum p log p``
+    against ``log eps``.
     The Miller-Madow correction ``(K - 1) / 2m`` compensates the small-count
     entropy bias, and box sizes with mean occupancy below
     ``MIN_BOX_OCCUPANCY`` are dropped.
@@ -686,9 +696,7 @@ def box_counting_dimension(cloud: PointCloud) -> BoxCountReport:
     m = cloud.m
     if cloud.diameter <= 0.0:
         return BoxCountReport(0.0, np.array([]))
-    sizes = (cloud.diameter / 5.0) * DEFAULT_RADII_RATIO ** np.arange(BOX_SIZES)
-    if cloud.truncation_floor is not None:
-        sizes = sizes[sizes >= cloud.truncation_floor]
+    sizes = scale_grid(cloud.diameter / 5.0, BOX_SIZES, cloud.max_error)
     corner = cloud.bounding_box[0]
     eps_used, info = [], []
     for eps in sizes:

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from affinedim import dimension
 from affinedim.cocycle import BernoulliWeights, LyapunovSpectrum
+from affinedim.config import VALIDATE_CASES, load_config
 from affinedim.dimension import (
     DimensionInputs,
     PipelineConfig,
@@ -29,6 +31,7 @@ BM_PROJ = 0.9182958340544898
 BM_LY = 1.3389156697687947
 BM_KY = 1.3690702464285427
 CANTOR_DIM = LOG2 / LOG3
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def spectrum_of(chi, mult=None):
@@ -496,14 +499,14 @@ def test_pipeline_radii_count_reaches_estimator():
 def test_pipeline_radii_refuse_a_projection_the_depth_leaves_short():
     # the cloud keeps its whole grid; the grid of its projection onto the thin
     # axis starts 200 times lower and keeps 18 radii above the same floor
-    cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.005]]), np.full(3, 1e-6), 12)
+    cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.005]]), 1e-6, 12)
     cfg = PipelineConfig(sample_depth=12)
     assert dimension._radii(cloud, cfg).size == 24
     thin = project_cloud(cloud, SubspaceFrame(np.eye(2)[:, [1]]))
     with pytest.raises(ValueError, match=r"^dim\.sample_depth 12 keeps 18 radii .* at least 20;"):
         dimension._radii(thin, cfg)
     # a point mass has no grid, and the estimator reads its slope as 0
-    assert dimension._radii(PointCloud(np.zeros((2, 1)), np.full(2, 1e-6), 12), cfg).size == 0
+    assert dimension._radii(PointCloud(np.zeros((2, 1)), 1e-6, 12), cfg).size == 0
 
 
 def test_pipeline_radii_count_below_usable_minimum_named():
@@ -511,6 +514,19 @@ def test_pipeline_radii_count_below_usable_minimum_named():
     with pytest.raises(ValueError, match=r"^dim\.radii_count 10 is below the 20 radii a fit "
                                          r"needs; raise dim\.radii_count$"):
         full_pipeline(cantor_ifs(), small_config(sample_count=5000, radii_count=10))
+
+
+@pytest.mark.parametrize("system, depth", [
+    ("bm.json", 15), ("cantor.json", 10), ("stp3.json", 39), ("overlap.json", 10),
+    ("bm-carpet-pipeline", 15), ("cantor-pipeline", 10), ("segment-pipeline", 15),
+])
+def test_resolved_depth_of_each_shipped_system(system, depth):
+    # the shipped configs and the validate suite's systems, at the default grid
+    if system.endswith(".json"):
+        ifs = load_config(CONFIG_DIR / system).ifs
+    else:
+        ifs = VALIDATE_CASES[system][1]()
+    assert PipelineConfig().resolved(ifs).sample_depth == depth
 
 
 def test_pipeline_deterministic():

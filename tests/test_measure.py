@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -59,21 +60,21 @@ def _drawn_words(ifs, count, depth, seed):
 def test_natural_projection_fixed_point():
     cloud = sample_measure(cantor_ifs(weights=[1.0, 0.0]), count=1, depth=12, rng=0)
     assert cloud.points[0] == pytest.approx([0.0], abs=1e-15)
-    assert cloud.errors[0] == pytest.approx(3.0**-12)
+    assert cloud.max_error == pytest.approx(3.0**-12)
 
 
 def test_natural_projection_geometric_series():
     for n in (1, 2, 8):
         cloud = sample_measure(cantor_ifs(weights=[0.0, 1.0]), count=1, depth=n, rng=0)
         assert cloud.points[0, 0] == pytest.approx(1.0 - 3.0**-n, rel=1e-14)
-        assert cloud.errors[0] == pytest.approx(3.0**-n)
+        assert cloud.max_error == pytest.approx(3.0**-n)
 
 
 def test_natural_projection_single_symbol():
     ifs = cantor_ifs(weights=[0.0, 1.0])
     cloud = sample_measure(ifs, count=1, depth=1, rng=0)
     assert np.allclose(cloud.points[0], ifs.translations[1])
-    assert cloud.errors[0] == pytest.approx(ifs.bounding_radius / 3.0)
+    assert cloud.max_error == pytest.approx(ifs.bounding_radius / 3.0)
 
 
 def test_natural_projection_refinement_within_bound():
@@ -110,7 +111,8 @@ def test_sample_cantor_mean_and_bounding_ball():
     sigma = np.sqrt(1.0 / 8.0)
     assert abs(cloud.points.mean() - 0.5) <= 3 * sigma / np.sqrt(m)
     assert np.all(np.linalg.norm(cloud.points, axis=1) <= ifs.bounding_radius + 1e-12)
-    assert np.all(cloud.errors <= ifs.bounding_radius * 3.0**-40 + 1e-30)
+    assert cloud.max_error == ifs.truncation_bound(_drawn_words(ifs, m, 40, 2)).max()
+    assert cloud.max_error <= ifs.bounding_radius * 3.0**-40 + 1e-30
 
 
 def test_sample_first_level_cylinder_masses_match_weights():
@@ -130,7 +132,7 @@ def test_sample_deterministic_given_seed():
     a = sample_measure(ifs, 100, 20, rng=9)
     b = sample_measure(ifs, 100, 20, rng=9)
     assert np.array_equal(a.points, b.points)
-    assert np.array_equal(a.errors, b.errors)
+    assert a.max_error == b.max_error
 
 
 def _record_copies(monkeypatch):
@@ -153,9 +155,8 @@ def test_sample_keeps_the_drawn_arrays(monkeypatch):
     ifs = bm_carpet_ifs()
     cloud = sample_measure(ifs, 300, 20, rng=61)
     assert copied == []
-    assert np.array_equal(cloud.errors, ifs.truncation_bound(_drawn_words(ifs, 300, 20, 61)))
-    for a in (cloud.points, cloud.errors):
-        assert a.flags.owndata and not a.flags.writeable
+    assert cloud.max_error == ifs.truncation_bound(_drawn_words(ifs, 300, 20, 61)).max()
+    assert cloud.points.flags.owndata and not cloud.points.flags.writeable
 
 
 def _record_word_dtypes(monkeypatch):
@@ -191,7 +192,7 @@ def _assert_sampling_exact(ifs, count, depth, seed):
     cloud = sample_measure(ifs, count, depth, rng=gen)
     pts, _, errors, ref = _per_sample_sampling(ifs, count, depth, seed)
     assert np.array_equal(cloud.points, pts), (count, depth)
-    assert np.array_equal(cloud.errors, errors), (count, depth)
+    assert cloud.max_error == errors.max(), (count, depth)
     assert gen.bit_generator.state == ref.bit_generator.state
     return cloud
 
@@ -228,7 +229,7 @@ def test_sample_block_draw_matches_one_draw():
     cloud = sample_measure(ifs, count, 6, rng=gen)
     ref = np.random.default_rng(404)
     words = ref.choice(4, size=(count, 6), p=ifs.weights.p)
-    assert np.array_equal(cloud.errors, ifs.truncation_bound(words))
+    assert cloud.max_error == ifs.truncation_bound(words).max()
     # the generator is left where one draw leaves it
     assert gen.bit_generator.state == ref.bit_generator.state
     assert gen.random() == ref.random()
@@ -267,13 +268,13 @@ def test_sample_words_in_the_narrowest_unsigned_type(n_maps, dtype, monkeypatch)
 def test_sample_memory_stays_bounded(monkeypatch):
     # stp3 at the dim report's sample size and depth: the words are one byte
     # per symbol, and the suffix table and every sample's steps are built in
-    # cache-sized blocks (the finished cloud holds 3.2 MB)
+    # cache-sized blocks (the finished cloud holds 2.4 MB of points)
     dtypes = _record_word_dtypes(monkeypatch)
     ifs = load_config(CONFIG_DIR / "stp3.json").ifs
     count, depth = 100_000, 39
     cloud, peak = traced_peak(sample_measure, ifs, count, depth, rng=3)
     assert dtypes == [np.uint8]
-    assert cloud.points.nbytes + cloud.errors.nbytes == count * 32
+    assert cloud.points.nbytes == count * 24
     assert peak < 13e6, peak
 
 
@@ -283,10 +284,23 @@ def _bm_cloud():
 
 
 def test_sample_bm_memory_stays_bounded():
-    # the finished cloud holds 4.8 MB; no temporary is as large as its points
+    # the finished cloud holds 3.2 MB; no temporary is as large as its points
     cloud, peak = traced_peak(_bm_cloud)
-    assert cloud.points.nbytes + cloud.errors.nbytes == 4_800_000
+    assert cloud.points.nbytes == 3_200_000
     assert peak < 15e6, peak
+
+
+def test_sample_keeps_only_its_points():
+    # what the call leaves allocated is the m x d points and a constant: no
+    # per-point array (the m-float array of bounds it once kept was 1.6 MB)
+    tracemalloc.start()
+    try:
+        cloud = _bm_cloud()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert cloud.points.nbytes == cloud.m * cloud.dim * 8
+    assert kept - cloud.points.nbytes < 65_536, kept
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +446,7 @@ def _first_symbol_distance(ifs, seed):
     first = _drawn_words(ifs, 400, 40, seed)[:, 0]
     cross = first[:, None] != first[None, :]
     dist = np.linalg.norm(cloud.points[:, None] - cloud.points[None, :], axis=-1)
-    return dist[cross].min() - 2.0 * cloud.errors.max()
+    return dist[cross].min() - 2.0 * cloud.max_error
 
 
 def _retired_gaps(tables, near, n_maps):
@@ -699,11 +713,12 @@ def test_project_bm_carpet_row_marginal():
     assert frac_low == pytest.approx(2.0 / 3.0, abs=0.01)
 
 
-def test_project_shares_frozen_errors():
-    cloud = sample_measure(bm_carpet_ifs(), 300, 20, rng=59)
+def test_project_keeps_the_bound_and_depth():
+    ifs = bm_carpet_ifs()
+    cloud = sample_measure(ifs, 300, 20, rng=59)
     proj = project_cloud(cloud, SubspaceFrame(np.eye(2)[:, [0]]))
-    assert np.shares_memory(proj.errors, cloud.errors)
-    assert not proj.errors.flags.writeable
+    assert proj.max_error == cloud.max_error == ifs.truncation_bound(
+        _drawn_words(ifs, 300, 20, 59)).max()
     assert proj.depth == cloud.depth == 20
 
 
@@ -719,23 +734,32 @@ def test_project_keeps_the_fresh_projection(monkeypatch):
 
 def test_point_cloud_copies_writeable_input():
     points = np.zeros((4, 2))
-    errors = np.full(4, 1e-9)
-    cloud = PointCloud(points, errors, 3)
+    cloud = PointCloud(points, 1e-9, 3)
     assert not np.shares_memory(cloud.points, points)
-    assert not np.shares_memory(cloud.errors, errors)
-    errors[0] = 1.0
-    assert cloud.errors[0] == 1e-9
+    points[0, 0] = 1.0
+    assert cloud.points[0, 0] == 0.0 and not cloud.points.flags.writeable
     # a read-only view does not own its data, so it is copied too
-    base = np.full(4, 1e-9)
+    base = np.zeros((4, 2))
     view = base[:]
     view.flags.writeable = False
-    assert not np.shares_memory(PointCloud(points, view, 3).errors, base)
+    assert not np.shares_memory(PointCloud(view, 1e-9, 3).points, base)
+
+
+@pytest.mark.parametrize("bad", [None, -1e-9, np.nan, np.inf, "0"])
+def test_point_cloud_rejects_a_bound_not_finite_and_non_negative(bad):
+    with pytest.raises(ValueError, match="max_error is .*; it must be finite and non-negative"):
+        PointCloud(np.zeros((2, 1)), bad, 3)
+
+
+def test_point_cloud_of_no_ifs_has_a_zero_bound():
+    cloud = PointCloud(np.zeros((2, 1)))
+    assert cloud.max_error == 0.0 and type(cloud.max_error) is float and cloud.depth is None
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_point_cloud_rejects_non_finite_points(bad):
     with pytest.raises(ValueError, match="point 1 has non-finite"):
-        PointCloud([[0.0], [bad], [1.0]], None, None)
+        PointCloud([[0.0], [bad], [1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +792,7 @@ def test_local_dimension_rejects_radius_not_finite_and_positive(bad, monkeypatch
         raise AssertionError("balls were counted before the radii were checked")
 
     monkeypatch.setattr(measure, "_ball_counts", no_counting)
-    cloud = PointCloud(np.random.default_rng(5).uniform(0.0, 1.0, (300, 2)), None, None)
+    cloud = PointCloud(np.random.default_rng(5).uniform(0.0, 1.0, (300, 2)))
     radii = 0.1 * 0.8 ** np.arange(24)
     radii[7] = bad
     with pytest.raises(ValueError, match=re.escape(f"radii[7] is {float(bad)!r}")):
@@ -792,7 +816,7 @@ def test_grouped_slopes_equal_per_row_polyfit(d):
     pts = rng.uniform(0.0, 1.0, (40, d))[rng.integers(0, 40, 2700)]
     pts = pts + rng.normal(0.0, 1e-3, pts.shape) * rng.uniform(0.0, 1.0, (2700, 1))
     pts = np.concatenate([pts, rng.uniform(2.0, 3.0, (300, d))])
-    cloud = PointCloud(pts, None, None)
+    cloud = PointCloud(pts)
     radii = 0.3 * 0.75 ** np.arange(40)
     report = local_dimension_estimate(cloud, radii=radii, n_centers=200, rng=d)
     counts = _ball_counts(pts, report.center_indices, report.radii)
@@ -824,7 +848,7 @@ def test_grouped_slopes_raise_on_failed_svd():
 
 def test_local_dimension_uniform_box_is_two():
     rng = np.random.default_rng(83)
-    cloud = PointCloud(rng.uniform(0.0, 1.0, size=(200_000, 2)), None, None)
+    cloud = PointCloud(rng.uniform(0.0, 1.0, size=(200_000, 2)))
     radii = 0.07 * 0.85 ** np.arange(20)
     report = local_dimension_estimate(cloud, radii, n_centers=64, rng=89)
     assert report.median == pytest.approx(2.0, abs=0.05)
@@ -1144,7 +1168,7 @@ def test_bounding_box_equals_axis_reductions(d):
     pts = rng.standard_normal((5000, d)) * 10.0 ** rng.integers(-3, 4, d)
     pts[rng.integers(0, 5000, 50)] = 0.0
     pts[rng.integers(0, 5000, 50)] = -0.0
-    cloud = PointCloud(pts, None, None)
+    cloud = PointCloud(pts)
     lo, hi = cloud.bounding_box
     assert lo.tobytes() == pts.min(axis=0).tobytes()
     assert hi.tobytes() == pts.max(axis=0).tobytes()
@@ -1193,7 +1217,7 @@ def test_cell_counts_with_huge_columns():
 def test_box_counting_diagonal_in_r8_unchanged():
     # the finest default box size has 468 cells per axis, 468^8 > 2^63
     t = np.random.default_rng(0).random(20_000)
-    cloud = PointCloud(t[:, None] * np.ones(8), None, None)
+    cloud = PointCloud(t[:, None] * np.ones(8))
     rep = box_counting_dimension(cloud)
     eps = rep.eps[-1]
     assert _plain_key_overflows(np.floor((cloud.points - cloud.points.min(axis=0)) / eps)
@@ -1218,7 +1242,7 @@ def test_box_cells_truncated_equal_floor(monkeypatch):
     pts[:2] = [[-3.0, 4.0], [0.0, 0.0]]  # the box's corners
     pts[2:52] = [-3.0, 0.0]  # points on the min corner
     pts[52:102, 1] = -0.0  # the column's min is 0.0 or -0.0, whichever min meets first
-    cloud = PointCloud(pts, None, None)
+    cloud = PointCloud(pts)
     assert cloud.bounding_box[0][1] == 0.0 and cloud.diameter == 5.0
     box_counting_dimension(cloud)
     eps = 1.0 * measure.DEFAULT_RADII_RATIO ** np.arange(measure.BOX_SIZES)
@@ -1245,7 +1269,7 @@ def test_box_counting_cantor():
 
 def test_box_counting_uniform_square():
     rng = np.random.default_rng(109)
-    cloud = PointCloud(rng.uniform(0.0, 1.0, size=(100_000, 2)), None, None)
+    cloud = PointCloud(rng.uniform(0.0, 1.0, size=(100_000, 2)))
     rep = box_counting_dimension(cloud)
     assert rep.dimension == pytest.approx(2.0, abs=0.05)
 
@@ -1259,6 +1283,6 @@ def test_box_counting_dirac_zero():
 def test_box_counting_occupancy_guard():
     # 100 points in the largest boxes, diam / 5, already average below 5 a box
     rng = np.random.default_rng(127)
-    cloud = PointCloud(rng.uniform(0.0, 1.0, size=(100, 2)), None, None)
+    cloud = PointCloud(rng.uniform(0.0, 1.0, size=(100, 2)))
     with pytest.raises(ValueError, match="fewer than 4 usable box sizes"):
         box_counting_dimension(cloud)
