@@ -31,7 +31,7 @@ print("Cantor separation:", verdict.status, f"at level {verdict.level}",
 
 cloud = sample_measure(cantor, 60_000, depth=35, rng=1)
 aff = self_affinity_check(cloud, cantor, [(np.array([0.0]), np.array([1 / 3]))])
-box = aff.boxes[0]
+box = aff[0]
 print(f"stationarity on [0, 1/3]: mass {box.mass:.4f} vs pushed {box.pushed_mass:.4f} "
       f"({box.status})")
 

@@ -440,9 +440,12 @@ def _estimate_projection_dims(
 def full_pipeline(ifs: IfsSystem, config: PipelineConfig | None = None) -> DimensionReport:
     """Run every stage and assemble a dimension report.
 
-    Spectrum estimation, routing (simple spectrum vs dominated splitting),
-    separation checking, measure sampling, per-index projected-dimension
-    estimation at sampled invariant directions, and the formula evaluations.
+    Spectrum estimation, routing, separation checking, measure sampling,
+    per-index projected-dimension estimation at sampled invariant directions,
+    and the formula evaluations.  The formula's indices are the boundaries of
+    the spectrum's blocks (domination at i forces chi_i < chi_{i+1}); where
+    exponents merged, the route is ``dominated-splitting`` only when the gap
+    scan calls every boundary dominated, and otherwise ``not-applicable``.
     The fiber-entropy correction is set to zero only when strong separation
     of all the maps is verified (a map of weight zero keeps the pieces
     disjoint); otherwise it must be supplied in the config, or the formula
@@ -464,12 +467,10 @@ def full_pipeline(ifs: IfsSystem, config: PipelineConfig | None = None) -> Dimen
         ifs.matrices, ifs.weights, cfg.spectrum_steps, cfg.spectrum_trials, rng_spectrum
     )
 
-    domination = None
-    if spectrum.simple:
-        route = "simple-spectrum"
-        indices = tuple(range(1, d))
-    else:
-        route, indices = "not-applicable", ()
+    boundaries = tuple(int(i) for i in np.cumsum(spectrum.multiplicities)[:-1])
+    route, domination = "simple-spectrum", None
+    if not spectrum.simple:
+        route = "not-applicable"
         try:
             table = gap_ratio_scan(ifs.matrices, cfg.scan_n_max, cfg.scan_budget)
         except BudgetExceededError:
@@ -480,13 +481,23 @@ def full_pipeline(ifs: IfsSystem, config: PipelineConfig | None = None) -> Dimen
             )
         else:
             domination = detect_domination(table)
-            if domination.tds_verified:
-                route, indices = "dominated-splitting", domination.dominated_indices
+            gap = np.diff(spectrum.exponents)  # gap[i - 1] is chi_{i+1} - chi_i
+            uncertified = [f"index {it.index} ({it.status}, gap {gap[it.index - 1]:.4g})"
+                           for it in domination.indices
+                           if it.index in boundaries and it.status != "dominated"]
+            merged = [f"index {it.index} (decay rate {it.decay_rate:.4g})"
+                      for it in domination.indices
+                      if it.index not in boundaries and it.status == "dominated"]
+            if uncertified:
+                caveats.append("exponents are not all distinct and the scan does not certify "
+                               f"domination at a block boundary: {', '.join(uncertified)}; the "
+                               f"dimension formula is not applied (n_max={cfg.scan_n_max})")
             else:
-                caveats.append(
-                    "exponents are not all distinct and domination is inconclusive at "
-                    f"some index; the dimension formula is not applied (n_max={cfg.scan_n_max})"
-                )
+                route = "dominated-splitting"
+            if merged:
+                caveats.append("the scan finds domination inside a block of merged exponents "
+                               f"at {', '.join(merged)}; the formula uses no such index")
+    indices = () if route == "not-applicable" else boundaries
 
     separation = check_separation(ifs, cfg.separation_level, cfg.separation_budget)
 
@@ -516,9 +527,7 @@ def full_pipeline(ifs: IfsSystem, config: PipelineConfig | None = None) -> Dimen
         )
         caveats.extend(extra)
 
-    ly_val = None
-    conditional = None
-    equivalence = None
+    ly_val = conditional = equivalence = None
     if route != "not-applicable":
         inputs = DimensionInputs(h, 0.0 if fiber is None else fiber, spectrum, proj_used, indices)
         if fiber is not None:

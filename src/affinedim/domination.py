@@ -197,11 +197,6 @@ class DominationReport:
     def dominated_indices(self) -> tuple[int, ...]:
         return tuple(it.index for it in self.indices if it.status == "dominated")
 
-    @property
-    def tds_verified(self) -> bool:
-        """True when every index got a definite answer (no inconclusive)."""
-        return all(it.status != "inconclusive" for it in self.indices)
-
 
 def detect_domination(table: GapRatioTable) -> DominationReport:
     """Decide domination per index from a gap-ratio table.

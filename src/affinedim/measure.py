@@ -25,7 +25,6 @@ __all__ = [
     "PointCloud",
     "SeparationVerdict",
     "BoxCheck",
-    "SelfAffinityReport",
     "LiftedIfs",
     "LocalDimensionReport",
     "BoxCountReport",
@@ -222,19 +221,14 @@ class BoxCheck:
     status: str  # pass | fail | skipped
 
 
-@dataclass(frozen=True)
-class SelfAffinityReport:
-    boxes: tuple[BoxCheck, ...]
-
-
-def self_affinity_check(cloud: PointCloud, ifs: IfsSystem, boxes) -> SelfAffinityReport:
+def self_affinity_check(cloud: PointCloud, ifs: IfsSystem, boxes) -> tuple[BoxCheck, ...]:
     """Empirical check of the stationarity identity on axis boxes.
 
     For each box B compares the sample mass of B with the weight-average of
     the masses of the map preimages (measured by pushing every sample through
     each map), at tolerance ``3 sqrt(mass / m)``.  Boxes holding fewer than
     ``SELF_AFFINITY_MIN_COUNT`` samples are skipped, except exact 0 == 0
-    which passes.
+    which passes.  Returns one :class:`BoxCheck` per box, in order.
     """
     pts = cloud.points
     m = cloud.m
@@ -263,7 +257,7 @@ def self_affinity_check(cloud: PointCloud, ifs: IfsSystem, boxes) -> SelfAffinit
         else:
             status = "pass" if abs(mass - pushed) <= tol else "fail"
         checks.append(BoxCheck(lo, hi, mass, float(pushed), float(tol), status))
-    return SelfAffinityReport(tuple(checks))
+    return tuple(checks)
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,14 @@ def kp_sponge_ifs():
                      BernoulliWeights(np.array([0.3, 0.25, 0.2, 0.15, 0.1])))
 
 
+def tied_sponge_ifs():
+    """``diag(1/3, 1/3, 1/5)`` at five digits: two exponents tie, so the blocks are [2, 1]."""
+    digits = np.array([(0, 0, 0), (2, 0, 2), (0, 2, 4), (2, 2, 0), (0, 0, 2)])
+    scale = np.array([3.0, 3.0, 5.0])
+    return IfsSystem(np.tile(np.diag(1.0 / scale), (5, 1, 1)), digits / scale,
+                     BernoulliWeights(np.array([0.3, 0.25, 0.2, 0.15, 0.1])))
+
+
 # Gatzouras-Lalley carpet: rows (height b, y) of cells (width a, x) with a < b
 GL_ROWS = ((0.4, 0.0, ((0.25, 0.0), (0.2, 0.35), (0.3, 0.65))),
            (0.35, 0.6, ((0.3, 0.1), (0.25, 0.6))))

@@ -272,7 +272,7 @@ def test_criterion_11_self_affinity_boxes():
         lo = rng.uniform(0.0, 0.7, size=1)
         boxes.append((lo, lo + rng.uniform(0.25, 0.3, size=1)))
     rep = self_affinity_check(cloud, cantor, boxes)
-    assert all(b.status == "pass" for b in rep.boxes)
+    assert all(b.status == "pass" for b in rep)
 
     bm = bm_carpet_ifs()
     bm_cloud = sample_measure(bm, 100_000, 30, rng=1113)
@@ -281,7 +281,7 @@ def test_criterion_11_self_affinity_boxes():
         lo = rng.uniform(0.0, 0.5, size=2)
         bm_boxes.append((lo, lo + rng.uniform(0.3, 0.5, size=2)))
     bm_rep = self_affinity_check(bm_cloud, bm, bm_boxes)
-    assert all(b.status == "pass" for b in bm_rep.boxes)
+    assert all(b.status == "pass" for b in bm_rep)
     _passed(11, "stationarity identity passes on all 20 boxes at 3 sigma")
 
 

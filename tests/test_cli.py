@@ -132,6 +132,35 @@ def test_bad_matrix_shape_reports_location(tmp_path, capsys):
     assert "ifs.matrices[1]" in err
 
 
+def planar_doc():
+    """Two non-symmetric planar maps, so a column-major reading would differ."""
+    return cantor_doc(ifs={"matrices": [[[0.4, 0.1], [0.05, 0.2]], [[0.3, 0.12], [0.1, 0.25]]],
+                           "translations": [[0.0, 0.0], [0.6, 0.1]], "weights": [0.5, 0.5]})
+
+
+def test_flat_matrices_read_row_major_as_their_nested_rows(tmp_path, capsys):
+    nested = planar_doc()
+    flat = planar_doc()
+    flat["ifs"]["matrices"] = [[x for row in m for x in row] for m in nested["ifs"]["matrices"]]
+    assert flat["ifs"]["matrices"][0] == [0.4, 0.1, 0.05, 0.2]
+    assert parse_config(flat).doc == parse_config(nested).doc
+    outs = [run(["lyapunov", "--config", write_config(tmp_path, doc, name), "--deterministic"],
+                capsys) for doc, name in ((nested, "nested.json"), (flat, "flat.json"))]
+    assert outs[0][0] == 0 and outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([0.5, 0.1, 0.0], "ifs.matrices[1]: flat matrix of length 3 is not square"),
+    ([0.1] * 9, "ifs.matrices[1]: matrix is 3x3, expected 2x2"),
+], ids=["not-square", "wrong-size"])
+def test_bad_flat_matrix_reports_location(tmp_path, capsys, matrix, message):
+    doc = planar_doc()
+    doc["ifs"]["matrices"][1] = matrix
+    code, out, err = run(["lyapunov", "--config", write_config(tmp_path, doc)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("matrix, message", [
     ([[1.2]], "ifs.matrices[1]: matrix is not contractive: operator norm 1.2 >= 1"),
     ([[0.0]],

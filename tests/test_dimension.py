@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (GL_ROWS, bm_carpet_ifs, cantor_ifs, gl_carpet_ifs, kp_sponge_ifs,
-                      telescoping_identity_check)
+                      telescoping_identity_check, tied_sponge_ifs)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -477,6 +477,19 @@ def test_pipeline_conformal_equal_exponents_routes_tds():
     assert report.domination is not None
     assert report.domination.dominated_indices == ()
     assert report.ly_dim == pytest.approx(CANTOR_DIM, abs=0.02)
+
+
+def test_pipeline_tied_sponge_takes_the_dominated_route_to_its_closed_form():
+    # chi_1 = chi_2 = log 3 < chi_3 = log 5: the spectrum has blocks [2, 1],
+    # and the formula's one projection term is at the boundary, index 2
+    ifs = tied_sponge_ifs()
+    value, _ = diagonal_closed_form(ifs)
+    assert value == pytest.approx(1.340861, abs=1e-6)
+    report = full_pipeline(ifs, PipelineConfig())
+    assert report.route == "dominated-splitting"
+    assert report.spectrum.multiplicities == (2, 1)
+    assert list(report.projection_dims) == [2]
+    assert abs(report.ly_dim - value) <= 0.02
 
 
 def test_pipeline_report_serialises_to_json():

@@ -311,8 +311,8 @@ def test_self_affinity_whole_ball_exact():
     ifs = cantor_ifs()
     cloud = sample_measure(ifs, 5000, 30, rng=11)
     r = ifs.bounding_radius
-    report = self_affinity_check(cloud, ifs, [(np.array([-r]), np.array([r]))])
-    box = report.boxes[0]
+    checks = self_affinity_check(cloud, ifs, [(np.array([-r]), np.array([r]))])
+    box = checks[0]
     assert box.status == "pass"
     assert box.mass == 1.0 and box.pushed_mass == pytest.approx(1.0)
 
@@ -320,8 +320,8 @@ def test_self_affinity_whole_ball_exact():
 def test_self_affinity_first_cylinder():
     ifs = cantor_ifs(weights=[0.4, 0.6])
     cloud = sample_measure(ifs, 30_000, 30, rng=13)
-    report = self_affinity_check(cloud, ifs, [(np.array([0.0]), np.array([1.0 / 3.0]))])
-    box = report.boxes[0]
+    checks = self_affinity_check(cloud, ifs, [(np.array([0.0]), np.array([1.0 / 3.0]))])
+    box = checks[0]
     assert box.status == "pass"
     assert box.pushed_mass == pytest.approx(0.4, abs=1e-12)
 
@@ -329,16 +329,16 @@ def test_self_affinity_first_cylinder():
 def test_self_affinity_disjoint_box_trivial():
     ifs = cantor_ifs()
     cloud = sample_measure(ifs, 2000, 25, rng=17)
-    report = self_affinity_check(cloud, ifs, [(np.array([-0.9]), np.array([-0.5]))])
-    assert report.boxes[0].status == "pass"
-    assert report.boxes[0].mass == 0.0 and report.boxes[0].pushed_mass == 0.0
+    checks = self_affinity_check(cloud, ifs, [(np.array([-0.9]), np.array([-0.5]))])
+    assert checks[0].status == "pass"
+    assert checks[0].mass == 0.0 and checks[0].pushed_mass == 0.0
 
 
 def test_self_affinity_small_box_skipped():
     ifs = cantor_ifs()
     cloud = sample_measure(ifs, 2000, 25, rng=19)
-    report = self_affinity_check(cloud, ifs, [(np.array([0.0]), np.array([1e-4]))])
-    assert report.boxes[0].status in ("skipped", "pass")
+    checks = self_affinity_check(cloud, ifs, [(np.array([0.0]), np.array([1e-4]))])
+    assert checks[0].status in ("skipped", "pass")
 
 
 def test_self_affinity_rejects_box_outside_ball():
@@ -357,8 +357,8 @@ def test_self_affinity_bm_boxes_pass():
         lo = rng.uniform(0.0, 0.6, size=2)
         hi = lo + rng.uniform(0.2, 0.4, size=2)
         boxes.append((lo, hi))
-    report = self_affinity_check(cloud, ifs, boxes)
-    assert all(b.status != "fail" for b in report.boxes)
+    checks = self_affinity_check(cloud, ifs, boxes)
+    assert all(b.status != "fail" for b in checks)
 
 
 # ---------------------------------------------------------------------------

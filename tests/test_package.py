@@ -29,7 +29,6 @@ NOT_RUN_BY_COMMANDS = {
 # public methods and properties of the exported classes that no command runs,
 # each with the criterion that runs it or the reason it stays
 METHODS_NOT_RUN_BY_COMMANDS = {
-    "DominationReport.tds_verified": "no shipped config takes the dominated route",
     "SubspaceFrame.from_span": "test_criterion_05_bundle_growth_bound_stable, "
                                "through strong_stable_bundle",
 }

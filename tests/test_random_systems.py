@@ -17,8 +17,8 @@ import pytest
 from affinedim.cli import main
 from affinedim.config import parse_config
 
-# draws 17 systems (d and N in 1..3); system 2 (d = 3, N = 2) routes
-# dominated-splitting with a split spectrum and no dominated index
+# draws 17 systems (d and N in 1..3); system 2 (d = 3, N = 2) splits its
+# spectrum at an index the scan does not certify, and routes not-applicable
 SWEEP_SEED = 7
 # budgets cut so that the whole sweep runs in about a second
 BUDGETS = {"spectrum_steps": 400, "spectrum_trials": 4, "flag_iterations": 32, "flag_count": 3,
@@ -123,6 +123,12 @@ def test_dim_gives_a_report_or_the_depth_refusal(name, runs):
     assert statuses <= DOMINATION
     assert results["equivalence"] is None or results["equivalence"]["status"] in EQUIVALENCE
     assert set(_provenances(results)) <= PROVENANCE
+    # the formula's indices are the boundaries of the spectrum's blocks, and
+    # the dominated route is taken only where the scan certifies every one
+    boundaries = np.cumsum(results["spectrum"]["multiplicities"])[:-1].tolist()
+    assert {int(i) for i in results["projection_dims"]} <= set(boundaries)
+    if results["route"] == "dominated-splitting":
+        assert set(boundaries) <= set(results["domination"]["dominated_indices"])
     # the exponents sum to the mean of log|det| over the drawn symbols
     p = np.array(ifs["weights"])
     log_det = np.log(np.abs(np.linalg.det(np.array(ifs["matrices"]))))
@@ -133,9 +139,6 @@ def test_dim_gives_a_report_or_the_depth_refusal(name, runs):
     assert abs(sum(results["spectrum"]["exponents"]["value"]) - expected) <= tol
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the spectrum merges exponents whose gap "
-                   "is many stderrs wide, and a scan that finds no dominated index still "
-                   "routes dominated-splitting")
 def test_dominated_splitting_names_an_index_unless_every_exponent_merged(runs):
     for name, _ in SYSTEMS:
         _, (code, out, _), _ = runs(name)
@@ -145,3 +148,18 @@ def test_dominated_splitting_names_an_index_unless_every_exponent_merged(runs):
         if results["route"] == "dominated-splitting":
             multiplicities = results["spectrum"]["multiplicities"]
             assert results["domination"]["dominated_indices"] or len(multiplicities) == 1, name
+
+
+def test_a_merged_spectrum_routes_by_its_block_boundaries(runs):
+    results = {name: json.loads(runs(name)[1][1])["results"] for name in ("2-d3-n2", "single-map")}
+    # system 2 has blocks [2, 1], and the scan calls the boundary non-dominated
+    split = results["2-d3-n2"]
+    assert split["spectrum"]["multiplicities"] == [2, 1]
+    assert split["route"] == "not-applicable"
+    assert split["ly_dim"] is None and split["projection_dims"] == {}
+    assert any("block boundary: index 2 (non-dominated, gap " in c for c in split["caveats"])
+    # the single map's scan also calls index 1 dominated, inside its merged block
+    single = results["single-map"]
+    assert single["domination"]["dominated_indices"] == [1, 2]
+    assert (single["route"], list(single["projection_dims"])) == ("dominated-splitting", ["2"])
+    assert any("merged exponents at index 1 (decay rate " in c for c in single["caveats"])
